@@ -33,7 +33,6 @@ from .linalg import (
     truncate,
 )
 from .pipelines import (
-    ApproxBasis,
     PipelineConfig,
     run_colsample_pipeline,
     run_fd_pipeline,
@@ -47,6 +46,7 @@ from .scores import (
     batch_scores,
     online_scores,
     ridge_identity_deviation,
+    score_block,
     score_row,
 )
 from .sketches import (
@@ -55,6 +55,7 @@ from .sketches import (
     SignProjector,
     apply_column_plan,
     column_sample_plan,
+    fd_ingest,
     row_sample,
 )
 from .verify import (

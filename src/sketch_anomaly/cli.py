@@ -41,7 +41,12 @@ from .pipelines import (
     run_pipeline,
 )
 from .scores import batch_scores
-from .sketches import ColumnSamplePlan, FrequentDirections, column_sample_plan
+from .sketches import (
+    ColumnSamplePlan,
+    FrequentDirections,
+    column_sample_plan,
+    fd_ingest,
+)
 from .synth import planted_anomaly_dataset
 from .verify import SUITES, run_suite
 
@@ -128,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seeds", type=int, default=20)
     verify.add_argument("--seed", type=int, default=0, help="base seed")
     verify.add_argument("--epsilon", type=float)
-    verify.add_argument("--mu", type=float, help="accepted for interface parity; sweeps pick mu grids internally")
     verify.add_argument("--out", "--output", dest="output")
     verify.set_defaults(func=cmd_verify)
 
@@ -201,10 +205,9 @@ def cmd_score(args) -> int:
         )
         if args.sketch_out:
             if mode == "fd":
-                state = FrequentDirections(ell, matrix.shape[1])
-                for row in row_source():
-                    state.update(row)
-                save_snapshot(args.sketch_out, state, seed=args.seed)
+                save_snapshot(
+                    args.sketch_out, fd_ingest(row_source(), ell), seed=args.seed
+                )
             else:
                 plan = column_sample_plan(row_source(), ell, args.seed)
                 save_snapshot(args.sketch_out, plan)
@@ -214,18 +217,28 @@ def cmd_score(args) -> int:
             if mode == "fd":
                 if not isinstance(state, FrequentDirections):
                     raise DataFormatError(f"{args.sketch_in}: not an fd snapshot")
+                _check_snapshot_flag(args.sketch_in, "ell", state.ell, ell)
                 records = run_fd_pipeline(row_source, cfg, state=state)
             else:
                 if not isinstance(state, ColumnSamplePlan):
                     raise DataFormatError(
                         f"{args.sketch_in}: not a column-plan snapshot"
                     )
+                _check_snapshot_flag(args.sketch_in, "ell", state.ell, ell)
+                _check_snapshot_flag(args.sketch_in, "seed", state.seed, args.seed)
                 records = run_colsample_pipeline(row_source, cfg, plan=state)
         else:
             records = run_pipeline(row_source, cfg)
 
     _emit(_dump_json([r.to_dict() for r in records]), args.output)
     return 0
+
+
+def _check_snapshot_flag(path: str, name: str, stored: int, flag: int) -> None:
+    if stored != flag:
+        raise DataFormatError(
+            f"{path}: snapshot was built with {name} {stored}, but --{name} is {flag}"
+        )
 
 
 def cmd_verify(args) -> int:
@@ -305,3 +318,7 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,6 @@ recall).  Randomized sketches are averaged over several seeds.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .linalg import as_matrix
 from .pipelines import PipelineConfig, run_pipeline
 from .scores import ScoreRecord, batch_scores
-from .util import thread_cap
 
 SCORE_KINDS = ("leverage-k", "projection-k", "ridge", "tail", "full")
 
@@ -172,8 +170,8 @@ def evaluate_pipeline(
     """Score with one sketch pipeline and report F1 against exact labels.
 
     Randomized modes are averaged over the given seeds (one full pipeline
-    run per seed, concurrently when the thread cap allows); top-level
-    fields are the per-seed means with the median best threshold.
+    run per seed, one after another); top-level fields are the per-seed
+    means with the median best threshold.
     """
     a = as_matrix(matrix)
     labels = ground_truth(a, cfg)
@@ -192,19 +190,8 @@ def evaluate_pipeline(
         )
 
     if mode not in RANDOMIZED_MODES:
-        seeds = seeds[:1]
-    if len(seeds) == 1:
-        single = run_one(seeds[0])
-        if mode not in RANDOMIZED_MODES:
-            return single
-        reports = [single]
-    else:
-        workers = min(thread_cap(), len(seeds))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(run_one, seeds))
-        else:
-            reports = [run_one(s) for s in seeds]
+        return run_one(seeds[0])
+    reports = [run_one(s) for s in seeds]
 
     per_seed = [
         {"seed": int(s), **rep.to_dict() | {"per_seed": None}}

@@ -60,7 +60,10 @@ def _f64(blob: bytes, offset: int, count: int, path: str) -> tuple[np.ndarray, i
     end = offset + 8 * count
     if end > len(blob):
         raise DataFormatError(f"{path}: truncated payload")
-    return np.frombuffer(blob[offset:end], dtype="<f8").copy(), end
+    data = np.frombuffer(blob[offset:end], dtype="<f8").copy()
+    if not np.all(np.isfinite(data)):
+        raise DataFormatError(f"{path}: non-finite value in payload")
+    return data, end
 
 
 def _u64(blob: bytes, offset: int, count: int, path: str) -> tuple[np.ndarray, int]:
@@ -104,10 +107,16 @@ def load_snapshot(path):
     if kind == KIND_MATRIX:
         data, _ = _f64(blob, offset, ell * dim, str(path))
         return data.reshape(ell, dim)
+    if kind in (KIND_FD_STATE, KIND_COLUMN_PLAN) and (ell < 1 or dim < 1):
+        raise DataFormatError(f"{path}: snapshot has ell {ell} and dim {dim}")
     if kind == KIND_FD_STATE:
         if len(blob) < offset + 16:
             raise DataFormatError(f"{path}: truncated payload")
         fill, shrink_count = struct.unpack_from("<QQ", blob, offset)
+        if fill > 2 * ell - 1:
+            raise DataFormatError(
+                f"{path}: fd state fill {fill} exceeds 2*ell-1 = {2 * ell - 1}"
+            )
         data, _ = _f64(blob, offset + 16, 2 * ell * dim, str(path))
         state = FrequentDirections(ell, dim)
         state.buffer = data.reshape(2 * ell, dim)
@@ -118,7 +127,14 @@ def load_snapshot(path):
         if len(blob) < offset + 16:
             raise DataFormatError(f"{path}: truncated payload")
         entries_seen, running_mass = struct.unpack_from("<Qd", blob, offset)
+        if not np.isfinite(running_mass):
+            raise DataFormatError(f"{path}: non-finite value in payload")
         indices, offset2 = _u64(blob, offset + 16, ell, str(path))
+        if np.any(indices >= dim):
+            raise DataFormatError(
+                f"{path}: column plan index {int(indices.max())} "
+                f"is not below dim {dim}"
+            )
         masses, _ = _f64(blob, offset2, dim, str(path))
         return ColumnSamplePlan(
             ell=ell,

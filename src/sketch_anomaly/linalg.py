@@ -140,32 +140,39 @@ def sym_eig(matrix, tol: float = DEFAULT_EIG_TOL) -> SpectralDecomposition:
     )
 
 
+def gram_basis(eig: SpectralDecomposition) -> SpectralDecomposition:
+    """Spectrum and usable right vectors of A from ``sym_eig`` of its Gram.
+
+    Eigenvalues are clipped at zero before the square root; vectors stop
+    at ``effective_rank`` of the resulting singular values.
+    """
+    sigma = np.sqrt(np.clip(eig.values, 0.0, None))
+    rank = effective_rank(sigma)
+    return SpectralDecomposition(
+        values=sigma,
+        right_vectors=np.ascontiguousarray(eig.right_vectors[:, :rank]),
+        rank_used=rank,
+    )
+
+
 def svd_thin(matrix, compute_left: bool = False) -> SpectralDecomposition:
     """Thin SVD via the smaller Gram matrix.
 
     Uses ``A^T A`` when d <= n, else ``A A^T``.  Singular values cover the
     full ``min(n, d)`` spectrum; stored singular vectors stop at the rank
-    boundary (``sigma_i > RANK_FLOOR * sigma_1``).
+    boundary (``effective_rank``).
     """
     a = as_matrix(matrix)
     n, d = a.shape
     if d <= n:
-        gram = a.T @ a
-        decomp = sym_eig(gram)
-        sigma = np.sqrt(np.clip(decomp.values, 0.0, None))
-        rank = _rank_from_sigma(sigma)
-        right = np.ascontiguousarray(decomp.right_vectors[:, :rank])
-        left = None
-        if compute_left and rank > 0:
-            left = np.ascontiguousarray((a @ right) / sigma[:rank])
+        basis = gram_basis(sym_eig(a.T @ a))
+        sigma, rank, right = basis.values, basis.rank_used, basis.right_vectors
     else:
-        gram = a @ a.T
-        decomp = sym_eig(gram)
-        sigma = np.sqrt(np.clip(decomp.values, 0.0, None))
-        rank = _rank_from_sigma(sigma)
-        u0 = decomp.right_vectors[:, :rank]
+        # The Gram of A^T: its "right" vectors are A's left vectors.
+        cols = gram_basis(sym_eig(a @ a.T))
+        sigma, rank = cols.values, cols.rank_used
         if rank > 0:
-            raw = (a.T @ u0) / sigma[:rank]
+            raw = (a.T @ cols.right_vectors) / sigma[:rank]
             # Dividing by small sigma erodes orthogonality; one QR pass
             # restores it without moving the well-conditioned columns.
             q, r = np.linalg.qr(raw)
@@ -174,31 +181,27 @@ def svd_thin(matrix, compute_left: bool = False) -> SpectralDecomposition:
             right = np.ascontiguousarray(_fix_signs(q * diag_signs))
         else:
             right = np.zeros((d, 0))
-        left = None
-        if compute_left and rank > 0:
-            left = np.ascontiguousarray((a @ right) / sigma[:rank])
+    left = None
+    if compute_left and rank > 0:
+        left = np.ascontiguousarray((a @ right) / sigma[:rank])
     return SpectralDecomposition(
         values=sigma, right_vectors=right, rank_used=rank, left_vectors=left
     )
 
 
-def effective_rank(sigma: np.ndarray, floor: float = RANK_FLOOR) -> int:
+def effective_rank(sigma: np.ndarray) -> int:
     """Count singular values above the usable floor.
 
-    The configured relative floor is combined with the Gram-route noise
+    The relative floor ``RANK_FLOOR`` is combined with the Gram-route noise
     level: eigenvalues of A^T A below ~m*eps*lambda_1 are indistinguishable
     from rounding, so sigma below sqrt(m*eps)*sigma_1 cannot be trusted
-    regardless of how small the configured floor is.
+    regardless of how small ``RANK_FLOOR`` is.
     """
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
     gram_noise = np.sqrt(sigma.size * np.finfo(np.float64).eps)
-    thresh = max(floor, gram_noise) * sigma[0]
+    thresh = max(RANK_FLOOR, gram_noise) * sigma[0]
     return int(np.count_nonzero(sigma > thresh))
-
-
-def _rank_from_sigma(sigma: np.ndarray) -> int:
-    return effective_rank(sigma)
 
 
 def spectral_stats(matrix, k: int, p: int) -> SpectralStats:
@@ -252,8 +255,3 @@ def operator_norm(matrix) -> float:
     gram = 0.5 * (gram + gram.T)
     top = float(np.linalg.eigvalsh(gram)[-1])
     return float(np.sqrt(max(top, 0.0)))
-
-
-def singular_values(matrix) -> np.ndarray:
-    """All min(n, d) singular values, descending."""
-    return svd_thin(matrix).values

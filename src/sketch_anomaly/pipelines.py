@@ -15,30 +15,27 @@ Row-space sketches (fd, rowsample) support the full score set; projected
 sketches (rproj, colsample) support only the two estimators defined in
 projected coordinates (rank-k leverage and projection distance), the rest
 are None.  Projection distance estimates are clamped at zero, with the raw
-value kept in ``projection_distance_raw``.
+value kept in ``projection_distance_raw``.  Scoring passes go through
+``scores.score_block`` in blocks of ``_CHUNK`` rows, in stream order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import RankDeficientError, ShapeError
-from .linalg import (
-    RANK_FLOOR,
-    SpectralDecomposition,
-    as_row,
-    effective_rank,
-    svd_thin,
-    sym_eig,
-)
+from .linalg import SpectralDecomposition, as_row, gram_basis, svd_thin, sym_eig
 from .scores import (
     MODE_SKETCHED_BATCH,
     MODE_SKETCHED_ONLINE,
+    PROJECTED_FIELDS,
+    ROWSPACE_FIELDS,
     ScoreRecord,
+    score_block,
+    score_records,
     undefined_record,
 )
 from .sketches import (
@@ -47,18 +44,13 @@ from .sketches import (
     SignProjector,
     apply_column_plan,
     column_sample_plan,
+    fd_ingest,
     row_sample,
 )
-from .util import thread_cap
 
 RowSource = Callable[[], Iterable]
 
-PIPELINE_MODES = ("fd", "rproj", "colsample", "rowsample", "online-fd")
-
 _CHUNK = 512
-
-ROW_SPACE = "row-space"
-PROJECTED_SPACE = "projected-space"
 
 
 @dataclass(frozen=True)
@@ -70,8 +62,6 @@ class PipelineConfig:
     seed: int = 0
     lam: float | None = None
     mode: str = "fd"
-    rank_floor: float = RANK_FLOOR
-    independence_w: int = 32
 
     def __post_init__(self):
         if self.k < 1:
@@ -86,24 +76,10 @@ class PipelineConfig:
             raise ValueError(f"lambda must be positive, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class ApproxBasis:
-    """Top-k spectral basis extracted from a sketch."""
-
-    values: np.ndarray
-    right_vectors: np.ndarray
-    space: str
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        self.right_vectors.setflags(write=False)
-
-
 def _sketch_decomp_or_raise(
     decomp: SpectralDecomposition, cfg: PipelineConfig
 ) -> SpectralDecomposition:
-    sigma = decomp.values
-    usable = min(decomp.rank_used, effective_rank(sigma, cfg.rank_floor))
+    usable = decomp.rank_used
     if usable < cfg.k:
         raise RankDeficientError(
             f"sketch retains only {usable} usable direction(s) but k={cfg.k}; "
@@ -111,14 +87,6 @@ def _sketch_decomp_or_raise(
             f"{cfg.ell + 2 * (cfg.k - usable)}"
         )
     return decomp
-
-
-def approx_basis(decomp: SpectralDecomposition, k: int, space: str) -> ApproxBasis:
-    return ApproxBasis(
-        values=decomp.values[:k].copy(),
-        right_vectors=decomp.right_vectors[:, :k].copy(),
-        space=space,
-    )
 
 
 def _chunks(rows: Iterable, width_hint: int | None = None):
@@ -136,109 +104,62 @@ def _chunks(rows: Iterable, width_hint: int | None = None):
         yield np.asarray(block)
 
 
-def _map_ordered(fn, blocks):
-    """Apply fn to blocks, possibly in a thread pool, preserving order."""
-    workers = thread_cap()
-    if workers <= 1:
-        for b in blocks:
-            yield fn(b)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = []
-        for b in blocks:
-            pending.append(pool.submit(fn, b))
-            # Keep a bounded window so we do not buffer the whole stream.
-            while len(pending) > 2 * workers:
-                yield pending.pop(0).result()
-        for fut in pending:
-            yield fut.result()
+def _score_pass(
+    row_source: RowSource,
+    width: int,
+    coords: Callable[[np.ndarray], np.ndarray],
+    sigma: np.ndarray,
+    k: int,
+    lam: float | None,
+    fields: tuple[str, ...],
+) -> list[ScoreRecord]:
+    """One pass scoring every row, block by block, from its basis coordinates."""
+    records: list[ScoreRecord] = []
+    for block in _chunks(row_source(), width):
+        row_sq = np.einsum("ij,ij->i", block, block)
+        columns = score_block(coords(block), row_sq, sigma, k, lam)
+        records += score_records(columns, fields, MODE_SKETCHED_BATCH, len(records))
+    return records
 
 
 def _rowspace_records(
-    rows: Iterable,
-    decomp: SpectralDecomposition,
-    cfg: PipelineConfig,
-    mode: str,
+    row_source: RowSource, sketch: np.ndarray, cfg: PipelineConfig
 ) -> list[ScoreRecord]:
-    sigma = decomp.values[: decomp.rank_used]
-    sigma_sq = sigma**2
+    """Score pass against the row space of a sketch (fd, rowsample)."""
+    decomp = _sketch_decomp_or_raise(svd_thin(sketch), cfg)
     v = decomp.right_vectors
-    inv_sigma_sq = 1.0 / sigma_sq
-    lam = cfg.lam
-    k = cfg.k
+    sigma = decomp.values[: decomp.rank_used]
 
-    def score_block(block: np.ndarray):
-        alpha_sq = (block @ v) ** 2
-        row_sq = np.einsum("ij,ij->i", block, block)
-        lev_k = alpha_sq[:, :k] @ inv_sigma_sq[:k]
-        raw_t = row_sq - alpha_sq[:, :k].sum(axis=1)
-        full = alpha_sq @ inv_sigma_sq
-        tail = np.maximum(full - lev_k, 0.0)
-        ridge = None
-        if lam is not None:
-            residual = np.maximum(row_sq - alpha_sq.sum(axis=1), 0.0)
-            ridge = alpha_sq @ (1.0 / (sigma_sq + lam)) + residual / lam
-        return lev_k, raw_t, full, tail, ridge
+    def coords(block: np.ndarray) -> np.ndarray:
+        return block @ v
 
-    records: list[ScoreRecord] = []
-    idx = 0
-    for lev_k, raw_t, full, tail, ridge in _map_ordered(
-        score_block, _chunks(rows, decomp.dim)
-    ):
-        for j in range(lev_k.shape[0]):
-            records.append(
-                ScoreRecord(
-                    row_index=idx,
-                    full_leverage=float(full[j]),
-                    rank_k_leverage=float(lev_k[j]),
-                    projection_distance=max(float(raw_t[j]), 0.0),
-                    tail_leverage=float(tail[j]),
-                    ridge_leverage=float(ridge[j]) if ridge is not None else None,
-                    mode=mode,
-                    projection_distance_raw=float(raw_t[j]),
-                )
-            )
-            idx += 1
-    return records
+    return _score_pass(
+        row_source, decomp.dim, coords, sigma, cfg.k, cfg.lam, ROWSPACE_FIELDS
+    )
 
 
 def _projected_records(
-    rows: Iterable,
-    project_block: Callable[[np.ndarray], np.ndarray],
-    decomp: SpectralDecomposition,
+    row_source: RowSource,
+    project: Callable[[np.ndarray], np.ndarray],
+    cov: np.ndarray,
     cfg: PipelineConfig,
     width: int,
 ) -> list[ScoreRecord]:
-    sigma = decomp.values[: decomp.rank_used]
+    """Score pass in projected coordinates (rproj, colsample).
+
+    ``cov`` is the ell x ell Gram of the projected rows; only L^k and T^k
+    are defined there.
+    """
+    decomp = _sketch_decomp_or_raise(gram_basis(sym_eig(cov)), cfg)
     v_k = decomp.right_vectors[:, : cfg.k]
-    inv_sigma_sq_k = 1.0 / sigma[: cfg.k] ** 2
+    sigma_k = decomp.values[: cfg.k]
 
-    def score_block(block: np.ndarray):
-        projected = project_block(block)
-        alpha_sq = (projected @ v_k) ** 2
-        row_sq = np.einsum("ij,ij->i", block, block)
-        lev_k = alpha_sq @ inv_sigma_sq_k
-        raw_t = row_sq - alpha_sq.sum(axis=1)
-        return lev_k, raw_t
+    def coords(block: np.ndarray) -> np.ndarray:
+        return project(block) @ v_k
 
-    records: list[ScoreRecord] = []
-    idx = 0
-    for lev_k, raw_t in _map_ordered(score_block, _chunks(rows, width)):
-        for j in range(lev_k.shape[0]):
-            records.append(
-                ScoreRecord(
-                    row_index=idx,
-                    full_leverage=None,
-                    rank_k_leverage=float(lev_k[j]),
-                    projection_distance=max(float(raw_t[j]), 0.0),
-                    tail_leverage=None,
-                    ridge_leverage=None,
-                    mode=MODE_SKETCHED_BATCH,
-                    projection_distance_raw=float(raw_t[j]),
-                )
-            )
-            idx += 1
-    return records
+    return _score_pass(
+        row_source, width, coords, sigma_k, cfg.k, None, PROJECTED_FIELDS
+    )
 
 
 def run_fd_pipeline(
@@ -251,17 +172,8 @@ def run_fd_pipeline(
     An externally built ``state`` (e.g. reloaded from a snapshot) skips
     pass one, turning this into the resume path for multi-invocation runs.
     """
-    fd = state
-    if fd is None:
-        for block in _chunks(row_source()):
-            if fd is None:
-                fd = FrequentDirections(cfg.ell, block.shape[1])
-            for row in block:
-                fd.update(row)
-        if fd is None:
-            raise ShapeError("row source produced no rows")
-    decomp = _sketch_decomp_or_raise(svd_thin(fd.sketch()), cfg)
-    return _rowspace_records(row_source(), decomp, cfg, MODE_SKETCHED_BATCH)
+    fd = state if state is not None else fd_ingest(row_source(), cfg.ell)
+    return _rowspace_records(row_source, fd.sketch(), cfg)
 
 
 def run_rowsample_pipeline(
@@ -269,20 +181,7 @@ def run_rowsample_pipeline(
 ) -> list[ScoreRecord]:
     """Two passes: length-squared row reservoirs, then score all rows."""
     sketch = row_sample(row_source(), cfg.ell, cfg.seed)
-    decomp = _sketch_decomp_or_raise(svd_thin(sketch), cfg)
-    return _rowspace_records(row_source(), decomp, cfg, MODE_SKETCHED_BATCH)
-
-
-def _covariance_decomp(cov: np.ndarray, cfg: PipelineConfig) -> SpectralDecomposition:
-    eig = sym_eig(cov)
-    sigma = np.sqrt(np.clip(eig.values, 0.0, None))
-    rank = effective_rank(sigma, cfg.rank_floor)
-    decomp = SpectralDecomposition(
-        values=sigma,
-        right_vectors=np.ascontiguousarray(eig.right_vectors[:, :rank]),
-        rank_used=rank,
-    )
-    return _sketch_decomp_or_raise(decomp, cfg)
+    return _rowspace_records(row_source, sketch, cfg)
 
 
 def run_rproj_pipeline(
@@ -290,21 +189,17 @@ def run_rproj_pipeline(
 ) -> list[ScoreRecord]:
     """Two passes: covariance of sign-projected rows, then score."""
     projector: SignProjector | None = None
-    cov: np.ndarray | None = None
+    cov = np.zeros((cfg.ell, cfg.ell))
     for block in _chunks(row_source()):
         if projector is None:
-            projector = SignProjector(
-                cfg.seed, cfg.ell, block.shape[1], cfg.independence_w
-            )
-            cov = np.zeros((cfg.ell, cfg.ell))
+            projector = SignProjector(cfg.seed, cfg.ell, block.shape[1])
         projected = block @ projector.matrix()
         cov += projected.T @ projected
     if projector is None:
         raise ShapeError("row source produced no rows")
-    decomp = _covariance_decomp(cov, cfg)
     r = projector.matrix()
     return _projected_records(
-        row_source(), lambda block: block @ r, decomp, cfg, projector.dim
+        row_source, lambda block: block @ r, cov, cfg, projector.dim
     )
 
 
@@ -319,22 +214,19 @@ def run_colsample_pipeline(
     """
     if plan is None:
         plan = column_sample_plan(row_source(), cfg.ell, cfg.seed)
-    scales = plan.scales()
-    indices = plan.indices
 
-    def project_block(block: np.ndarray) -> np.ndarray:
-        return block[:, indices] * scales
+    def project(block: np.ndarray) -> np.ndarray:
+        return apply_column_plan(plan, block)
 
     cov = np.zeros((cfg.ell, cfg.ell))
-    width: int | None = None
+    empty = True
     for block in _chunks(row_source(), plan.dim):
-        width = block.shape[1]
-        projected = project_block(block)
+        empty = False
+        projected = project(block)
         cov += projected.T @ projected
-    if width is None:
+    if empty:
         raise ShapeError("row source produced no rows")
-    decomp = _covariance_decomp(cov, cfg)
-    return _projected_records(row_source(), project_block, decomp, cfg, plan.dim)
+    return _projected_records(row_source, project, cov, cfg, plan.dim)
 
 
 def run_online_pipeline(
@@ -347,62 +239,42 @@ def run_online_pipeline(
     """
     fd: FrequentDirections | None = None
     records: list[ScoreRecord] = []
-    lam = cfg.lam
     for i, row in enumerate(row_source()):
         a = as_row(row, fd.dim if fd is not None else None)
         if fd is None:
             fd = FrequentDirections(cfg.ell, a.shape[0])
         decomp = svd_thin(fd.sketch()) if fd.fill else None
-        usable = 0
-        if decomp is not None:
-            usable = min(
-                decomp.rank_used, effective_rank(decomp.values, cfg.rank_floor)
-            )
-        if usable < cfg.k:
+        if decomp is None or decomp.rank_used < cfg.k:
             records.append(undefined_record(i, MODE_SKETCHED_ONLINE))
         else:
-            sigma = decomp.values[: decomp.rank_used]
-            sigma_sq = sigma**2
-            alpha_sq = (decomp.right_vectors.T @ a) ** 2
-            row_sq = float(a @ a)
-            lev_k = float(alpha_sq[: cfg.k] @ (1.0 / sigma_sq[: cfg.k]))
-            raw_t = row_sq - float(alpha_sq[: cfg.k].sum())
-            full = float(alpha_sq @ (1.0 / sigma_sq))
-            ridge = None
-            if lam is not None:
-                residual = max(row_sq - float(alpha_sq.sum()), 0.0)
-                ridge = float(alpha_sq @ (1.0 / (sigma_sq + lam))) + residual / lam
-            records.append(
-                ScoreRecord(
-                    row_index=i,
-                    full_leverage=full,
-                    rank_k_leverage=lev_k,
-                    projection_distance=max(raw_t, 0.0),
-                    tail_leverage=max(full - lev_k, 0.0),
-                    ridge_leverage=ridge,
-                    mode=MODE_SKETCHED_ONLINE,
-                    projection_distance_raw=raw_t,
-                )
+            columns = score_block(
+                (decomp.right_vectors.T @ a)[None, :],
+                np.array([a @ a]),
+                decomp.values[: decomp.rank_used],
+                cfg.k,
+                cfg.lam,
             )
+            records += score_records(columns, ROWSPACE_FIELDS, MODE_SKETCHED_ONLINE, i)
         fd.update(a)
     if fd is None:
         raise ShapeError("row source produced no rows")
     return records
 
 
+_RUNNERS: dict[str, Callable[[RowSource, PipelineConfig], list[ScoreRecord]]] = {
+    "fd": run_fd_pipeline,
+    "rproj": run_rproj_pipeline,
+    "colsample": run_colsample_pipeline,
+    "rowsample": run_rowsample_pipeline,
+    "online-fd": run_online_pipeline,
+}
+
+PIPELINE_MODES = tuple(_RUNNERS)
+
+
 def run_pipeline(row_source: RowSource, cfg: PipelineConfig) -> list[ScoreRecord]:
     """Dispatch on cfg.mode."""
-    if cfg.mode == "fd":
-        return run_fd_pipeline(row_source, cfg)
-    if cfg.mode == "rproj":
-        return run_rproj_pipeline(row_source, cfg)
-    if cfg.mode == "colsample":
-        return run_colsample_pipeline(row_source, cfg)
-    if cfg.mode == "rowsample":
-        return run_rowsample_pipeline(row_source, cfg)
-    if cfg.mode == "online-fd":
-        return run_online_pipeline(row_source, cfg)
-    raise ValueError(f"unknown mode {cfg.mode!r}")
+    return _RUNNERS[cfg.mode](row_source, cfg)
 
 
 # --- sketch-size translation helpers -----------------------------------

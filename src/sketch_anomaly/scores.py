@@ -11,26 +11,29 @@ spectrum ``sigma`` and right singular vectors ``v_j``:
 * tail leverage        ``L^{>k} = L - L^k``
 * ridge leverage       ``L_lam = sum_j (a.v_j)^2 / (sigma_j^2 + lam)``
 
-Directions with ``sigma_j`` at or below the relative rank floor contribute
-zero to leverage sums rather than exploding; for ridge leverage the mass
-outside the stored basis is charged at ``1/lam`` (its true weight at
-sigma = 0).
+``score_block`` is the one implementation of these formulas; every exact,
+sketched, online and verification scorer passes it a block's coordinates
+on some basis.  Directions with ``sigma_j`` at or below the relative rank
+floor contribute zero to leverage sums rather than exploding; for ridge
+leverage the mass outside the stored basis is charged at ``1/lam`` (its
+true weight at sigma = 0).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .errors import RankDeficientError, ShapeError
+from .errors import RankDeficientError
 from .linalg import (
     RANK_FLOOR,
     SpectralDecomposition,
     as_matrix,
     as_row,
-    effective_rank,
+    gram_basis,
     svd_thin,
     sym_eig,
 )
@@ -110,6 +113,79 @@ def _check_basis_rank(basis: SpectralDecomposition, k: int) -> None:
         )
 
 
+# Record fields each family of scorers fills; the rest read None.
+EXACT_FIELDS = (
+    "full_leverage",
+    "rank_k_leverage",
+    "projection_distance",
+    "tail_leverage",
+    "ridge_leverage",
+)
+ROWSPACE_FIELDS = EXACT_FIELDS + ("projection_distance_raw",)
+PROJECTED_FIELDS = ("rank_k_leverage", "projection_distance", "projection_distance_raw")
+
+
+def score_block(
+    alpha: np.ndarray,
+    row_sq: np.ndarray,
+    sigma: np.ndarray,
+    k: int,
+    lam: float | None = None,
+) -> dict[str, np.ndarray | None]:
+    """Score columns for a block of rows from their basis coordinates.
+
+    ``alpha[i, j]`` is row i's coordinate on basis vector j (the basis
+    must hold at least k vectors, with singular values ``sigma``) and
+    ``row_sq[i]`` its squared norm.  Returns one column per record field;
+    ``ridge_leverage`` is None without ``lam``.  This is the only place
+    the score formulas are written out: exact, sketched, online and
+    verification scorers differ only in the basis they pass.
+    """
+    alpha_sq = alpha**2
+    sigma_sq = sigma**2
+    inv_sigma_sq = 1.0 / sigma_sq
+    rank_k = alpha_sq[:, :k] @ inv_sigma_sq[:k]
+    raw_t = row_sq - alpha_sq[:, :k].sum(axis=1)
+    full = alpha_sq @ inv_sigma_sq
+    ridge = None
+    if lam is not None:
+        residual = np.maximum(row_sq - alpha_sq.sum(axis=1), 0.0)
+        ridge = alpha_sq @ (1.0 / (sigma_sq + lam)) + residual / lam
+    return {
+        "full_leverage": full,
+        "rank_k_leverage": rank_k,
+        "projection_distance": np.maximum(raw_t, 0.0),
+        "tail_leverage": np.maximum(full - rank_k, 0.0),
+        "ridge_leverage": ridge,
+        "projection_distance_raw": raw_t,
+    }
+
+
+def score_records(
+    columns: dict, fields: tuple[str, ...], mode: str, start: int = 0
+) -> list[ScoreRecord]:
+    """One record per row of ``columns``, filling only ``fields``."""
+    lists = [
+        columns[name].tolist()
+        if name in fields and columns[name] is not None
+        else repeat(None)
+        for name in ROWSPACE_FIELDS
+    ]
+    return [
+        ScoreRecord(
+            row_index=start + i,
+            full_leverage=full,
+            rank_k_leverage=rank_k,
+            projection_distance=proj,
+            tail_leverage=tail,
+            ridge_leverage=ridge,
+            mode=mode,
+            projection_distance_raw=raw,
+        )
+        for i, (full, rank_k, proj, tail, ridge, raw) in enumerate(zip(*lists))
+    ]
+
+
 def score_row(
     basis: SpectralDecomposition,
     k: int,
@@ -123,29 +199,14 @@ def score_row(
     if lam is not None and lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     a = as_row(row, basis.dim)
-    sigma = basis.values[: basis.rank_used]
-    alpha = basis.right_vectors.T @ a
-    alpha_sq = alpha**2
-    sigma_sq = sigma**2
-    row_sq = float(a @ a)
-
-    rank_k = float(np.sum(alpha_sq[:k] / sigma_sq[:k]))
-    proj = max(row_sq - float(np.sum(alpha_sq[:k])), 0.0)
-    full = float(np.sum(alpha_sq / sigma_sq))
-    tail = max(full - rank_k, 0.0)
-    ridge = None
-    if lam is not None:
-        residual = max(row_sq - float(np.sum(alpha_sq)), 0.0)
-        ridge = float(np.sum(alpha_sq / (sigma_sq + lam))) + residual / lam
-    return ScoreRecord(
-        row_index=row_index,
-        full_leverage=full,
-        rank_k_leverage=rank_k,
-        projection_distance=proj,
-        tail_leverage=tail,
-        ridge_leverage=ridge,
-        mode=mode,
+    columns = score_block(
+        (basis.right_vectors.T @ a)[None, :],
+        np.array([a @ a]),
+        basis.values[: basis.rank_used],
+        k,
+        lam,
     )
+    return score_records(columns, EXACT_FIELDS, mode, row_index)[0]
 
 
 def _warn_if_degenerate(sigma: np.ndarray, k: int) -> None:
@@ -169,48 +230,14 @@ def batch_scores(matrix, k: int, lam: float | None = None) -> list[ScoreRecord]:
     _warn_if_degenerate(basis.values, k)
     if lam is not None and lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-
-    sigma = basis.values[: basis.rank_used]
-    sigma_sq = sigma**2
-    alpha = a @ basis.right_vectors
-    alpha_sq = alpha**2
-    row_sq = np.einsum("ij,ij->i", a, a)
-
-    rank_k = alpha_sq[:, :k] @ (1.0 / sigma_sq[:k])
-    proj = np.maximum(row_sq - alpha_sq[:, :k].sum(axis=1), 0.0)
-    full = alpha_sq @ (1.0 / sigma_sq)
-    tail = np.maximum(full - rank_k, 0.0)
-    ridge = None
-    if lam is not None:
-        residual = np.maximum(row_sq - alpha_sq.sum(axis=1), 0.0)
-        ridge = alpha_sq @ (1.0 / (sigma_sq + lam)) + residual / lam
-
-    records = []
-    for i in range(a.shape[0]):
-        records.append(
-            ScoreRecord(
-                row_index=i,
-                full_leverage=float(full[i]),
-                rank_k_leverage=float(rank_k[i]),
-                projection_distance=float(proj[i]),
-                tail_leverage=float(tail[i]),
-                ridge_leverage=float(ridge[i]) if ridge is not None else None,
-                mode=MODE_EXACT_BATCH,
-            )
-        )
-    return records
-
-
-def _basis_from_covariance(cov: np.ndarray) -> SpectralDecomposition:
-    """Spectral basis (sigma, V) of the matrix whose Gram is ``cov``."""
-    decomp = sym_eig(cov)
-    sigma = np.sqrt(np.clip(decomp.values, 0.0, None))
-    rank = effective_rank(sigma)
-    return SpectralDecomposition(
-        values=sigma,
-        right_vectors=np.ascontiguousarray(decomp.right_vectors[:, :rank]),
-        rank_used=rank,
+    columns = score_block(
+        a @ basis.right_vectors,
+        np.einsum("ij,ij->i", a, a),
+        basis.values[: basis.rank_used],
+        k,
+        lam,
     )
+    return score_records(columns, EXACT_FIELDS, MODE_EXACT_BATCH)
 
 
 def online_scores(row_stream, k: int, lam: float | None = None) -> list[ScoreRecord]:
@@ -230,7 +257,7 @@ def online_scores(row_stream, k: int, lam: float | None = None) -> list[ScoreRec
         if cov is None:
             width = a.shape[0]
             cov = np.zeros((width, width))
-        basis = _basis_from_covariance(cov)
+        basis = gram_basis(sym_eig(cov))
         if basis.rank_used < k:
             records.append(undefined_record(i, MODE_EXACT_ONLINE))
         else:

@@ -5,7 +5,8 @@ Four sketches, all single-writer streaming accumulators:
 * ``FrequentDirections`` - deterministic row-space sketch with a doubled
   buffer: rows accumulate until the buffer holds 2*ell of them, then an
   SVD shrink subtracts the ell-th squared singular value from every
-  direction and keeps the surviving rows.
+  direction and keeps the surviving rows.  ``fd_ingest`` is the one way a
+  row stream is fed into it.
 * ``SignProjector`` - pseudorandom +-1/sqrt(ell) projection whose entries
   come from a degree-(w-1) polynomial hash over GF(2**61 - 1); entry (i, j)
   is a pure function of (seed, i, j).
@@ -26,68 +27,11 @@ from .errors import ShapeError, ZeroMassError
 from .linalg import as_matrix, as_row, svd_thin
 from .rng import mix64, mod61, mulmod61, uniform01
 
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the numpy fallback test
-    HAVE_NUMBA = False
-
 _LANE_ROW_SAMPLER = 0x521AF00D
 _LANE_COL_SAMPLER = 0x0C01F00D
 _LANE_SIGN_COEFF = 0x516EC0EF
 
 DEFAULT_INDEPENDENCE = 32
-
-# uint64 constants for the jitted hash kernel; numba silently promotes
-# mixed uint64/int64 arithmetic to float64, so every operand stays uint64.
-_U64_MASK61 = np.uint64((1 << 61) - 1)
-_U64_LO32 = np.uint64(0xFFFFFFFF)
-_U64_LO29 = np.uint64(0x1FFFFFFF)
-_U64_S3 = np.uint64(3)
-_U64_S29 = np.uint64(29)
-_U64_S32 = np.uint64(32)
-_U64_S61 = np.uint64(61)
-_U64_ONE = np.uint64(1)
-_U64_ZERO = np.uint64(0)
-
-
-def _poly_signs_loop(positions, coeffs, scale, out):
-    w = coeffs.shape[0]
-    for idx in range(positions.shape[0]):
-        x = positions[idx]
-        x = (x & _U64_MASK61) + (x >> _U64_S61)
-        if x >= _U64_MASK61:
-            x -= _U64_MASK61
-        acc = coeffs[w - 1]
-        for t in range(w - 2, -1, -1):
-            # acc * x mod 2**61-1 via 32-bit splits; partials fit in uint64.
-            a1 = acc >> _U64_S32
-            a0 = acc & _U64_LO32
-            b1 = x >> _U64_S32
-            b0 = x & _U64_LO32
-            mid = a1 * b0 + a0 * b1
-            lo = a0 * b0
-            acc = (
-                ((a1 * b1) << _U64_S3)
-                + (mid >> _U64_S29)
-                + ((mid & _U64_LO29) << _U64_S32)
-                + (lo & _U64_MASK61)
-                + (lo >> _U64_S61)
-            )
-            acc = (acc & _U64_MASK61) + (acc >> _U64_S61)
-            acc += coeffs[t]
-            acc = (acc & _U64_MASK61) + (acc >> _U64_S61)
-            if acc >= _U64_MASK61:
-                acc -= _U64_MASK61
-        out[idx] = scale if (acc & _U64_ONE) == _U64_ZERO else -scale
-    return out
-
-
-if HAVE_NUMBA:
-    _poly_signs_kernel = _njit(cache=True, nogil=True)(_poly_signs_loop)
-else:
-    _poly_signs_kernel = None
 
 
 class FrequentDirections:
@@ -147,6 +91,18 @@ class FrequentDirections:
         return float(np.sum(self.buffer[: self.fill] ** 2))
 
 
+def fd_ingest(rows, ell: int) -> FrequentDirections:
+    """Frequent Directions state after ``update`` with every row in order."""
+    fd: FrequentDirections | None = None
+    for row in _iter_rows(rows):
+        if fd is None:
+            fd = FrequentDirections(ell, as_row(row).shape[0])
+        fd.update(row)
+    if fd is None:
+        raise ShapeError("empty row stream")
+    return fd
+
+
 class SignProjector:
     """Limited-independence pseudorandom sign matrix R in R^{dim x ell}.
 
@@ -188,20 +144,9 @@ class SignProjector:
                 acc = mod61(mulmod61(acc, x) + coeffs[t])
         return acc
 
-    def _signs_vectorized(self, positions: np.ndarray) -> np.ndarray:
+    def _signs(self, positions: np.ndarray) -> np.ndarray:
         bits = self._hash(positions) & np.uint64(1)
         return np.where(bits == 0, self._scale, -self._scale)
-
-    def _signs(self, positions: np.ndarray) -> np.ndarray:
-        if _poly_signs_kernel is None:
-            return self._signs_vectorized(positions)
-        out = np.empty(positions.shape[0], dtype=np.float64)
-        return _poly_signs_kernel(
-            np.ascontiguousarray(positions, dtype=np.uint64),
-            self.coefficients,
-            self._scale,
-            out,
-        )
 
     def entry(self, i: int, j: int) -> float:
         """R[i, j] for input dimension i, projection column j."""
@@ -363,20 +308,16 @@ def column_sample_plan(rows, ell: int, seed: int) -> ColumnSamplePlan:
     )
 
 
-def apply_column_plan(
-    plan: ColumnSamplePlan, row, col_masses: np.ndarray | None = None
-) -> np.ndarray:
-    """First-pass projection of one row through the sampling plan.
+def apply_column_plan(plan: ColumnSamplePlan, rows) -> np.ndarray:
+    """Project a row, or a block of rows, through the sampling plan.
 
-    ``out[t] = row[S_t] * ||A||_F / (sqrt(ell) * ||column S_t||)`` using
-    the column masses recorded in pass zero (or an explicit override).
+    ``out[..., t] = rows[..., S_t] * ||A||_F / (sqrt(ell) * ||column S_t||)``
+    using the column masses recorded in pass zero.
     """
-    a = as_row(row, plan.dim)
-    if col_masses is None:
-        scales = plan.scales()
+    if np.ndim(rows) == 1:
+        a = as_row(rows, plan.dim)
     else:
-        masses = np.asarray(col_masses, dtype=np.float64)[plan.indices]
-        if np.any(masses <= 0.0):
-            raise ZeroMassError("sampled column has zero recorded mass")
-        scales = np.sqrt(plan.running_mass) / (np.sqrt(plan.ell) * np.sqrt(masses))
-    return a[plan.indices] * scales
+        a = as_matrix(rows, "block")
+        if a.shape[1] != plan.dim:
+            raise ShapeError(f"block has width {a.shape[1]}, expected {plan.dim}")
+    return a[..., plan.indices] * plan.scales()

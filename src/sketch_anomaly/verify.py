@@ -28,7 +28,8 @@ from .pipelines import (
     rproj_ell_for_mu,
 )
 from .rng import uniform01
-from .sketches import FrequentDirections, SignProjector
+from .scores import score_block
+from .sketches import SignProjector, fd_ingest
 from .synth import additive_perturbation, separated_matrix
 
 _LANE_VERIFY_COLS = 0x7E57C015
@@ -317,6 +318,9 @@ def check_average_guarantees(
     left factors), which is algebraically identical to the projected-space
     estimator the streaming pipeline computes.
     """
+    # This is the one scorer that does not go through ``score_block``: the
+    # projected-space form needs the n x ell sketch At, and ell reaches
+    # ~7.5e5 here, so both score sets are read off the n x n covariances.
     a = as_matrix(a, "A")
     info = _spectrum_info(a, k)
     delta, kappa, sr = info["delta"], info["kappa"], info["sr"]
@@ -406,28 +410,20 @@ def check_average_guarantees(
 # --- pointwise guarantees ------------------------------------------------
 
 
-def _fd_sketch(a: np.ndarray, ell: int) -> np.ndarray:
-    fd = FrequentDirections(ell, a.shape[1])
-    for row in a:
-        fd.update(row)
-    return fd.sketch()
-
-
 def _rowspace_estimates(
-    a: np.ndarray, sketch: np.ndarray, k: int
+    a: np.ndarray, row_sq: np.ndarray, basis: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(~L^k, raw ~T^k) for every row of a against a row-space sketch."""
-    decomp = svd_thin(sketch)
+    """(L^k, raw T^k) for every row of a against the row space of basis."""
+    decomp = svd_thin(basis)
     if decomp.rank_used < k:
         raise RankDeficientError(
-            f"sketch rank {decomp.rank_used} below k={k}; increase ell"
+            f"basis rank {decomp.rank_used} below k={k}; "
+            "a sketch needs a larger ell"
         )
-    v_k = decomp.right_vectors[:, :k]
-    sigma_k = decomp.values[:k]
-    alpha = a @ v_k
-    lev = (alpha / sigma_k) ** 2 @ np.ones(k)
-    proj = np.einsum("ij,ij->i", a, a) - np.einsum("ij,ij->i", alpha, alpha)
-    return lev, proj
+    columns = score_block(
+        a @ decomp.right_vectors[:, :k], row_sq, decomp.values[:k], k
+    )
+    return columns["rank_k_leverage"], columns["projection_distance_raw"]
 
 
 def check_pointwise_guarantees(
@@ -456,20 +452,14 @@ def check_pointwise_guarantees(
     delta, kappa, sr = info["delta"], info["kappa"], info["sr"]
     row_sq = np.einsum("ij,ij->i", a, a)
     nonzero = row_sq > 0
-
-    decomp = svd_thin(a)
-    v_k = decomp.right_vectors[:, :k]
-    sigma_k = decomp.values[:k]
-    alpha = a @ v_k
-    lev_exact = (alpha / sigma_k) ** 2 @ np.ones(k)
-    proj_exact = row_sq - np.einsum("ij,ij->i", alpha, alpha)
+    lev_exact, proj_exact = _rowspace_estimates(a, row_sq, a, k)
 
     def build(mu_target: float, ell0: int | None) -> tuple[np.ndarray, float, int]:
         ell = ell0 or fd_ell_for_mu(mu_target, info["tail_sr"], k)
         ell = max(ell, k + 1)
         sketch, mu = None, np.inf
         for _ in range(max_doublings + 1):
-            sketch = _fd_sketch(a, ell)
+            sketch = fd_ingest(a, ell).sketch()
             mu = measured_mu_rowspace(a, sketch)
             if mu <= mu_target or ell >= a.shape[0]:
                 break
@@ -489,7 +479,7 @@ def check_pointwise_guarantees(
 
     mu_t_target = mu_for_pointwise_t(eps, delta)
     sketch_t, mu_t, used_ell_t = build(mu_t_target, ell_t)
-    lev_t, proj_t = _rowspace_estimates(a, sketch_t, k)
+    _, proj_t = _rowspace_estimates(a, row_sq, sketch_t, k)
     lhs_t = float(
         np.max(np.abs(proj_exact[nonzero] - proj_t[nonzero]) / row_sq[nonzero])
     )
@@ -506,7 +496,7 @@ def check_pointwise_guarantees(
 
     mu_l_target = mu_for_pointwise_l(eps, k, sr, kappa)
     sketch_l, mu_l, used_ell_l = build(mu_l_target, ell_l)
-    lev_l, _ = _rowspace_estimates(a, sketch_l, k)
+    lev_l, _ = _rowspace_estimates(a, row_sq, sketch_l, k)
     scale = info["frob_sq"] / k
     lhs_l = float(
         np.max(np.abs(lev_exact[nonzero] - lev_l[nonzero]) * scale / row_sq[nonzero])
@@ -746,30 +736,6 @@ def sweep_low_rank(
         )
         reports.append(check_low_rank_approx(a, p, k_proj, base_seed + s, eps))
     return reports
-
-
-def projector_monotonicity_probe(
-    mu_grid, n: int = 120, d: int = 40, k: int = 3, seeds_per_mu: int = 5
-):
-    """Median projector-perturbation lhs per mu level (reported, not asserted)."""
-    rows = []
-    for mu_target in mu_grid:
-        lhs_values = []
-        mu_values = []
-        for s in range(seeds_per_mu):
-            a = separated_matrix(n, d, k, 7000 + s, delta=0.5, kappa=1.3)
-            at = additive_perturbation(a, mu_target, 7100 + s)
-            rep = check_projector(a, at, k, seed=s)
-            lhs_values.append(rep.lhs)
-            mu_values.append(rep.inputs["mu"])
-        rows.append(
-            {
-                "mu_target": float(mu_target),
-                "median_mu": float(np.median(mu_values)),
-                "median_lhs": float(np.median(lhs_values)),
-            }
-        )
-    return rows
 
 
 SUITES = (

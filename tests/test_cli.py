@@ -1,0 +1,163 @@
+import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sketch_anomaly
+from sketch_anomaly.cli import run_cli
+from sketch_anomaly.io import save_snapshot
+from sketch_anomaly.pipelines import PipelineConfig, run_pipeline
+from sketch_anomaly.scores import batch_scores
+from sketch_anomaly.synth import planted_anomaly_dataset
+
+SRC = str(Path(sketch_anomaly.__file__).resolve().parents[1])
+
+# Snapshot header: magic, version, kind, flags, ell, dim, seed.
+HEADER_BYTES = struct.calcsize("<4sHBBQQQ")
+
+
+@pytest.fixture(scope="module")
+def data_path(tmp_path_factory):
+    matrix, _ = planted_anomaly_dataset(200, 30, 3, 5)
+    path = tmp_path_factory.mktemp("cli") / "in.bin"
+    save_snapshot(path, matrix)
+    return path, matrix
+
+
+def score_argv(path, *extra):
+    return ["score", "--k", "3", "--input", str(path), "--format", "bin", *extra]
+
+
+def run_json(capsys, argv):
+    code = run_cli(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "mode", ["exact", "fd", "rproj", "colsample", "rowsample", "online"]
+)
+@pytest.mark.parametrize("lam", [None, 0.5])
+def test_score_json_equals_direct_call(capsys, data_path, mode, lam):
+    path, matrix = data_path
+    flags = ["--mode", mode, "--ell", "8", "--seed", "4"]
+    if lam is not None:
+        flags += ["--lambda", str(lam)]
+    emitted = run_json(capsys, score_argv(path, *flags))
+    if mode == "exact":
+        records = batch_scores(matrix, 3, lam=lam)
+    else:
+        cfg = PipelineConfig(
+            k=3, ell=8, seed=4, lam=lam, mode="online-fd" if mode == "online" else mode
+        )
+        records = run_pipeline(lambda: iter(matrix), cfg)
+    assert emitted == [r.to_dict() for r in records]
+
+
+@pytest.mark.parametrize("mode", ["fd", "colsample"])
+def test_sketch_resume_equals_one_shot(capsys, tmp_path, data_path, mode):
+    path, _ = data_path
+    snap = tmp_path / "snap.bin"
+    flags = ["--mode", mode, "--ell", "8", "--seed", "4"]
+    assert run_cli(score_argv(path, *flags, "--sketch-out", str(snap))) == 0
+    resumed = run_json(capsys, score_argv(path, *flags, "--sketch-in", str(snap)))
+    assert resumed == run_json(capsys, score_argv(path, *flags))
+
+
+def write_snapshot(tmp_path, data_path, mode):
+    path, _ = data_path
+    snap = tmp_path / "snap.bin"
+    flags = ["--mode", mode, "--ell", "8", "--seed", "7"]
+    assert run_cli(score_argv(path, *flags, "--sketch-out", str(snap))) == 0
+    return snap
+
+
+def test_column_plan_index_out_of_range_is_data_error(capsys, tmp_path, data_path):
+    snap = write_snapshot(tmp_path, data_path, "colsample")
+    blob = bytearray(snap.read_bytes())
+    # The plan's first sampled index follows the two 8-byte counters.
+    struct.pack_into("<Q", blob, HEADER_BYTES + 16, 30 + 5)
+    snap.write_bytes(bytes(blob))
+    argv = score_argv(
+        data_path[0], "--mode", "colsample", "--ell", "8", "--seed", "7",
+        "--sketch-in", str(snap),
+    )
+    assert run_cli(argv) == 2
+    assert "index 35" in capsys.readouterr().err
+
+
+def test_fd_fill_beyond_buffer_is_data_error(capsys, tmp_path, data_path):
+    snap = write_snapshot(tmp_path, data_path, "fd")
+    blob = bytearray(snap.read_bytes())
+    struct.pack_into("<Q", blob, HEADER_BYTES, 2 * 8 + 7)
+    snap.write_bytes(bytes(blob))
+    argv = score_argv(
+        data_path[0], "--mode", "fd", "--ell", "8", "--sketch-in", str(snap)
+    )
+    assert run_cli(argv) == 2
+    assert "fill 23" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["fd", "colsample"])
+def test_non_finite_snapshot_payload_is_data_error(capsys, tmp_path, data_path, mode):
+    snap = write_snapshot(tmp_path, data_path, mode)
+    blob = bytearray(snap.read_bytes())
+    # First float of the payload: the fd buffer's [0, 0] or the plan's
+    # running mass.
+    offset = HEADER_BYTES + (16 if mode == "fd" else 8)
+    struct.pack_into("<d", blob, offset, float("nan"))
+    snap.write_bytes(bytes(blob))
+    argv = score_argv(
+        data_path[0], "--mode", mode, "--ell", "8", "--seed", "7",
+        "--sketch-in", str(snap),
+    )
+    assert run_cli(argv) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, flag, value",
+    [
+        ("fd", "--ell", "10"),
+        ("colsample", "--ell", "10"),
+        ("colsample", "--seed", "99"),
+    ],
+)
+def test_sketch_in_flag_mismatch_is_data_error(
+    capsys, tmp_path, data_path, mode, flag, value
+):
+    snap = write_snapshot(tmp_path, data_path, mode)
+    flags = {"--ell": "8", "--seed": "7", flag: value}
+    argv = score_argv(
+        data_path[0], "--mode", mode, "--ell", flags["--ell"], "--seed",
+        flags["--seed"], "--sketch-in", str(snap),
+    )
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    stored = "8" if flag == "--ell" else "7"
+    assert f"{flag[2:]} {stored}" in err and f"{flag} is {value}" in err
+
+
+def test_verify_has_no_mu_flag():
+    assert run_cli(["verify", "--suite", "diag", "--seeds", "1", "--mu", "0.1"]) == 1
+
+
+@pytest.mark.parametrize("module", ["sketch_anomaly", "sketch_anomaly.cli"])
+def test_module_entry_points(data_path, module):
+    path, matrix = data_path
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *score_argv(path, "--mode", "exact")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(proc.stdout)
+    assert [r["row_index"] for r in records] == list(range(matrix.shape[0]))

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,7 @@ from sketch_anomaly.pipelines import (
     run_rproj_pipeline,
 )
 from sketch_anomaly.scores import batch_scores, online_scores
+from sketch_anomaly.sketches import fd_ingest
 from sketch_anomaly.synth import separated_matrix
 
 
@@ -276,13 +275,21 @@ class TestConfigAndHelpers:
         assert mu_for_pointwise_t(0.2, 0.5) == pytest.approx(0.02)
         assert mu_for_average_l(0.25, 0.8) == pytest.approx(0.25**2 * 0.8 / 16)
 
-    def test_thread_cap_respected_and_order_stable(self, monkeypatch):
+    def test_multi_chunk_order_and_determinism(self):
+        # 900 rows span two scoring blocks of 512.
         rng = np.random.default_rng(70)
         a = rng.standard_normal((900, 10))
-        cfg = PipelineConfig(k=2, ell=8, seed=1)
-        monkeypatch.setenv("SKETCH_ANOMALY_THREADS", "1")
-        serial = run_fd_pipeline(lambda: iter(a), cfg)
-        monkeypatch.setenv("SKETCH_ANOMALY_THREADS", "3")
-        threaded = run_fd_pipeline(lambda: iter(a), cfg)
-        assert [r.row_index for r in threaded] == list(range(900))
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in threaded]
+        for mode in ("fd", "rproj", "colsample", "rowsample"):
+            cfg = PipelineConfig(k=2, ell=8, seed=1, mode=mode)
+            first = run_pipeline(lambda: iter(a), cfg)
+            second = run_pipeline(lambda: iter(a), cfg)
+            assert [r.row_index for r in first] == list(range(900))
+            assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+        # Record i scores row i: recompute fd's raw T^k from its sketch.
+        basis = svd_thin(fd_ingest(a, 8).sketch())
+        alpha = a @ basis.right_vectors[:, :2]
+        expected = np.einsum("ij,ij->i", a, a) - (alpha**2).sum(axis=1)
+        records = run_fd_pipeline(lambda: iter(a), PipelineConfig(k=2, ell=8))
+        np.testing.assert_allclose(
+            [r.projection_distance_raw for r in records], expected, rtol=1e-9
+        )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sketch_anomaly.errors import RankDeficientError, ShapeError
 from sketch_anomaly.linalg import svd_thin
@@ -8,6 +10,7 @@ from sketch_anomaly.scores import (
     batch_scores,
     online_scores,
     ridge_identity_deviation,
+    score_block,
     score_row,
     undefined_record,
 )
@@ -222,3 +225,52 @@ class TestOnlineScores:
         assert d["row_index"] == 5
         assert d["defined"] is False
         assert d["full_leverage"] is None
+
+
+class TestScoreBlock:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 9),
+        st.integers(2, 30),
+        st.data(),
+    )
+    def test_properties_and_svd_reference(self, seed, d, extra_rows, data):
+        k = data.draw(st.integers(1, d - 1))
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d + extra_rows, d)) * rng.uniform(0.1, 10.0, d)
+        basis = svd_thin(a)
+        row_sq = np.einsum("ij,ij->i", a, a)
+        cols = score_block(
+            a @ basis.right_vectors,
+            row_sq,
+            basis.values[: basis.rank_used],
+            k,
+            lam=0.5,
+        )
+        full, lev_k = cols["full_leverage"], cols["rank_k_leverage"]
+        assert lev_k.sum() == pytest.approx(k, abs=1e-9 * k)
+        assert np.all(lev_k >= -1e-9)
+        assert np.all(lev_k <= full + 1e-9)
+        assert np.all(full <= 1.0 + 1e-9)
+        np.testing.assert_allclose(lev_k + cols["tail_leverage"], full, atol=1e-9)
+        assert np.all(cols["projection_distance"] >= 0.0)
+        assert np.all(cols["projection_distance_raw"] >= -1e-9 * row_sq.max())
+
+        # Independent reference: QR, then LAPACK's SVD of the small factor.
+        q, r = np.linalg.qr(a)
+        u_r, s, _ = np.linalg.svd(r)
+        u = q @ u_r
+        np.testing.assert_allclose(full, (u**2).sum(axis=1), atol=1e-8)
+        np.testing.assert_allclose(lev_k, (u[:, :k] ** 2).sum(axis=1), atol=1e-8)
+        proj_ref = row_sq - ((u[:, :k] * s[:k]) ** 2).sum(axis=1)
+        np.testing.assert_allclose(
+            cols["projection_distance_raw"], proj_ref, atol=1e-8 * row_sq.max()
+        )
+        ridge_ref = ((u * s) ** 2 / (s**2 + 0.5)).sum(axis=1)
+        np.testing.assert_allclose(cols["ridge_leverage"], ridge_ref, rtol=1e-8)
+
+    def test_ridge_column_absent_without_lambda(self):
+        cols = score_block(np.ones((3, 2)), np.full(3, 2.0), np.ones(2), 1)
+        assert cols["ridge_leverage"] is None
+        np.testing.assert_array_equal(cols["projection_distance_raw"], np.ones(3))

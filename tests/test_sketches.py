@@ -11,15 +11,9 @@ from sketch_anomaly.sketches import (
     SignProjector,
     apply_column_plan,
     column_sample_plan,
+    fd_ingest,
     row_sample,
 )
-
-
-def fd_ingest(matrix, ell):
-    fd = FrequentDirections(ell, matrix.shape[1])
-    for row in matrix:
-        fd.update(row)
-    return fd
 
 
 class TestFrequentDirections:
@@ -111,11 +105,6 @@ class TestSignProjector:
         for cols in [(0, 1), (0, 2), (1, 3), (0, 1, 2)]:
             prod = np.prod([r[c] for c in cols], axis=0)
             assert abs(prod.mean()) <= 0.02
-
-    def test_numba_and_numpy_paths_agree(self):
-        p = SignProjector(5, 40, 30)
-        pos = np.arange(1200, dtype=np.uint64)
-        assert np.array_equal(p._signs(pos), p._signs_vectorized(pos))
 
     def test_projection_of_zero_row(self):
         p = SignProjector(3, 10, 6)
