@@ -103,6 +103,20 @@ def scores_vector(records: list[ScoreRecord], kind: str) -> np.ndarray:
     return np.asarray([record_score(r, kind) for r in records])
 
 
+def _top_count(fraction: float, n: int) -> int:
+    m = math.ceil(fraction * n)
+    if m <= 0:
+        raise ValueError(
+            f"fraction {fraction} selects an empty positive class (n={n})"
+        )
+    return m
+
+
+def _rank_order(scores: np.ndarray) -> np.ndarray:
+    """Row indices by descending score, ties toward the lower row index."""
+    return np.lexsort((np.arange(scores.shape[0]), -scores))
+
+
 def top_fraction_mask(scores: np.ndarray, fraction: float) -> np.ndarray:
     """Boolean mask of the top ceil(fraction * n) scores.
 
@@ -110,30 +124,26 @@ def top_fraction_mask(scores: np.ndarray, fraction: float) -> np.ndarray:
     function of the score vector.
     """
     n = scores.shape[0]
-    m = math.ceil(fraction * n)
-    if m <= 0:
-        raise ValueError(
-            f"fraction {fraction} selects an empty positive class (n={n})"
-        )
-    order = np.lexsort((np.arange(n), -scores))
+    m = _top_count(fraction, n)
     mask = np.zeros(n, dtype=bool)
-    mask[order[:m]] = True
+    mask[_rank_order(scores)[:m]] = True
     return mask
+
+
+def _exact_scores(matrix, cfg: EvalConfig) -> np.ndarray:
+    """Exact scores of the configured kind, one per row."""
+    records = batch_scores(matrix, cfg.k, lam=cfg.lam)
+    return scores_vector(records, cfg.score_kind)
 
 
 def ground_truth(matrix, cfg: EvalConfig) -> np.ndarray:
     """Label the top eta fraction of rows by exact score as anomalous."""
-    a = as_matrix(matrix)
-    records = batch_scores(a, cfg.k, lam=cfg.lam)
-    exact = scores_vector(records, cfg.score_kind)
-    return top_fraction_mask(exact, cfg.eta)
+    return top_fraction_mask(_exact_scores(matrix, cfg), cfg.eta)
 
 
-def f1_at_mask(labels: np.ndarray, predicted: np.ndarray) -> tuple[float, float, float]:
-    """(f1, precision, recall); empty predicted set scores 0."""
-    true_pos = int(np.count_nonzero(labels & predicted))
-    pred_pos = int(np.count_nonzero(predicted))
-    actual_pos = int(np.count_nonzero(labels))
+def _f1_from_counts(
+    true_pos: int, pred_pos: int, actual_pos: int
+) -> tuple[float, float, float]:
     if pred_pos == 0 or actual_pos == 0 or true_pos == 0:
         return 0.0, 0.0 if pred_pos == 0 else true_pos / pred_pos, 0.0
     precision = true_pos / pred_pos
@@ -141,18 +151,35 @@ def f1_at_mask(labels: np.ndarray, predicted: np.ndarray) -> tuple[float, float,
     return 2.0 * precision * recall / (precision + recall), precision, recall
 
 
+def f1_at_mask(labels: np.ndarray, predicted: np.ndarray) -> tuple[float, float, float]:
+    """(f1, precision, recall); empty predicted set scores 0."""
+    return _f1_from_counts(
+        int(np.count_nonzero(labels & predicted)),
+        int(np.count_nonzero(predicted)),
+        int(np.count_nonzero(labels)),
+    )
+
+
 def f1_sweep(approx_scores, labels, sweep_grid) -> EvalReport:
-    """Best F1 over the threshold grid."""
+    """Best F1 over the threshold grid.
+
+    The scores are ranked once; the top ceil(eta' * n) rows of that order
+    are exactly ``top_fraction_mask(scores, eta')``, so each grid point
+    reads its true-positive count from a running sum along the order.
+    """
     scores = np.asarray(approx_scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape[0] != labels.shape[0]:
         raise ValueError("scores and labels length mismatch")
     if not np.any(labels):
         raise ValueError("label vector has no positives")
+    n = scores.shape[0]
+    true_pos = np.cumsum(labels[_rank_order(scores)])
+    actual_pos = int(true_pos[-1])
     best = None
     for eta_prime in sweep_grid:
-        mask = top_fraction_mask(scores, eta_prime)
-        f1, precision, recall = f1_at_mask(labels, mask)
+        m = _top_count(eta_prime, n)
+        f1, precision, recall = _f1_from_counts(int(true_pos[m - 1]), m, actual_pos)
         if best is None or f1 > best[0]:
             best = (f1, float(eta_prime), precision, recall)
     return EvalReport(
@@ -174,11 +201,11 @@ def evaluate_pipeline(
     means with the median best threshold.
     """
     a = as_matrix(matrix)
-    labels = ground_truth(a, cfg)
-
     if mode == "exact":
-        records = batch_scores(a, cfg.k, lam=cfg.lam)
-        return f1_sweep(scores_vector(records, cfg.score_kind), labels, cfg.sweep_grid)
+        exact = _exact_scores(a, cfg)
+        labels = top_fraction_mask(exact, cfg.eta)
+        return f1_sweep(exact, labels, cfg.sweep_grid)
+    labels = ground_truth(a, cfg)
 
     def run_one(seed: int) -> EvalReport:
         pipe_cfg = PipelineConfig(

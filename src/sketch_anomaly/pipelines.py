@@ -16,7 +16,8 @@ sketches (rproj, colsample) support only the two estimators defined in
 projected coordinates (rank-k leverage and projection distance), the rest
 are None.  Projection distance estimates are clamped at zero, with the raw
 value kept in ``projection_distance_raw``.  Scoring passes go through
-``scores.score_block`` in blocks of ``_CHUNK`` rows, in stream order.
+``scores.score_block`` block by block (``sketches.row_blocks``), in stream
+order.
 """
 
 from __future__ import annotations
@@ -45,12 +46,11 @@ from .sketches import (
     apply_column_plan,
     column_sample_plan,
     fd_ingest,
+    row_blocks,
     row_sample,
 )
 
 RowSource = Callable[[], Iterable]
-
-_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -89,21 +89,6 @@ def _sketch_decomp_or_raise(
     return decomp
 
 
-def _chunks(rows: Iterable, width_hint: int | None = None):
-    """Group a row stream into 2-D blocks, validating width as we go."""
-    block: list[np.ndarray] = []
-    width = width_hint
-    for row in rows:
-        a = as_row(row, width)
-        width = a.shape[0]
-        block.append(a)
-        if len(block) >= _CHUNK:
-            yield np.asarray(block)
-            block = []
-    if block:
-        yield np.asarray(block)
-
-
 def _score_pass(
     row_source: RowSource,
     width: int,
@@ -115,7 +100,7 @@ def _score_pass(
 ) -> list[ScoreRecord]:
     """One pass scoring every row, block by block, from its basis coordinates."""
     records: list[ScoreRecord] = []
-    for block in _chunks(row_source(), width):
+    for block in row_blocks(row_source(), width):
         row_sq = np.einsum("ij,ij->i", block, block)
         columns = score_block(coords(block), row_sq, sigma, k, lam)
         records += score_records(columns, fields, MODE_SKETCHED_BATCH, len(records))
@@ -190,7 +175,7 @@ def run_rproj_pipeline(
     """Two passes: covariance of sign-projected rows, then score."""
     projector: SignProjector | None = None
     cov = np.zeros((cfg.ell, cfg.ell))
-    for block in _chunks(row_source()):
+    for block in row_blocks(row_source()):
         if projector is None:
             projector = SignProjector(cfg.seed, cfg.ell, block.shape[1])
         projected = block @ projector.matrix()
@@ -220,7 +205,7 @@ def run_colsample_pipeline(
 
     cov = np.zeros((cfg.ell, cfg.ell))
     empty = True
-    for block in _chunks(row_source(), plan.dim):
+    for block in row_blocks(row_source(), plan.dim):
         empty = False
         projected = project(block)
         cov += projected.T @ projected

@@ -15,6 +15,19 @@ Four sketches, all single-writer streaming accumulators:
 * ``ColumnSamplePlan`` - the zero-th pass of column subsampling: reservoir
   sampling over squared entries in row-major order, plus the per-column
   masses needed to rescale on later passes.
+
+The samplers, ``fd_ingest`` and the batch pipelines' passes read their
+stream through ``row_blocks``, in validated blocks of ``_CHUNK`` rows.
+Both samplers are block-merge weighted reservoirs (Chao 1982; Efraimidis
+& Spirakis, "Weighted random sampling with a reservoir", IPL 2006).  With
+running squared mass C0 before a block and C1 after it,
+each slot draws one uniform u per block and moves to the item whose
+cumulative-mass interval holds v = u * C1 when v >= C0, else keeps its
+pick.  So a slot keeps its pick with probability C0 / C1, and item i of
+the block wins with probability w_i / C1.  By induction over blocks, if
+the pick before the block is item j with probability w_j / C0, afterwards
+it is w_j / C0 * C0 / C1 = w_j / C1 for every item seen: the law of
+per-item coin flips, at ell uniforms per block instead of per item.
 """
 
 from __future__ import annotations
@@ -32,6 +45,41 @@ _LANE_COL_SAMPLER = 0x0C01F00D
 _LANE_SIGN_COEFF = 0x516EC0EF
 
 DEFAULT_INDEPENDENCE = 32
+
+# Rows per block of ``row_blocks``.
+_CHUNK = 512
+
+
+def row_blocks(rows, width: int | None = None):
+    """Validated 2-D float64 blocks of up to ``_CHUNK`` consecutive rows.
+
+    ``rows`` is a matrix or any iterable of rows; both give the same
+    blocks, in stream order.  Every row must be finite and, when ``width``
+    is given, that wide; otherwise the first row fixes the width.
+    """
+    if isinstance(rows, np.ndarray):
+        mat = as_matrix(rows, "rows")
+        if width is not None and mat.shape[1] != width:
+            raise ShapeError(f"rows have width {mat.shape[1]}, expected {width}")
+        for start in range(0, mat.shape[0], _CHUNK):
+            yield mat[start : start + _CHUNK]
+        return
+    # Shapes are checked row by row, finiteness once per block.
+    block: list[np.ndarray] = []
+    for row in rows:
+        a = np.asarray(row, dtype=np.float64)
+        if a.ndim != 1:
+            raise ShapeError(f"row must be 1-D, got ndim={a.ndim}")
+        if width is None:
+            width = a.shape[0]
+        elif a.shape[0] != width:
+            raise ShapeError(f"row has width {a.shape[0]}, expected {width}")
+        block.append(a)
+        if len(block) == _CHUNK:
+            yield as_matrix(block, "rows")
+            block = []
+    if block:
+        yield as_matrix(block, "rows")
 
 
 class FrequentDirections:
@@ -63,19 +111,24 @@ class FrequentDirections:
             self._shrink()
 
     def _shrink(self) -> None:
-        decomp = svd_thin(self.buffer)
-        sigma = decomp.values
-        shift = sigma[self.ell - 1] ** 2 if sigma.size >= self.ell else 0.0
-        kept = np.sqrt(
-            np.clip(sigma[: decomp.rank_used] ** 2 - shift, 0.0, None)
-        )
+        # Decompose B from its short side: the Gram of B^T is B B^T
+        # (2ell x 2ell), whose eigenvectors are B's left vectors U.  The
+        # shrunk rows sqrt(sigma^2 - delta) v^T equal
+        # (sqrt(sigma^2 - delta) / sigma) u^T B, so no right vectors are
+        # formed.
+        decomp = svd_thin(self.buffer.T)
+        rank = decomp.rank_used
+        sigma = decomp.values[:rank]
+        shift = sigma[self.ell - 1] ** 2 if rank >= self.ell else 0.0
+        kept = np.sqrt(np.clip(sigma**2 - shift, 0.0, None))
         nonzero = kept > 0.0
         count = int(np.count_nonzero(nonzero))
+        rows = (
+            (kept[nonzero] / sigma[nonzero])[:, None]
+            * decomp.right_vectors[:, nonzero].T
+        ) @ self.buffer
         self.buffer[:] = 0.0
-        if count:
-            self.buffer[:count] = (
-                kept[nonzero, None] * decomp.right_vectors[:, nonzero].T
-            )
+        self.buffer[:count] = rows
         self.fill = count
         self.shrink_count += 1
 
@@ -94,10 +147,11 @@ class FrequentDirections:
 def fd_ingest(rows, ell: int) -> FrequentDirections:
     """Frequent Directions state after ``update`` with every row in order."""
     fd: FrequentDirections | None = None
-    for row in _iter_rows(rows):
+    for block in row_blocks(rows):
         if fd is None:
-            fd = FrequentDirections(ell, as_row(row).shape[0])
-        fd.update(row)
+            fd = FrequentDirections(ell, block.shape[1])
+        for row in block:
+            fd.update(row)
     if fd is None:
         raise ShapeError("empty row stream")
     return fd
@@ -187,43 +241,59 @@ class SignProjector:
         return g
 
 
-def _iter_rows(rows):
-    if isinstance(rows, np.ndarray):
-        mat = as_matrix(rows, "rows")
-        return iter(mat)
-    return iter(rows)
+def _reservoir_moves(
+    seed: int,
+    lane: int,
+    slots: np.ndarray,
+    pos: int,
+    cumulative: np.ndarray,
+    before: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block-merge step for every slot: (slots that move, new item).
+
+    ``cumulative`` is the running mass after each item of the block and
+    ``before`` the mass before it.  Each slot draws one uniform keyed by
+    the block's first stream position and moves only when
+    ``before <= v < cumulative[-1]``, which also skips all-zero prefixes.
+    """
+    after = cumulative[-1]
+    v = uniform01(seed, lane, slots, np.uint64(pos)) * after
+    move = (v >= before) & (v < after)
+    return move, np.searchsorted(cumulative, v[move], side="right")
 
 
 def row_sample(rows, ell: int, seed: int) -> np.ndarray:
     """Sample ell rows proportional to squared length, rescaled.
 
     Each of the ell output slots runs an independent single-slot reservoir
-    (sampling with replacement); a kept row is rescaled by
-    ``||A||_F / (sqrt(ell) * ||row||)`` so the sketch covariance is an
-    unbiased estimate of A^T A.
+    (sampling with replacement), merged one block of rows at a time: with
+    squared mass C0 before the block and C1 after it, one uniform per slot
+    keeps the pick with probability C0 / C1 or moves it to row i of the
+    block with probability ||row_i||^2 / C1, so row i ends in a slot with
+    probability ||row_i||^2 / ||A||_F^2 (see the module docstring).  A kept
+    row is rescaled by ``||A||_F / (sqrt(ell) * ||row||)`` so the sketch
+    covariance is an unbiased estimate of A^T A.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    lanes = np.arange(ell, dtype=np.uint64)
+    slots = np.arange(ell, dtype=np.uint64)
     chosen: np.ndarray | None = None
     chosen_mass = np.zeros(ell)
     total = 0.0
-    width: int | None = None
-    for pos, row in enumerate(_iter_rows(rows)):
-        a = as_row(row, width)
+    pos = 0
+    for block in row_blocks(rows):
         if chosen is None:
-            width = a.shape[0]
-            chosen = np.zeros((ell, width))
-        w = float(a @ a)
-        total += w
-        if w == 0.0 or total == 0.0:
-            continue
-        u = uniform01(seed, _LANE_ROW_SAMPLER, lanes, np.uint64(pos))
-        take = u < (w / total)
-        if np.any(take):
-            chosen[take] = a
-            chosen_mass[take] = w
+            chosen = np.zeros((ell, block.shape[1]))
+        w = np.einsum("ij,ij->i", block, block)
+        cumulative = total + np.cumsum(w)
+        move, picks = _reservoir_moves(
+            seed, _LANE_ROW_SAMPLER, slots, pos, cumulative, total
+        )
+        chosen[move] = block[picks]
+        chosen_mass[move] = w[picks]
+        total = float(cumulative[-1])
+        pos += block.shape[0]
     if chosen is None:
         raise ShapeError("empty row stream")
     if total == 0.0:
@@ -262,37 +332,36 @@ class ColumnSamplePlan:
 def column_sample_plan(rows, ell: int, seed: int) -> ColumnSamplePlan:
     """Zero-th pass: reservoir-sample ell column indices by squared entry.
 
-    Entries are consumed in row-major order.  On entry (i, j) with value a,
-    every slot t independently resets to column j with probability
-    ``a^2 / s`` where s is the running sum of squared entries.
+    Entries are consumed in row-major order, one block of rows at a time.
+    With squared mass C0 before the block and C1 after it, each slot draws
+    one uniform v in [0, C1): it keeps its column when v < C0 (probability
+    C0 / C1), else it moves to the column of the block entry whose
+    cumulative-mass interval holds v (probability a^2 / C1 for an entry a).
+    Column j therefore ends in a slot with probability
+    ||column j||^2 / ||A||_F^2, as with per-entry coin flips (see the module
+    docstring).
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    lanes = np.arange(ell, dtype=np.uint64)[:, None]
+    slots = np.arange(ell, dtype=np.uint64)
     indices = np.zeros(ell, dtype=np.int64)
     col_masses: np.ndarray | None = None
     total = 0.0
-    width: int | None = None
     pos = 0
-    for row in _iter_rows(rows):
-        a = as_row(row, width)
+    for block in row_blocks(rows):
+        width = block.shape[1]
         if col_masses is None:
-            width = a.shape[0]
             col_masses = np.zeros(width)
-        sq = a**2
-        col_masses += sq
+        sq = block**2
+        col_masses += sq.sum(axis=0)
         cumulative = total + np.cumsum(sq)
+        move, picks = _reservoir_moves(
+            seed, _LANE_COL_SAMPLER, slots, pos, cumulative, total
+        )
+        indices[move] = picks % width
         total = float(cumulative[-1])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            thresholds = np.where(cumulative > 0.0, sq / cumulative, 0.0)
-        positions = np.arange(pos, pos + width, dtype=np.uint64)[None, :]
-        u = uniform01(seed, _LANE_COL_SAMPLER, lanes, positions)
-        hits = u < thresholds[None, :]
-        any_hit = hits.any(axis=1)
-        last_hit = width - 1 - np.argmax(hits[:, ::-1], axis=1)
-        indices[any_hit] = last_hit[any_hit]
-        pos += width
+        pos += sq.size
     if col_masses is None:
         raise ShapeError("empty entry stream")
     if total == 0.0:

@@ -1,0 +1,63 @@
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sketch_anomaly import evaluate
+from sketch_anomaly.evaluate import (
+    EvalConfig,
+    EvalReport,
+    evaluate_pipeline,
+    f1_at_mask,
+    f1_sweep,
+    top_fraction_mask,
+)
+from sketch_anomaly.synth import planted_anomaly_dataset
+
+
+def per_fraction_sweep(scores, labels, grid) -> EvalReport:
+    """Best F1 with one ``top_fraction_mask`` per grid fraction."""
+    best = None
+    for eta_prime in grid:
+        f1, precision, recall = f1_at_mask(labels, top_fraction_mask(scores, eta_prime))
+        if best is None or f1 > best[0]:
+            best = (f1, float(eta_prime), precision, recall)
+    return EvalReport(*best)
+
+
+@st.composite
+def scored_rows(draw):
+    n = draw(st.integers(1, 60))
+    # Few distinct values, so ties are common; -inf marks undefined rows.
+    values = st.sampled_from([-math.inf, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+    scores = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    labels[draw(st.integers(0, n - 1))] = True
+    grid = draw(
+        st.lists(st.floats(0.001, 0.999), min_size=1, max_size=12)
+    )
+    return scores, labels, tuple(grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_rows())
+def test_f1_sweep_matches_per_fraction_masks(case):
+    scores, labels, grid = case
+    assert f1_sweep(scores, labels, grid) == per_fraction_sweep(scores, labels, grid)
+
+
+def test_exact_eval_scores_once(monkeypatch):
+    calls = []
+    batch_scores = evaluate.batch_scores
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return batch_scores(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "batch_scores", counting)
+    matrix, _ = planted_anomaly_dataset(300, 30, 3, seed=5)
+    cfg = EvalConfig(k=3, eta=0.05)
+    report = evaluate_pipeline(matrix, "exact", 0, cfg)
+    assert len(calls) == 1
+    assert report.f1 == 1.0

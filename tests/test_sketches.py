@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketch_anomaly import sketches
 from sketch_anomaly.errors import ShapeError, ZeroMassError
 from sketch_anomaly.linalg import operator_norm, svd_thin
 from sketch_anomaly.sketches import (
@@ -12,8 +13,29 @@ from sketch_anomaly.sketches import (
     apply_column_plan,
     column_sample_plan,
     fd_ingest,
+    row_blocks,
     row_sample,
 )
+
+
+def svd_route_shrink(buffer: np.ndarray, ell: int) -> np.ndarray:
+    """Shrink by sigma_ell^2 through the buffer's right singular vectors."""
+    decomp = svd_thin(buffer)
+    sigma = decomp.values
+    shift = sigma[ell - 1] ** 2 if sigma.size >= ell else 0.0
+    kept = np.sqrt(np.clip(sigma[: decomp.rank_used] ** 2 - shift, 0.0, None))
+    nonzero = kept > 0.0
+    return kept[nonzero, None] * decomp.right_vectors[:, nonzero].T
+
+
+def oracle_matrix() -> np.ndarray:
+    """30 x 7 with zero rows (one at the start), zero entries and one zero column."""
+    rng = np.random.default_rng(71)
+    a = rng.standard_normal((30, 7)) * rng.uniform(0.2, 2.0, size=7)
+    a[rng.random((30, 7)) < 0.2] = 0.0
+    a[[0, 1, 2, 3, 11, 17]] = 0.0
+    a[:, 5] = 0.0
+    return a
 
 
 class TestFrequentDirections:
@@ -61,6 +83,29 @@ class TestFrequentDirections:
         assert fd.fill <= 2 * fd.ell
         assert np.all(fd.buffer[fd.fill :] == 0.0)
         assert fd.shrink_count > 0
+
+    @pytest.mark.parametrize(
+        "ell, shape, rank",
+        [(5, (10, 40), None), (6, (12, 30), 3), (8, (16, 11), None)],
+        ids=["random", "rank-below-ell", "dim-below-2ell"],
+    )
+    def test_shrink_matches_svd_route(self, ell, shape, rank):
+        rng = np.random.default_rng(46)
+        if rank is None:
+            b = rng.standard_normal(shape) * np.geomspace(3.0, 0.1, shape[1])
+        else:
+            b = rng.standard_normal((shape[0], rank)) @ rng.standard_normal(
+                (rank, shape[1])
+            )
+        expected = svd_route_shrink(b, ell)
+        fd = FrequentDirections(ell, shape[1])
+        for row in b:
+            fd.update(row)
+        assert fd.shrink_count == 1
+        assert fd.fill == expected.shape[0]
+        tol = 1e-10 * float(np.sum(b**2))
+        assert np.abs(fd.covariance() - expected.T @ expected).max() <= tol
+        assert np.all(fd.buffer[fd.fill :] == 0.0)
 
     def test_width_mismatch(self):
         fd = FrequentDirections(4, 6)
@@ -149,6 +194,88 @@ class TestSignProjector:
         proj = a @ r
         eigvals = np.linalg.eigvalsh(proj.T @ proj)
         assert eigvals.min() >= -1e-9
+
+
+class TestRowBlocks:
+    def test_array_and_iterator_give_same_blocks(self):
+        rng = np.random.default_rng(72)
+        a = rng.standard_normal((1100, 7))
+        from_array = list(row_blocks(a))
+        from_rows = list(row_blocks(iter(a), width=7))
+        assert [b.shape[0] for b in from_array] == [512, 512, 76]
+        assert [b.tobytes() for b in from_array] == [b.tobytes() for b in from_rows]
+        assert all(b.flags.c_contiguous for b in from_array + from_rows)
+
+    def test_array_and_iterator_give_same_sketches(self):
+        rng = np.random.default_rng(73)
+        a = rng.standard_normal((1100, 7))
+        rows = lambda: (list(r) for r in a)  # noqa: E731
+        assert row_sample(a, 6, 5).tobytes() == row_sample(rows(), 6, 5).tobytes()
+        p1, p2 = column_sample_plan(a, 6, 5), column_sample_plan(rows(), 6, 5)
+        assert p1.indices.tobytes() == p2.indices.tobytes()
+        assert p1.column_masses.tobytes() == p2.column_masses.tobytes()
+        assert p1.running_mass == p2.running_mass
+        fd1, fd2 = fd_ingest(a, 4), fd_ingest(rows(), 4)
+        assert fd1.fill == fd2.fill
+        assert fd1.buffer.tobytes() == fd2.buffer.tobytes()
+
+    def test_validation(self):
+        with pytest.raises(ShapeError):
+            list(row_blocks(iter([np.ones(3), np.ones(4)])))
+        with pytest.raises(ShapeError):
+            list(row_blocks(np.ones((4, 3)), width=5))
+        with pytest.raises(ShapeError):
+            list(row_blocks(iter([np.ones((2, 2))])))
+        with pytest.raises(ValueError):
+            list(row_blocks(iter([np.array([1.0, np.nan])])))
+        with pytest.raises(ValueError):
+            list(row_blocks(np.array([[1.0, np.inf]])))
+        assert list(row_blocks(iter([]))) == []
+
+
+class TestBlockReservoirs:
+    @pytest.mark.parametrize("chunk", [512, 4])
+    def test_frequency_oracle(self, monkeypatch, chunk):
+        # Each slot must settle on row i (column j) with probability equal
+        # to its share of the squared mass, with one block or many.
+        monkeypatch.setattr(sketches, "_CHUNK", chunk)
+        a = oracle_matrix()
+        sq = a**2
+        norms = np.linalg.norm(a, axis=1)
+        unit_rows = a / np.where(norms > 0.0, norms, 1.0)[:, None]
+        row_counts = np.zeros(a.shape[0])
+        col_counts = np.zeros(a.shape[1])
+        ell = 8
+        for seed in range(3000):
+            sketch = row_sample(a, ell, seed)
+            # A rescaled row stays parallel to its source row.
+            cosines = (sketch / np.linalg.norm(sketch, axis=1)[:, None]) @ unit_rows.T
+            np.add.at(row_counts, np.argmax(cosines, axis=1), 1)
+            np.add.at(col_counts, column_sample_plan(a, ell, seed).indices, 1)
+        runs = 3000 * ell
+        assert np.abs(row_counts / runs - sq.sum(axis=1) / sq.sum()).max() <= 0.01
+        assert np.abs(col_counts / runs - sq.sum(axis=0) / sq.sum()).max() <= 0.01
+        assert row_counts[[0, 1, 2, 3, 11, 17]].sum() == 0
+        assert col_counts[5] == 0
+
+    def test_one_draw_per_slot_per_block(self, monkeypatch):
+        draws = []
+        uniform01 = sketches.uniform01
+
+        def counting(*words):
+            out = uniform01(*words)
+            draws[-1] += out.size
+            return out
+
+        monkeypatch.setattr(sketches, "uniform01", counting)
+        a = np.random.default_rng(74).standard_normal((1100, 7))
+        ell = 5
+        blocks = -(-a.shape[0] // 512)
+        for seed in (3, 4):
+            for sample in (row_sample, column_sample_plan):
+                draws.append(0)
+                sample(a, ell, seed)
+                assert draws[-1] == ell * blocks
 
 
 class TestRowSample:
