@@ -43,7 +43,9 @@ def as_row(obj, width: int | None = None, name: str = "row") -> np.ndarray:
         raise ShapeError(f"{name} must be 1-D, got ndim={vec.ndim}")
     if width is not None and vec.shape[0] != width:
         raise ShapeError(f"{name} has width {vec.shape[0]}, expected {width}")
-    if not np.all(np.isfinite(vec)):
+    # The method, not np.all: this runs once per streamed row, and np.all's
+    # dispatch costs more than the check on a 400-wide row.
+    if not np.isfinite(vec).all():
         raise ValueError(f"{name} contains non-finite entries")
     return vec
 

@@ -46,40 +46,31 @@ _LANE_SIGN_COEFF = 0x516EC0EF
 
 DEFAULT_INDEPENDENCE = 32
 
-# Rows per block of ``row_blocks``.
+# Rows per block of ``row_blocks``.  The reservoir uniforms are keyed by
+# each block's first stream position, so this size is part of the output
+# format, not a speed setting: changing it changes the rows and columns that
+# ``row_sample`` and ``column_sample_plan`` pick, and their ``rng.draws``,
+# for every seed.
 _CHUNK = 512
 
 
 def row_blocks(rows, width: int | None = None):
     """Validated 2-D float64 blocks of up to ``_CHUNK`` consecutive rows.
 
-    ``rows`` is a matrix or any iterable of rows; both give the same
-    blocks, in stream order.  Every row must be finite and, when ``width``
-    is given, that wide; otherwise the first row fixes the width.
+    ``rows`` is any iterable of rows (a matrix iterates by row).  Every row
+    passes ``as_row``: finite and, when ``width`` is given, that wide;
+    otherwise the first row fixes the width.
     """
-    if isinstance(rows, np.ndarray):
-        mat = as_matrix(rows, "rows")
-        if width is not None and mat.shape[1] != width:
-            raise ShapeError(f"rows have width {mat.shape[1]}, expected {width}")
-        for start in range(0, mat.shape[0], _CHUNK):
-            yield mat[start : start + _CHUNK]
-        return
-    # Shapes are checked row by row, finiteness once per block.
     block: list[np.ndarray] = []
     for row in rows:
-        a = np.asarray(row, dtype=np.float64)
-        if a.ndim != 1:
-            raise ShapeError(f"row must be 1-D, got ndim={a.ndim}")
-        if width is None:
-            width = a.shape[0]
-        elif a.shape[0] != width:
-            raise ShapeError(f"row has width {a.shape[0]}, expected {width}")
+        a = as_row(row, width)
+        width = a.shape[0]
         block.append(a)
         if len(block) == _CHUNK:
-            yield as_matrix(block, "rows")
+            yield np.asarray(block)
             block = []
     if block:
-        yield as_matrix(block, "rows")
+        yield np.asarray(block)
 
 
 class FrequentDirections:
