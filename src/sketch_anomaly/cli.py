@@ -33,9 +33,6 @@ from .evaluate import EvalConfig, evaluate_pipeline
 from .io import load_matrix, load_snapshot, save_csv, save_snapshot
 from .pipelines import (
     PipelineConfig,
-    colsample_ell_for_mu,
-    fd_ell_for_mu,
-    rproj_ell_for_mu,
     run_colsample_pipeline,
     run_fd_pipeline,
     run_pipeline,
@@ -48,7 +45,13 @@ from .sketches import (
     fd_ingest,
 )
 from .synth import planted_anomaly_dataset
-from .verify import SUITES, run_suite
+from .verify import (
+    SUITES,
+    colsample_ell_for_mu,
+    fd_ell_for_mu,
+    rproj_ell_for_mu,
+    run_suite,
+)
 
 _SCORE_FLAG_TO_KIND = {
     "levk": "leverage-k",
@@ -276,7 +279,7 @@ def cmd_eval(args) -> int:
         score_kind=_SCORE_FLAG_TO_KIND[args.score],
         lam=args.lam,
     )
-    seeds = tuple(range(args.seed, args.seed + max(args.seeds, 1)))
+    seeds = tuple(range(args.seed, args.seed + args.seeds))
     mode = "online-fd" if args.mode == "online" else args.mode
     report = evaluate_pipeline(matrix, mode, ell or 0, cfg, seeds)
     _emit(_dump_json(report.to_dict()), args.output)

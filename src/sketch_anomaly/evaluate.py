@@ -200,6 +200,8 @@ def evaluate_pipeline(
     run per seed, one after another); top-level fields are the per-seed
     means with the median best threshold.
     """
+    if not seeds:
+        raise ValueError("need at least one seed")
     a = as_matrix(matrix)
     if mode == "exact":
         exact = _exact_scores(a, cfg)

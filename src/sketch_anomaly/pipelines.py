@@ -261,52 +261,3 @@ def run_pipeline(row_source: RowSource, cfg: PipelineConfig) -> list[ScoreRecord
     """Dispatch on cfg.mode."""
     return _RUNNERS[cfg.mode](row_source, cfg)
 
-
-# --- sketch-size translation helpers -----------------------------------
-#
-# The guarantees prescribe a covariance error level mu; these translate it
-# into a sketch size for each construction.  They are conveniences for
-# test harnesses: pipelines accept ell directly and bounds are always
-# gated on the *measured* mu, never on these formulas.
-
-
-def fd_ell_for_mu(mu: float, tail_stable_rank: float, k: int) -> int:
-    """Frequent Directions size for target mu, given sum_{i>k} s_i^2/s_1^2."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return int(np.ceil(k + tail_stable_rank / mu))
-
-
-def rproj_ell_for_mu(mu: float, stable_rank: float, fail_prob: float = 0.05) -> int:
-    """Sign-projection width for target mu (unit-constant reading)."""
-    if mu <= 0 or not 0 < fail_prob < 1:
-        raise ValueError("mu must be positive and fail_prob in (0, 1)")
-    return int(np.ceil((stable_rank + np.log(1.0 / fail_prob)) / mu**2))
-
-
-def colsample_ell_for_mu(mu: float, stable_rank: float) -> int:
-    """Column-subsample count for target mu (unit-constant reading)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    sr = max(stable_rank, 2.0)
-    return int(np.ceil(sr * np.log(sr / mu**2) / mu**2))
-
-
-def mu_for_pointwise_t(eps: float, delta: float) -> float:
-    """Covariance error making |T^k - ~T^k| <= eps * |a|^2 pointwise."""
-    return eps**2 * delta
-
-
-def mu_for_pointwise_l(eps: float, k: int, stable_rank: float, kappa: float) -> float:
-    """Covariance error for the pointwise rank-k leverage guarantee."""
-    return eps**3 * k**2 / (1e3 * stable_rank**3 * kappa**4)
-
-
-def mu_for_average_l(eps: float, delta: float) -> float:
-    """Covariance error for the average rank-k leverage guarantee."""
-    return eps**2 * delta / 16.0
-
-
-def mu_for_average_t(eps: float, stable_rank: float, k: int) -> float:
-    """Covariance error for the average projection-distance guarantee."""
-    return eps**3 * stable_rank**3 / (125.0 * k**4)

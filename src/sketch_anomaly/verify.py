@@ -5,34 +5,55 @@ stated right side from measured quantities, and returns a ``BoundReport``.
 The covariance error ``mu`` is always *measured* from the matrices at
 hand, never assumed from a sketch-size formula; a theorem whose
 precondition fails on the measured value is reported ``applicable=False``
-(the bound asserts nothing there) rather than failed.
+(the bound asserts nothing there) rather than failed.  Spectra come from
+``linalg.spectral_stats`` and scores from ``scores.score_block``, the
+same kernels the pipelines use.
 
 Checkers are pure: identical inputs and seeds give identical reports.
+
+``run_suite`` runs one seeded sweep per suite (``SUITES``).  Per seed:
+
+* ``weyl``: one report on a 120x40 Gaussian matrix plus noise at a
+  random scale.
+* ``projector``, ``sigma-squared``, ``sigma-inverse``: two reports, at
+  k = 2 and k = 5, on a 120x40 separated matrix and an additive
+  perturbation under the check's mu ceiling.
+* ``diag``: one report on a 40x40 symmetric matrix (indefinite, low
+  rank or rank one).
+* ``pointwise``: two reports on a 200x40 separated matrix, k = 3,
+  Frequent Directions sketches; default eps 0.2.
+* ``average``: two reports on a 200x30 separated matrix, k = 2, a
+  sign-projection sketch; default eps 0.25.
+* ``lowrank``: one report on a 300x60 separated matrix, p = 5, 200
+  projected rows; default eps 0.3.
+
+The ``*_ell_for_mu`` and ``mu_for_*`` helpers translate the covariance
+error a guarantee prescribes into a sketch size; the CLI ``--mu`` flag
+uses them too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import RankDeficientError, ShapeError
-from .linalg import as_matrix, operator_norm, svd_thin, sym_eig
-from .pipelines import (
-    colsample_ell_for_mu,
-    fd_ell_for_mu,
-    mu_for_average_l,
-    mu_for_average_t,
-    mu_for_pointwise_l,
-    mu_for_pointwise_t,
-    rproj_ell_for_mu,
+from .linalg import (
+    SpectralStats,
+    as_matrix,
+    gram_basis,
+    operator_norm,
+    spectral_stats,
+    svd_thin,
+    sym_eig,
 )
-from .rng import uniform01
 from .scores import score_block
 from .sketches import SignProjector, fd_ingest
 from .synth import additive_perturbation, separated_matrix
-
-_LANE_VERIFY_COLS = 0x7E57C015
 
 PASS_SLACK = 1e-9
 
@@ -80,6 +101,55 @@ def _report(name: str, lhs: float, rhs: float, applicable: bool, **inputs) -> Bo
     )
 
 
+# --- sketch-size translation helpers -----------------------------------
+#
+# The guarantees prescribe a covariance error level mu; these translate it
+# into a sketch size for each construction.  Pipelines accept ell directly
+# and bounds are always gated on the *measured* mu, never on these formulas.
+
+
+def fd_ell_for_mu(mu: float, tail_stable_rank: float, k: int) -> int:
+    """Frequent Directions size for target mu, given sum_{i>k} s_i^2/s_1^2."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    return int(np.ceil(k + tail_stable_rank / mu))
+
+
+def rproj_ell_for_mu(mu: float, stable_rank: float, fail_prob: float = 0.05) -> int:
+    """Sign-projection width for target mu (unit-constant reading)."""
+    if mu <= 0 or not 0 < fail_prob < 1:
+        raise ValueError("mu must be positive and fail_prob in (0, 1)")
+    return int(np.ceil((stable_rank + np.log(1.0 / fail_prob)) / mu**2))
+
+
+def colsample_ell_for_mu(mu: float, stable_rank: float) -> int:
+    """Column-subsample count for target mu (unit-constant reading)."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    sr = max(stable_rank, 2.0)
+    return int(np.ceil(sr * np.log(sr / mu**2) / mu**2))
+
+
+def mu_for_pointwise_t(eps: float, delta: float) -> float:
+    """Covariance error making |T^k - ~T^k| <= eps * |a|^2 pointwise."""
+    return eps**2 * delta
+
+
+def mu_for_pointwise_l(eps: float, k: int, stable_rank: float, kappa: float) -> float:
+    """Covariance error for the pointwise rank-k leverage guarantee."""
+    return eps**3 * k**2 / (1e3 * stable_rank**3 * kappa**4)
+
+
+def mu_for_average_l(eps: float, delta: float) -> float:
+    """Covariance error for the average rank-k leverage guarantee."""
+    return eps**2 * delta / 16.0
+
+
+def mu_for_average_t(eps: float, stable_rank: float, k: int) -> float:
+    """Covariance error for the average projection-distance guarantee."""
+    return eps**3 * stable_rank**3 / (125.0 * k**4)
+
+
 # --- measured quantities -------------------------------------------------
 
 
@@ -99,32 +169,13 @@ def measured_mu_rowspace(a: np.ndarray, at: np.ndarray) -> float:
     return operator_norm(a.T @ a - at.T @ at) / sigma1**2
 
 
-def _spectrum_info(a: np.ndarray, k: int) -> dict:
-    sigma = svd_thin(a).values
-    if k < 1 or k >= sigma.size:
-        raise ValueError(f"k must satisfy 1 <= k < min(n, d), got {k}")
-    sq = sigma**2
-    top = float(sq[0])
-    if top == 0:
-        raise ValueError("zero matrix")
-    return {
-        "sigma": sigma,
-        "delta": float((sq[k - 1] - sq[k]) / top),
-        "kappa": float(top / sq[k - 1]) if sq[k - 1] > 0 else np.inf,
-        "sr": float(sq.sum() / top),
-        "tail_sr": float(sq[k:].sum() / top),
-        "frob_sq": float(sq.sum()),
-        "head_sq": sq[:k].copy(),
-    }
-
-
-def _top_left_block(a: np.ndarray, k: int) -> np.ndarray:
-    decomp = svd_thin(a, compute_left=True)
-    if decomp.rank_used < k:
-        raise RankDeficientError(
-            f"matrix rank {decomp.rank_used} below requested k={k}"
-        )
-    return decomp.left_vectors[:, :k]
+def _stat_inputs(stats: SpectralStats) -> dict:
+    """Report inputs read off the spectrum of A."""
+    return dict(
+        delta=stats.separation_delta,
+        kappa_k=stats.condition_kappa_k,
+        sr=stats.stable_rank,
+    )
 
 
 # --- individual checkers -------------------------------------------------
@@ -144,41 +195,100 @@ def check_weyl(c, noise, seed: int | None = None) -> BoundReport:
     return _report("weyl", lhs, rhs, True, n=n, d=d, seed=seed)
 
 
-def check_projector(a, at, k: int, seed: int | None = None) -> BoundReport:
-    """||U_k U_k^T - ~U_k ~U_k^T|| <= 2 sqrt(mu / Delta), needs mu <= Delta/6."""
+@dataclass(frozen=True)
+class _GapBound:
+    """One bound on ``||U_k W U_k^T - ~U_k W ~U_k^T||``.
+
+    ``ceiling(k, delta, kappa)`` is the largest mu the precondition admits,
+    ``weights`` maps the top-k squared singular values of A to the diagonal
+    of W (None for W = I), and ``rhs(sigma_sq, mu, k, delta, kappa)`` is the
+    bound.
+    """
+
+    name: str
+    ceiling: Callable[[int, float, float], float]
+    weights: Callable[[np.ndarray], np.ndarray] | None
+    rhs: Callable[[np.ndarray, float, int, float, float], float]
+
+
+_PROJECTOR = _GapBound(
+    "projector-closeness",
+    ceiling=lambda k, delta, kappa: delta / 6,
+    weights=None,
+    rhs=lambda sq, mu, k, delta, kappa: (
+        2.0 * np.sqrt(mu / delta) if delta > 0 else np.inf
+    ),
+)
+
+_SIGMA_WEIGHTED = {
+    "squared": _GapBound(
+        "sigma-weighted-squared",
+        ceiling=lambda k, delta, kappa: min(delta**3 * k**2, 1.0 / (20.0 * k)),
+        weights=lambda head_sq: head_sq,
+        rhs=lambda sq, mu, k, delta, kappa: (
+            8.0 * float(sq[0]) * (mu * k) ** (1.0 / 3.0)
+        ),
+    ),
+    "inverse-squared": _GapBound(
+        "sigma-weighted-inverse-squared",
+        ceiling=lambda k, delta, kappa: min(
+            delta**3 * (k * kappa) ** 2, 1.0 / (20.0 * k * kappa)
+        ),
+        weights=lambda head_sq: 1.0 / head_sq,
+        rhs=lambda sq, mu, k, delta, kappa: (
+            8.0 / float(sq[k - 1]) * (mu * k * kappa) ** (1.0 / 3.0)
+        ),
+    ),
+}
+
+
+def _projector_gap(a, at, k: int, bound: _GapBound, seed: int | None) -> BoundReport:
+    """Shared core of the projector checks: measure and report one _GapBound."""
     a = as_matrix(a, "A")
     at = as_matrix(at, "At")
     if a.shape[0] != at.shape[0]:
         raise ShapeError("A and At must share the row count (column spaces)")
-    info = _spectrum_info(a, k)
+    stats = spectral_stats(a, k, k)
     mu = measured_mu_colspace(a, at)
-    delta = info["delta"]
-    applicable = delta > 0 and mu <= delta / 6
-    rank_at = svd_thin(at).rank_used
-    if rank_at < k:
+    delta, kappa = stats.separation_delta, stats.condition_kappa_k
+    applicable = delta > 0 and mu <= bound.ceiling(k, delta, kappa)
+    decomp_t = svd_thin(at, compute_left=True)
+    if decomp_t.rank_used < k:
         applicable = False
         lhs = np.inf
     else:
-        u_k = _top_left_block(a, k)
-        ut_k = _top_left_block(at, k)
-        lhs = operator_norm(u_k @ u_k.T - ut_k @ ut_k.T)
-    rhs = 2.0 * np.sqrt(mu / delta) if delta > 0 else np.inf
+        decomp = svd_thin(a, compute_left=True)
+        if decomp.rank_used < k:
+            raise RankDeficientError(
+                f"matrix rank {decomp.rank_used} below requested k={k}"
+            )
+        u_k = decomp.left_vectors[:, :k]
+        ut_k = decomp_t.left_vectors[:, :k]
+        if bound.weights is None:
+            gap = u_k @ u_k.T - ut_k @ ut_k.T
+        else:
+            w = bound.weights(stats.sigma_sq[:k])
+            gap = (u_k * w) @ u_k.T - (ut_k * w) @ ut_k.T
+        lhs = operator_norm(gap)
     n, d = a.shape
     return _report(
-        "projector-closeness",
+        bound.name,
         lhs,
-        rhs,
+        bound.rhs(stats.sigma_sq, mu, k, delta, kappa),
         applicable,
         n=n,
         d=d,
         k=k,
         ell=at.shape[1],
         mu=mu,
-        delta=delta,
-        kappa_k=info["kappa"],
-        sr=info["sr"],
+        **_stat_inputs(stats),
         seed=seed,
     )
+
+
+def check_projector(a, at, k: int, seed: int | None = None) -> BoundReport:
+    """||U_k U_k^T - ~U_k ~U_k^T|| <= 2 sqrt(mu / Delta), needs mu <= Delta/6."""
+    return _projector_gap(a, at, k, _PROJECTOR, seed)
 
 
 def check_sigma_weighted(
@@ -189,55 +299,9 @@ def check_sigma_weighted(
     Both terms are weighted by the TRUE top-k spectrum of A:
     ``||U_k W U_k^T - ~U_k W ~U_k^T||`` for W = Sigma_k^2 or Sigma_k^-2.
     """
-    if mode not in ("squared", "inverse-squared"):
+    if mode not in _SIGMA_WEIGHTED:
         raise ValueError(f"mode must be 'squared' or 'inverse-squared', got {mode!r}")
-    a = as_matrix(a, "A")
-    at = as_matrix(at, "At")
-    if a.shape[0] != at.shape[0]:
-        raise ShapeError("A and At must share the row count (column spaces)")
-    info = _spectrum_info(a, k)
-    mu = measured_mu_colspace(a, at)
-    delta = info["delta"]
-    kappa = info["kappa"]
-    sigma1_sq = float(info["sigma"][0] ** 2)
-    sigma_k_sq = float(info["sigma"][k - 1] ** 2)
-
-    if mode == "squared":
-        precondition = mu <= min(delta**3 * k**2, 1.0 / (20.0 * k))
-        weights = info["head_sq"]
-        rhs = 8.0 * sigma1_sq * (mu * k) ** (1.0 / 3.0)
-    else:
-        precondition = mu <= min(
-            delta**3 * (k * kappa) ** 2, 1.0 / (20.0 * k * kappa)
-        )
-        weights = 1.0 / info["head_sq"]
-        rhs = 8.0 / sigma_k_sq * (mu * k * kappa) ** (1.0 / 3.0)
-
-    applicable = bool(precondition) and delta > 0
-    rank_at = svd_thin(at).rank_used
-    if rank_at < k:
-        applicable = False
-        lhs = np.inf
-    else:
-        u_k = _top_left_block(a, k)
-        ut_k = _top_left_block(at, k)
-        lhs = operator_norm((u_k * weights) @ u_k.T - (ut_k * weights) @ ut_k.T)
-    n, d = a.shape
-    return _report(
-        f"sigma-weighted-{mode}",
-        lhs,
-        rhs,
-        applicable,
-        n=n,
-        d=d,
-        k=k,
-        ell=at.shape[1],
-        mu=mu,
-        delta=delta,
-        kappa_k=kappa,
-        sr=info["sr"],
-        seed=seed,
-    )
+    return _projector_gap(a, at, k, _SIGMA_WEIGHTED[mode], seed)
 
 
 def check_diag_dominance(matrix, seed: int | None = None) -> BoundReport:
@@ -254,160 +318,7 @@ def check_diag_dominance(matrix, seed: int | None = None) -> BoundReport:
     )
 
 
-# --- column-space sketch builders for the average-case lemmas ------------
-
-
-def _colsample_weights(a: np.ndarray, ell: int, seed: int) -> np.ndarray:
-    """Length-squared column sampling as diagonal Gram weights.
-
-    Samples ell column indices from the exact squared-mass distribution
-    (the marginal the streaming reservoir plan realizes) and returns w
-    with ``At At^T = A diag(w) A^T``.
-    """
-    col_mass = np.einsum("ij,ij->j", a, a)
-    total = float(col_mass.sum())
-    if total <= 0:
-        raise ValueError("zero total mass")
-    cum = np.cumsum(col_mass / total)
-    u = uniform01(seed, _LANE_VERIFY_COLS, np.arange(ell, dtype=np.uint64))
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), a.shape[1] - 1)
-    counts = np.bincount(idx, minlength=a.shape[1]).astype(np.float64)
-    weights = np.zeros_like(col_mass)
-    nonzero = col_mass > 0
-    weights[nonzero] = counts[nonzero] * total / (ell * col_mass[nonzero])
-    return weights
-
-
-def _colspace_sketch_cov(
-    a: np.ndarray, kind: str, ell: int, seed: int, independence_w: int
-) -> np.ndarray:
-    """Covariance At At^T of a column-space sketch, without forming At."""
-    n, d = a.shape
-    if kind == "rproj":
-        projector = SignProjector(seed, ell, d, independence_w)
-        return a @ projector.gram() @ a.T
-    if kind == "colsample":
-        weights = _colsample_weights(a, ell, seed)
-        return (a * weights) @ a.T
-    if kind == "exact":
-        return a @ a.T
-    raise ValueError(f"unknown sketch kind {kind!r}")
-
-
-def check_average_guarantees(
-    a,
-    k: int,
-    sketch_kind: str,
-    eps: float,
-    seed: int = 0,
-    ell: int | None = None,
-    independence_w: int = 8,
-    max_doublings: int = 4,
-) -> tuple[BoundReport, BoundReport]:
-    """Average-case bounds for rank-k leverage and projection distance.
-
-    Builds a column-space sketch with error targeted at the leverage
-    lemma's prescription ``mu = eps^2 * Delta / 16`` (doubling ell until
-    the measured error meets it), then reports:
-
-    * ``sum_i |L^k - ~L^k| <= eps * k``
-    * ``sum_i |T^k - ~T^k| <= eps * ||A||_F^2``
-
-    Each report gates on its own lemma's precondition against the measured
-    mu.  Scores are evaluated in column-space form (row norms of the top-k
-    left factors), which is algebraically identical to the projected-space
-    estimator the streaming pipeline computes.
-    """
-    # This is the one scorer that does not go through ``score_block``: the
-    # projected-space form needs the n x ell sketch At, and ell reaches
-    # ~7.5e5 here, so both score sets are read off the n x n covariances.
-    a = as_matrix(a, "A")
-    info = _spectrum_info(a, k)
-    delta, kappa, sr = info["delta"], info["kappa"], info["sr"]
-    mu_l_target = mu_for_average_l(eps, delta)
-    mu_t_target = mu_for_average_t(eps, sr, k)
-
-    if ell is None:
-        if sketch_kind == "rproj":
-            ell = rproj_ell_for_mu(mu_l_target, sr)
-        elif sketch_kind == "colsample":
-            ell = colsample_ell_for_mu(mu_l_target, sr)
-        else:
-            ell = a.shape[1]
-
-    cov_exact = a @ a.T
-    sigma1_sq = float(info["sigma"][0] ** 2)
-    cov_sketch = None
-    mu = np.inf
-    for _ in range(max_doublings + 1):
-        cov_sketch = _colspace_sketch_cov(a, sketch_kind, ell, seed, independence_w)
-        mu = operator_norm(cov_exact - cov_sketch) / sigma1_sq
-        if mu <= mu_l_target or sketch_kind == "exact":
-            break
-        ell *= 2
-
-    # Exact scores via the left factors of A.
-    decomp = svd_thin(a, compute_left=True)
-    u_k = decomp.left_vectors[:, :k]
-    sigma_k = decomp.values[:k]
-    row_sq = np.einsum("ij,ij->i", a, a)
-    lev_exact = np.einsum("ij,ij->i", u_k, u_k)
-    proj_exact = row_sq - np.einsum("ij,ij->i", u_k * sigma_k, u_k * sigma_k)
-
-    # Sketch scores via the eigensystem of the sketch covariance.
-    eig = sym_eig(cov_sketch)
-    lam = np.clip(eig.values, 0.0, None)
-    usable = int(np.count_nonzero(lam > 0))
-    rank_ok = usable >= k
-    if rank_ok:
-        ut_k = eig.right_vectors[:, :k]
-        sig_t = np.sqrt(lam[:k])
-        lev_sketch = np.einsum("ij,ij->i", ut_k, ut_k)
-        proj_sketch = row_sq - np.einsum(
-            "ij,ij->i", ut_k * sig_t, ut_k * sig_t
-        )
-        lhs_l = float(np.sum(np.abs(lev_exact - lev_sketch)))
-        lhs_t = float(np.sum(np.abs(proj_exact - proj_sketch)))
-    else:
-        lhs_l = np.inf
-        lhs_t = np.inf
-
-    common = dict(
-        n=a.shape[0],
-        d=a.shape[1],
-        k=k,
-        ell=ell,
-        mu=mu,
-        delta=delta,
-        kappa_k=kappa,
-        sr=sr,
-        epsilon=eps,
-        seed=seed,
-        sketch_kind=sketch_kind,
-    )
-    applicable_l = rank_ok and eps < 1 and delta > 0 and mu <= mu_l_target
-    report_l = _report(
-        "average-leverage",
-        lhs_l,
-        eps * k,
-        applicable_l,
-        mu_target=mu_l_target,
-        **common,
-    )
-    eps_cond_t = eps <= min(delta * k**2, float(k)) / sr
-    applicable_t = rank_ok and delta > 0 and eps_cond_t and mu <= mu_t_target
-    report_t = _report(
-        "average-projection",
-        lhs_t,
-        eps * info["frob_sq"],
-        applicable_t,
-        mu_target=mu_t_target,
-        **common,
-    )
-    return report_l, report_t
-
-
-# --- pointwise guarantees ------------------------------------------------
+# --- sketched-score guarantees -------------------------------------------
 
 
 def _rowspace_estimates(
@@ -426,14 +337,97 @@ def _rowspace_estimates(
     return columns["rank_k_leverage"], columns["projection_distance_raw"]
 
 
+# Sign-projection independence and ell doublings of the average checks.
+_AVERAGE_INDEPENDENCE = 8
+_AVERAGE_DOUBLINGS = 4
+
+
+def check_average_guarantees(
+    a, k: int, eps: float, seed: int = 0
+) -> tuple[BoundReport, BoundReport]:
+    """Average-case bounds for rank-k leverage and projection distance.
+
+    Builds a sign-projection column-space sketch At = A R with error
+    targeted at the leverage lemma's prescription ``mu = eps^2 * Delta / 16``
+    (doubling ell until the measured error meets it), then reports:
+
+    * ``sum_i |L^k - ~L^k| <= eps * k``
+    * ``sum_i |T^k - ~T^k| <= eps * ||A||_F^2``
+
+    Each report gates on its own lemma's precondition against the measured
+    mu.  ell reaches ~7.5e5 in the sweep, so At is never formed: its
+    covariance is ``A (R R^T) A^T``, whose top-k eigenpairs ~U_k, ~sigma_k^2
+    give the sketch scores as ``score_block(~U_k ~sigma_k, ...)``, the
+    projected-space estimator the rproj pipeline computes.
+    """
+    a = as_matrix(a, "A")
+    stats = spectral_stats(a, k, k)
+    delta, sr = stats.separation_delta, stats.stable_rank
+    sigma1_sq = float(stats.sigma_sq[0])
+    mu_l_target = mu_for_average_l(eps, delta)
+    mu_t_target = mu_for_average_t(eps, sr, k)
+
+    cov_exact = a @ a.T
+    ell0 = rproj_ell_for_mu(mu_l_target, sr)
+    for ell in (ell0 << t for t in range(_AVERAGE_DOUBLINGS + 1)):
+        gram = SignProjector(seed, ell, a.shape[1], _AVERAGE_INDEPENDENCE).gram()
+        cov_sketch = a @ gram @ a.T
+        mu = operator_norm(cov_exact - cov_sketch) / sigma1_sq
+        if mu <= mu_l_target:
+            break
+
+    row_sq = np.einsum("ij,ij->i", a, a)
+    lev_exact, proj_exact = _rowspace_estimates(a, row_sq, a, k)
+    sketch = gram_basis(sym_eig(cov_sketch))
+    rank_ok = sketch.rank_used >= k
+    if rank_ok:
+        sigma_t = sketch.values[:k]
+        columns = score_block(sketch.right_vectors[:, :k] * sigma_t, row_sq, sigma_t, k)
+        lhs_l = float(np.sum(np.abs(lev_exact - columns["rank_k_leverage"])))
+        lhs_t = float(np.sum(np.abs(proj_exact - columns["projection_distance_raw"])))
+    else:
+        lhs_l = np.inf
+        lhs_t = np.inf
+
+    common = dict(
+        n=a.shape[0],
+        d=a.shape[1],
+        k=k,
+        ell=ell,
+        mu=mu,
+        **_stat_inputs(stats),
+        epsilon=eps,
+        seed=seed,
+        sketch_kind="rproj",
+    )
+    applicable_l = rank_ok and eps < 1 and delta > 0 and mu <= mu_l_target
+    report_l = _report(
+        "average-leverage",
+        lhs_l,
+        eps * k,
+        applicable_l,
+        mu_target=mu_l_target,
+        **common,
+    )
+    eps_cond_t = eps <= min(delta * k**2, float(k)) / sr
+    applicable_t = rank_ok and delta > 0 and eps_cond_t and mu <= mu_t_target
+    report_t = _report(
+        "average-projection",
+        lhs_t,
+        eps * float(stats.sigma_sq.sum()),
+        applicable_t,
+        mu_target=mu_t_target,
+        **common,
+    )
+    return report_l, report_t
+
+
+# ell doublings of the pointwise checks' Frequent Directions sketches.
+_POINTWISE_DOUBLINGS = 6
+
+
 def check_pointwise_guarantees(
-    a,
-    k: int,
-    eps: float,
-    seed: int = 0,
-    ell_t: int | None = None,
-    ell_l: int | None = None,
-    max_doublings: int = 6,
+    a, k: int, eps: float, seed: int = 0
 ) -> tuple[BoundReport, BoundReport]:
     """Pointwise bounds from a Frequent Directions row-space sketch.
 
@@ -443,42 +437,45 @@ def check_pointwise_guarantees(
       eps within the theorem's parameter window,
       ``|L^k(i) - ~L^k(i)| <= eps k |a_i|^2 / ||A||_F^2``.
 
-    The leverage theorem's proof invokes a lower bound on mu where its
+    Each sketch starts at the ``fd_ell_for_mu`` size and doubles ell until
+    the measured mu meets the target or ell reaches the row count.  The
+    leverage theorem's proof invokes a lower bound on mu where its
     statement needs an upper bound; the checker follows the statement and
     records ``mu_regime="upper-bound reading"`` in the inputs.
     """
     a = as_matrix(a, "A")
-    info = _spectrum_info(a, k)
-    delta, kappa, sr = info["delta"], info["kappa"], info["sr"]
+    stats = spectral_stats(a, k, k)
+    delta, kappa, sr = (
+        stats.separation_delta,
+        stats.condition_kappa_k,
+        stats.stable_rank,
+    )
+    sq = stats.sigma_sq
+    tail_sr = float(sq[k:].sum() / sq[0])
     row_sq = np.einsum("ij,ij->i", a, a)
     nonzero = row_sq > 0
     lev_exact, proj_exact = _rowspace_estimates(a, row_sq, a, k)
 
-    def build(mu_target: float, ell0: int | None) -> tuple[np.ndarray, float, int]:
-        ell = ell0 or fd_ell_for_mu(mu_target, info["tail_sr"], k)
-        ell = max(ell, k + 1)
-        sketch, mu = None, np.inf
-        for _ in range(max_doublings + 1):
+    def build(mu_target: float) -> tuple[np.ndarray, float, int]:
+        ell0 = max(fd_ell_for_mu(mu_target, tail_sr, k), k + 1)
+        for ell in (ell0 << t for t in range(_POINTWISE_DOUBLINGS + 1)):
             sketch = fd_ingest(a, ell).sketch()
             mu = measured_mu_rowspace(a, sketch)
             if mu <= mu_target or ell >= a.shape[0]:
                 break
-            ell *= 2
         return sketch, mu, ell
 
     common = dict(
         n=a.shape[0],
         d=a.shape[1],
         k=k,
-        delta=delta,
-        kappa_k=kappa,
-        sr=sr,
+        **_stat_inputs(stats),
         epsilon=eps,
         seed=seed,
     )
 
     mu_t_target = mu_for_pointwise_t(eps, delta)
-    sketch_t, mu_t, used_ell_t = build(mu_t_target, ell_t)
+    sketch_t, mu_t, ell_t = build(mu_t_target)
     _, proj_t = _rowspace_estimates(a, row_sq, sketch_t, k)
     lhs_t = float(
         np.max(np.abs(proj_exact[nonzero] - proj_t[nonzero]) / row_sq[nonzero])
@@ -488,16 +485,16 @@ def check_pointwise_guarantees(
         lhs_t,
         eps,
         delta > 0 and eps < 1.0 / 3.0 and mu_t <= mu_t_target,
-        ell=used_ell_t,
+        ell=ell_t,
         mu=mu_t,
         mu_target=mu_t_target,
         **common,
     )
 
     mu_l_target = mu_for_pointwise_l(eps, k, sr, kappa)
-    sketch_l, mu_l, used_ell_l = build(mu_l_target, ell_l)
+    sketch_l, mu_l, ell_l = build(mu_l_target)
     lev_l, _ = _rowspace_estimates(a, row_sq, sketch_l, k)
-    scale = info["frob_sq"] / k
+    scale = float(sq.sum()) / k
     lhs_l = float(
         np.max(np.abs(lev_exact[nonzero] - lev_l[nonzero]) * scale / row_sq[nonzero])
     )
@@ -507,7 +504,7 @@ def check_pointwise_guarantees(
         lhs_l,
         eps,
         delta > 0 and eps_window and mu_l <= mu_l_target,
-        ell=used_ell_l,
+        ell=ell_l,
         mu=mu_l,
         mu_target=mu_l_target,
         mu_regime="upper-bound reading",
@@ -529,7 +526,8 @@ def check_low_rank_approx(
 
     and verifies the exact decomposition
     ``||A - ~A_p||_F^2 = ||A - A_p||_F^2 + (||A_p||_F^2 - sum ||A w_i||^2)``,
-    whose residual is recorded in the report inputs.
+    whose residual is recorded in the report inputs.  Needs
+    1 <= p < min(n, d).
     """
     a = as_matrix(a, "A")
     n, d = a.shape
@@ -548,9 +546,9 @@ def check_low_rank_approx(
     aw = a @ w
     approx = aw @ w.T
 
-    sigma_sq = svd_thin(a).values ** 2
-    head = float(sigma_sq[:p].sum())
-    total = float(sigma_sq.sum())
+    stats = spectral_stats(a, p, p)
+    head = float(stats.sigma_sq[:p].sum())
+    total = float(stats.sigma_sq.sum())
     baseline = max(total - head, 0.0)
 
     lhs = float(np.sum((a - approx) ** 2))
@@ -558,7 +556,6 @@ def check_low_rank_approx(
     captured = float(np.sum(aw**2))
     identity_rhs = baseline + (head - captured)
     identity_residual = abs(lhs - identity_rhs) / max(1.0, total)
-    numeric_rank_p = p * total / head if head > 0 else np.inf
     return _report(
         "low-rank-approx",
         lhs,
@@ -571,36 +568,36 @@ def check_low_rank_approx(
         epsilon=eps,
         seed=seed,
         identity_residual=identity_residual,
-        numeric_rank_p=numeric_rank_p,
+        numeric_rank_p=stats.numeric_rank_p,
     )
 
 
 # --- seeded sweeps (shared by the CLI `verify` command and tests) --------
 
 
-def sweep_weyl(num_seeds: int, n: int = 120, d: int = 40, base_seed: int = 0):
+def sweep_weyl(num_seeds: int, base_seed: int) -> list[BoundReport]:
     reports = []
     for s in range(num_seeds):
         rng = np.random.default_rng(base_seed + s)
-        c = rng.standard_normal((n, d))
+        c = rng.standard_normal((120, 40))
         scale = 10.0 ** rng.uniform(-3, 0)
-        noise = scale * rng.standard_normal((n, d))
+        noise = scale * rng.standard_normal((120, 40))
         reports.append(check_weyl(c, noise, seed=base_seed + s))
     return reports
 
 
 def _perturbed_separated(
-    n: int, d: int, k: int, seed: int, mu_fraction_of_max: float, mu_max_fn
+    k: int, seed: int, mu_fraction_of_max: float, bound: _GapBound
 ):
-    """Separated instance plus perturbation with measured mu under a cap.
+    """Separated 120x40 instance plus perturbation with measured mu under a cap.
 
-    ``mu_max_fn(delta, kappa)`` gives the theorem's precondition ceiling;
-    the perturbation is retried at half strength until the measured mu
-    fits under it, so sweep instances are applicable by construction.
+    The cap is the bound's precondition ceiling; the perturbation is
+    retried at half strength until the measured mu fits under it, so sweep
+    instances are applicable by construction.
     """
-    a = separated_matrix(n, d, k, seed, delta=0.5, kappa=1.3, tail_sr=0.05)
-    info = _spectrum_info(a, k)
-    cap = mu_max_fn(info["delta"], info["kappa"])
+    a = separated_matrix(120, 40, k, seed, delta=0.5, kappa=1.3, tail_sr=0.05)
+    stats = spectral_stats(a, k, k)
+    cap = bound.ceiling(k, stats.separation_delta, stats.condition_kappa_k)
     target = mu_fraction_of_max * cap
     at = additive_perturbation(a, target, seed + 1)
     for _ in range(8):
@@ -611,143 +608,105 @@ def _perturbed_separated(
     return a, at
 
 
-def sweep_projector(
+def _sweep_gap(
     num_seeds: int,
-    n: int = 120,
-    d: int = 40,
-    k_values: tuple[int, ...] = (2, 5),
-    base_seed: int = 0,
-):
+    base_seed: int,
+    bound: _GapBound,
+    seed_stride: int,
+    mu_fraction: Callable[[int], float],
+) -> list[BoundReport]:
+    """Projector-gap reports at k = 2 and 5 for each seed s.
+
+    ``mu_fraction(s)`` is the share of the precondition ceiling that seed
+    s's perturbation targets.
+    """
     reports = []
     for s in range(num_seeds):
-        for k in k_values:
+        for k in (2, 5):
             a, at = _perturbed_separated(
-                n, d, k, base_seed + 1000 * s + k, 0.6, lambda delta, kappa: delta / 6
+                k, base_seed + seed_stride * s + k, mu_fraction(s), bound
             )
-            reports.append(check_projector(a, at, k, seed=base_seed + s))
+            reports.append(_projector_gap(a, at, k, bound, base_seed + s))
     return reports
+
+
+def sweep_projector(num_seeds: int, base_seed: int) -> list[BoundReport]:
+    return _sweep_gap(num_seeds, base_seed, _PROJECTOR, 1000, lambda s: 0.6)
 
 
 def sweep_sigma_weighted(
-    num_seeds: int,
-    mode: str,
-    n: int = 120,
-    d: int = 40,
-    k_values: tuple[int, ...] = (2, 5),
-    base_seed: int = 0,
-):
-    reports = []
-    for s in range(num_seeds):
-        for k in k_values:
-            if mode == "squared":
-                cap_fn = lambda delta, kappa, k=k: min(
-                    delta**3 * k**2, 1.0 / (20.0 * k)
-                )
-            else:
-                cap_fn = lambda delta, kappa, k=k: min(
-                    delta**3 * (k * kappa) ** 2, 1.0 / (20.0 * k * kappa)
-                )
-            # Log-spread targets over the sweep, from 1e-6 up to half the cap.
-            frac = 10.0 ** (-6.0 + 5.7 * (s / max(num_seeds - 1, 1)))
-            a, at = _perturbed_separated(
-                n,
-                d,
-                k,
-                base_seed + 2000 * s + k,
-                min(frac, 0.5),
-                cap_fn,
-            )
-            reports.append(check_sigma_weighted(a, at, k, mode, seed=base_seed + s))
-    return reports
+    num_seeds: int, base_seed: int, mode: str
+) -> list[BoundReport]:
+    def mu_fraction(s: int) -> float:
+        # Log-spread targets over the sweep, from 1e-6 up to half the cap.
+        return min(10.0 ** (-6.0 + 5.7 * (s / max(num_seeds - 1, 1))), 0.5)
+
+    return _sweep_gap(num_seeds, base_seed, _SIGMA_WEIGHTED[mode], 2000, mu_fraction)
 
 
-def sweep_diag_dominance(num_seeds: int, n: int = 40, base_seed: int = 0):
+def sweep_diag_dominance(num_seeds: int, base_seed: int) -> list[BoundReport]:
     reports = []
     for s in range(num_seeds):
         rng = np.random.default_rng(base_seed + s)
         kind = s % 3
         if kind == 0:
-            g = rng.standard_normal((n, n))
+            g = rng.standard_normal((40, 40))
             m = g + g.T
         elif kind == 1:
             rank = int(rng.integers(1, 6))
-            g = rng.standard_normal((n, rank))
+            g = rng.standard_normal((40, rank))
             m = g @ g.T
         else:
-            v = rng.standard_normal(n)
+            v = rng.standard_normal(40)
             m = np.outer(v, v)
         reports.append(check_diag_dominance(m, seed=base_seed + s))
     return reports
 
 
-def sweep_pointwise(
-    num_seeds: int,
-    eps: float = 0.2,
-    n: int = 200,
-    d: int = 40,
-    k: int = 3,
-    base_seed: int = 0,
-):
+def sweep_pointwise(num_seeds: int, base_seed: int, eps: float) -> list[BoundReport]:
     reports = []
     for s in range(num_seeds):
         a = separated_matrix(
-            n, d, k, base_seed + s, delta=0.3, kappa=1.15, tail_sr=5e-5
+            200, 40, 3, base_seed + s, delta=0.3, kappa=1.15, tail_sr=5e-5
         )
-        t_rep, l_rep = check_pointwise_guarantees(a, k, eps, seed=base_seed + s)
-        reports.extend([t_rep, l_rep])
+        reports.extend(check_pointwise_guarantees(a, 3, eps, seed=base_seed + s))
     return reports
 
 
-def sweep_average(
-    num_seeds: int,
-    eps: float = 0.25,
-    kind: str = "rproj",
-    n: int = 200,
-    d: int = 30,
-    k: int = 2,
-    base_seed: int = 0,
-    independence_w: int = 8,
-):
+def sweep_average(num_seeds: int, base_seed: int, eps: float) -> list[BoundReport]:
     reports = []
     for s in range(num_seeds):
         a = separated_matrix(
-            n, d, k, base_seed + s, delta=0.7, kappa=1.05, tail_sr=0.05
+            200, 30, 2, base_seed + s, delta=0.7, kappa=1.05, tail_sr=0.05
         )
-        l_rep, t_rep = check_average_guarantees(
-            a, k, kind, eps, seed=base_seed + s, independence_w=independence_w
-        )
-        reports.extend([l_rep, t_rep])
+        reports.extend(check_average_guarantees(a, 2, eps, seed=base_seed + s))
     return reports
 
 
-def sweep_low_rank(
-    num_seeds: int,
-    eps: float = 0.3,
-    n: int = 300,
-    d: int = 60,
-    p: int = 5,
-    k_proj: int = 200,
-    base_seed: int = 0,
-):
+def sweep_low_rank(num_seeds: int, base_seed: int, eps: float) -> list[BoundReport]:
     reports = []
     for s in range(num_seeds):
         a = separated_matrix(
-            n, d, p, base_seed + s, delta=0.6, kappa=1.2, tail_sr=0.08
+            300, 60, 5, base_seed + s, delta=0.6, kappa=1.2, tail_sr=0.08
         )
-        reports.append(check_low_rank_approx(a, p, k_proj, base_seed + s, eps))
+        reports.append(check_low_rank_approx(a, 5, 200, base_seed + s, eps))
     return reports
 
 
-SUITES = (
-    "weyl",
-    "projector",
-    "sigma-squared",
-    "sigma-inverse",
-    "diag",
-    "pointwise",
-    "average",
-    "lowrank",
-)
+# Suite name -> (sweep, default eps); a None default means the sweep takes
+# no eps.  The order is the order of ``--suite all``.
+_SWEEPS: dict[str, tuple[Callable[..., list[BoundReport]], float | None]] = {
+    "weyl": (sweep_weyl, None),
+    "projector": (sweep_projector, None),
+    "sigma-squared": (partial(sweep_sigma_weighted, mode="squared"), None),
+    "sigma-inverse": (partial(sweep_sigma_weighted, mode="inverse-squared"), None),
+    "diag": (sweep_diag_dominance, None),
+    "pointwise": (sweep_pointwise, 0.2),
+    "average": (sweep_average, 0.25),
+    "lowrank": (sweep_low_rank, 0.3),
+}
+
+SUITES = tuple(_SWEEPS)
 
 
 def run_suite(
@@ -756,26 +715,22 @@ def run_suite(
     base_seed: int = 0,
     eps: float | None = None,
 ) -> list[BoundReport]:
-    """Run one named sweep (or all of them) and return the reports."""
-    if name == "all":
-        reports = []
-        for suite in SUITES:
-            reports.extend(run_suite(suite, num_seeds, base_seed, eps))
-        return reports
-    if name == "weyl":
-        return sweep_weyl(num_seeds, base_seed=base_seed)
-    if name == "projector":
-        return sweep_projector(num_seeds, base_seed=base_seed)
-    if name == "sigma-squared":
-        return sweep_sigma_weighted(num_seeds, "squared", base_seed=base_seed)
-    if name == "sigma-inverse":
-        return sweep_sigma_weighted(num_seeds, "inverse-squared", base_seed=base_seed)
-    if name == "diag":
-        return sweep_diag_dominance(num_seeds, base_seed=base_seed)
-    if name == "pointwise":
-        return sweep_pointwise(num_seeds, eps=eps or 0.2, base_seed=base_seed)
-    if name == "average":
-        return sweep_average(num_seeds, eps=eps or 0.25, base_seed=base_seed)
-    if name == "lowrank":
-        return sweep_low_rank(num_seeds, eps=eps or 0.3, base_seed=base_seed)
-    raise ValueError(f"unknown suite {name!r}")
+    """Run one named sweep (or all of them) and return the reports.
+
+    ``eps`` overrides each eps-taking sweep's default; it must be positive
+    and finite, and ``num_seeds`` at least 1.
+    """
+    if name != "all" and name not in _SWEEPS:
+        raise ValueError(f"unknown suite {name!r}")
+    if num_seeds < 1:
+        raise ValueError(f"seed count must be >= 1, got {num_seeds}")
+    if eps is not None and not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {eps}")
+    reports = []
+    for suite in SUITES if name == "all" else (name,):
+        sweep, default_eps = _SWEEPS[suite]
+        if default_eps is None:
+            reports += sweep(num_seeds, base_seed)
+        else:
+            reports += sweep(num_seeds, base_seed, default_eps if eps is None else eps)
+    return reports

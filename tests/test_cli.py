@@ -161,3 +161,25 @@ def test_module_entry_points(data_path, module):
     assert proc.returncode == 0, proc.stderr
     records = json.loads(proc.stdout)
     assert [r["row_index"] for r in records] == list(range(matrix.shape[0]))
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
+def test_verify_rejects_non_positive_or_non_finite_epsilon(capsys, value):
+    argv = ["verify", "--suite", "all", "--seeds", "1", "--epsilon", value]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "epsilon" in captured.err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_seed_count_below_one_is_usage_error(capsys, data_path, seeds):
+    assert run_cli(["verify", "--suite", "diag", "--seeds", seeds]) == 1
+    argv = [
+        "eval", "--mode", "rproj", "--k", "3", "--ell", "8", "--eta", "0.05",
+        "--seeds", seeds, "--input", str(data_path[0]), "--format", "bin",
+    ]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("seed") == 2

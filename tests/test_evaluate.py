@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,3 +62,10 @@ def test_exact_eval_scores_once(monkeypatch):
     report = evaluate_pipeline(matrix, "exact", 0, cfg)
     assert len(calls) == 1
     assert report.f1 == 1.0
+
+
+@pytest.mark.parametrize("mode", ["exact", "fd", "rproj"])
+def test_empty_seed_tuple_is_rejected(mode):
+    matrix, _ = planted_anomaly_dataset(100, 30, 2, seed=5)
+    with pytest.raises(ValueError, match="seed"):
+        evaluate_pipeline(matrix, mode, 6, EvalConfig(k=2, eta=0.05), ())

@@ -5,9 +5,6 @@ from sketch_anomaly.errors import RankDeficientError
 from sketch_anomaly.linalg import operator_norm, svd_thin
 from sketch_anomaly.pipelines import (
     PipelineConfig,
-    fd_ell_for_mu,
-    mu_for_average_l,
-    mu_for_pointwise_t,
     run_colsample_pipeline,
     run_fd_pipeline,
     run_online_pipeline,
@@ -18,6 +15,7 @@ from sketch_anomaly.pipelines import (
 from sketch_anomaly.scores import batch_scores, online_scores
 from sketch_anomaly.sketches import fd_ingest
 from sketch_anomaly.synth import separated_matrix
+from sketch_anomaly.verify import fd_ell_for_mu, mu_for_average_l, mu_for_pointwise_t
 
 
 def record_arrays(records):
