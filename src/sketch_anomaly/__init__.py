@@ -30,7 +30,6 @@ from .linalg import (
     spectral_stats,
     svd_thin,
     sym_eig,
-    truncate,
 )
 from .pipelines import (
     PipelineConfig,
@@ -45,9 +44,7 @@ from .scores import (
     ScoreRecord,
     batch_scores,
     online_scores,
-    ridge_identity_deviation,
     score_block,
-    score_row,
 )
 from .sketches import (
     ColumnSamplePlan,

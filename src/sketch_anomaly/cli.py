@@ -37,6 +37,7 @@ from .pipelines import (
     run_fd_pipeline,
     run_pipeline,
 )
+from .rng import seed64
 from .scores import batch_scores
 from .sketches import (
     ColumnSamplePlan,
@@ -228,7 +229,9 @@ def cmd_score(args) -> int:
                         f"{args.sketch_in}: not a column-plan snapshot"
                     )
                 _check_snapshot_flag(args.sketch_in, "ell", state.ell, ell)
-                _check_snapshot_flag(args.sketch_in, "seed", state.seed, args.seed)
+                _check_snapshot_flag(
+                    args.sketch_in, "seed", state.seed, args.seed, seed64
+                )
                 records = run_colsample_pipeline(row_source, cfg, plan=state)
         else:
             records = run_pipeline(row_source, cfg)
@@ -237,8 +240,11 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _check_snapshot_flag(path: str, name: str, stored: int, flag: int) -> None:
-    if stored != flag:
+def _check_snapshot_flag(
+    path: str, name: str, stored: int, flag: int, key=int
+) -> None:
+    """Reject a snapshot whose stored value is not ``key(flag)``."""
+    if stored != key(flag):
         raise DataFormatError(
             f"{path}: snapshot was built with {name} {stored}, but --{name} is {flag}"
         )
@@ -316,6 +322,9 @@ def run_cli(argv) -> int:
         return 2
     except ValueError as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"{parser.prog}: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .pipelines import PipelineConfig, run_pipeline
-from .scores import ScoreRecord, batch_scores
+from .scores import ScoreRecord, batch_scores, check_lambda
 
 SCORE_KINDS = ("leverage-k", "projection-k", "ridge", "tail", "full")
 
@@ -30,12 +30,14 @@ _KIND_TO_FIELD = {
 
 RANDOMIZED_MODES = ("rproj", "colsample", "rowsample")
 
+# Candidate thresholds per F1 sweep.
+SWEEP_POINTS = 40
 
-def default_sweep_grid(eta: float, points: int = 40) -> tuple[float, ...]:
-    """Log-spaced candidate fractions in [eta/4, 4*eta], clipped to (0, 1)."""
+
+def default_sweep_grid(eta: float) -> tuple[float, ...]:
+    """Log-spaced fractions in [eta/4, min(4*eta, 0.999)], all in (0, 1)."""
     lo, hi = eta / 4.0, min(4.0 * eta, 0.999)
-    grid = np.geomspace(lo, hi, points)
-    return tuple(float(g) for g in grid if 0.0 < g < 1.0)
+    return tuple(float(g) for g in np.geomspace(lo, hi, SWEEP_POINTS))
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,6 @@ class EvalConfig:
     k: int
     eta: float
     score_kind: str = "projection-k"
-    sweep_grid: tuple[float, ...] = ()
     lam: float | None = None
 
     def __post_init__(self):
@@ -55,14 +56,9 @@ class EvalConfig:
             raise ValueError(f"eta must be in (0, 1), got {self.eta}")
         if self.score_kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.score_kind!r}")
-        if self.score_kind == "ridge" and (self.lam is None or self.lam <= 0):
+        check_lambda(self.lam)
+        if self.score_kind == "ridge" and self.lam is None:
             raise ValueError("ridge scoring needs a positive lambda")
-        grid = self.sweep_grid or default_sweep_grid(self.eta)
-        if not grid:
-            raise ValueError("sweep grid is empty")
-        if any(not 0.0 < g < 1.0 for g in grid):
-            raise ValueError("sweep grid fractions must lie in (0, 1)")
-        object.__setattr__(self, "sweep_grid", tuple(grid))
 
 
 @dataclass(frozen=True)
@@ -151,15 +147,6 @@ def _f1_from_counts(
     return 2.0 * precision * recall / (precision + recall), precision, recall
 
 
-def f1_at_mask(labels: np.ndarray, predicted: np.ndarray) -> tuple[float, float, float]:
-    """(f1, precision, recall); empty predicted set scores 0."""
-    return _f1_from_counts(
-        int(np.count_nonzero(labels & predicted)),
-        int(np.count_nonzero(predicted)),
-        int(np.count_nonzero(labels)),
-    )
-
-
 def f1_sweep(approx_scores, labels, sweep_grid) -> EvalReport:
     """Best F1 over the threshold grid.
 
@@ -203,10 +190,11 @@ def evaluate_pipeline(
     if not seeds:
         raise ValueError("need at least one seed")
     a = as_matrix(matrix)
+    grid = default_sweep_grid(cfg.eta)
     if mode == "exact":
         exact = _exact_scores(a, cfg)
         labels = top_fraction_mask(exact, cfg.eta)
-        return f1_sweep(exact, labels, cfg.sweep_grid)
+        return f1_sweep(exact, labels, grid)
     labels = ground_truth(a, cfg)
 
     def run_one(seed: int) -> EvalReport:
@@ -214,9 +202,7 @@ def evaluate_pipeline(
             k=cfg.k, ell=ell, seed=seed, lam=cfg.lam, mode=mode
         )
         records = run_pipeline(lambda: iter(a), pipe_cfg)
-        return f1_sweep(
-            scores_vector(records, cfg.score_kind), labels, cfg.sweep_grid
-        )
+        return f1_sweep(scores_vector(records, cfg.score_kind), labels, grid)
 
     if mode not in RANDOMIZED_MODES:
         return run_one(seeds[0])

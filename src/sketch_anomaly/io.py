@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .linalg import as_matrix
+from .rng import seed64
 from .sketches import ColumnSamplePlan, FrequentDirections
 
 SNAPSHOT_MAGIC = b"SKAN"
@@ -41,7 +42,7 @@ _HEADER = struct.Struct("<4sHBBQQQ")
 
 def _pack_header(kind: int, ell: int, dim: int, seed: int) -> bytes:
     return _HEADER.pack(
-        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, kind, 0, ell, dim, seed & 0xFFFFFFFFFFFFFFFF
+        SNAPSHOT_MAGIC, SNAPSHOT_VERSION, kind, 0, ell, dim, seed64(seed)
     )
 
 

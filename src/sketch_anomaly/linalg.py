@@ -8,7 +8,8 @@ Decompositions are deterministic: eigenvalues are sorted descending with
 ties broken by the solver's original order (stable sort), and every stored
 vector is sign-normalized so that its largest-magnitude entry is
 nonnegative.  Two calls on identical input bytes return identical output
-bytes.
+bytes.  Only right singular vectors are stored; a caller that needs A's
+left vectors takes the right vectors of ``svd_thin(A.T)``.
 """
 
 from __future__ import annotations
@@ -57,23 +58,18 @@ class SpectralDecomposition:
     ``values`` are sorted non-increasing.  For SVD results they are
     singular values (nonnegative, full length ``min(n, d)``) while
     ``right_vectors`` keeps only the ``rank_used`` columns above the
-    relative floor ``RANK_FLOOR * values[0]``.  For plain symmetric
+    usable floor (``effective_rank``).  For plain symmetric
     eigendecompositions, ``values`` are eigenvalues (possibly negative)
     and ``right_vectors`` holds all eigenvectors.
-
-    ``left_vectors`` is None unless explicitly materialized.
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
     rank_used: int
-    left_vectors: np.ndarray | None = None
 
     def __post_init__(self):
         self.values.setflags(write=False)
         self.right_vectors.setflags(write=False)
-        if self.left_vectors is not None:
-            self.left_vectors.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -157,38 +153,32 @@ def gram_basis(eig: SpectralDecomposition) -> SpectralDecomposition:
     )
 
 
-def svd_thin(matrix, compute_left: bool = False) -> SpectralDecomposition:
+def svd_thin(matrix) -> SpectralDecomposition:
     """Thin SVD via the smaller Gram matrix.
 
     Uses ``A^T A`` when d <= n, else ``A A^T``.  Singular values cover the
-    full ``min(n, d)`` spectrum; stored singular vectors stop at the rank
-    boundary (``effective_rank``).
+    full ``min(n, d)`` spectrum; stored right singular vectors stop at the
+    rank boundary (``effective_rank``).  The right vectors of
+    ``svd_thin(A.T)`` are A's left vectors; for non-square A it forms the
+    same Gram, so its values and rank are A's to the bit.
     """
     a = as_matrix(matrix)
     n, d = a.shape
     if d <= n:
-        basis = gram_basis(sym_eig(a.T @ a))
-        sigma, rank, right = basis.values, basis.rank_used, basis.right_vectors
-    else:
-        # The Gram of A^T: its "right" vectors are A's left vectors.
-        cols = gram_basis(sym_eig(a @ a.T))
-        sigma, rank = cols.values, cols.rank_used
-        if rank > 0:
-            raw = (a.T @ cols.right_vectors) / sigma[:rank]
-            # Dividing by small sigma erodes orthogonality; one QR pass
-            # restores it without moving the well-conditioned columns.
-            q, r = np.linalg.qr(raw)
-            diag_signs = np.sign(np.diag(r))
-            diag_signs[diag_signs == 0] = 1.0
-            right = np.ascontiguousarray(_fix_signs(q * diag_signs))
-        else:
-            right = np.zeros((d, 0))
-    left = None
-    if compute_left and rank > 0:
-        left = np.ascontiguousarray((a @ right) / sigma[:rank])
-    return SpectralDecomposition(
-        values=sigma, right_vectors=right, rank_used=rank, left_vectors=left
-    )
+        return gram_basis(sym_eig(a.T @ a))
+    # The Gram of A^T: its "right" vectors are A's left vectors.
+    cols = gram_basis(sym_eig(a @ a.T))
+    sigma, rank = cols.values, cols.rank_used
+    right = np.zeros((d, 0))
+    if rank > 0:
+        raw = (a.T @ cols.right_vectors) / sigma[:rank]
+        # Dividing by small sigma erodes orthogonality; one QR pass
+        # restores it without moving the well-conditioned columns.
+        q, r = np.linalg.qr(raw)
+        diag_signs = np.sign(np.diag(r))
+        diag_signs[diag_signs == 0] = 1.0
+        right = np.ascontiguousarray(_fix_signs(q * diag_signs))
+    return SpectralDecomposition(values=sigma, right_vectors=right, rank_used=rank)
 
 
 def effective_rank(sigma: np.ndarray) -> int:
@@ -234,19 +224,6 @@ def spectral_stats(matrix, k: int, p: int) -> SpectralStats:
         stable_rank=total / top,
         numeric_rank_p=numeric_rank,
     )
-
-
-def truncate(decomp: SpectralDecomposition, k: int) -> np.ndarray:
-    """Best rank-k reconstruction ``sum_{i<=k} sigma_i u_i v_i^T``."""
-    if decomp.left_vectors is None:
-        raise ValueError("truncate requires materialized left vectors")
-    if not 0 <= k <= decomp.rank_used:
-        raise ValueError(
-            f"k must be within [0, rank_used={decomp.rank_used}], got {k}"
-        )
-    u = decomp.left_vectors[:, :k]
-    v = decomp.right_vectors[:, :k]
-    return (u * decomp.values[:k]) @ v.T
 
 
 def operator_norm(matrix) -> float:

@@ -35,6 +35,7 @@ from .scores import (
     PROJECTED_FIELDS,
     ROWSPACE_FIELDS,
     ScoreRecord,
+    check_lambda,
     score_block,
     score_records,
     undefined_record,
@@ -72,8 +73,7 @@ class PipelineConfig:
             raise ValueError(f"need k < ell, got k={self.k}, ell={self.ell}")
         if self.mode not in PIPELINE_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        check_lambda(self.lam)
 
 
 def _sketch_decomp_or_raise(

@@ -48,6 +48,11 @@ def mix64(*words):
         return h
 
 
+def seed64(seed) -> int:
+    """The u64 a seed keys the streams by (and a snapshot stores)."""
+    return int(seed) & 0xFFFFFFFFFFFFFFFF
+
+
 def uniform01(*words):
     """Deterministic uniforms in [0, 1), keyed by the given words."""
     bits = mix64(*words)

@@ -21,6 +21,7 @@ true weight at sigma = 0).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -29,8 +30,6 @@ import numpy as np
 
 from .errors import RankDeficientError
 from .linalg import (
-    RANK_FLOOR,
-    SpectralDecomposition,
     as_matrix,
     as_row,
     gram_basis,
@@ -98,19 +97,10 @@ def undefined_record(row_index: int, mode: str) -> ScoreRecord:
     )
 
 
-def _check_basis_rank(basis: SpectralDecomposition, k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    sigma = basis.values
-    if basis.rank_used < k or sigma[0] <= 0.0:
-        raise RankDeficientError(
-            f"basis rank {basis.rank_used} is below requested k={k}"
-        )
-    if sigma[k - 1] <= RANK_FLOOR * sigma[0]:
-        raise RankDeficientError(
-            f"sigma_k = {sigma[k - 1]:.3e} is at the rank floor "
-            f"({RANK_FLOOR:.0e} * sigma_1)"
-        )
+def check_lambda(lam: float | None) -> None:
+    """Reject a ridge parameter that is set but not positive and finite."""
+    if lam is not None and not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
 
 
 # Record fields each family of scorers fills; the rest read None.
@@ -186,29 +176,6 @@ def score_records(
     ]
 
 
-def score_row(
-    basis: SpectralDecomposition,
-    k: int,
-    row,
-    lam: float | None = None,
-    mode: str = MODE_EXACT_BATCH,
-    row_index: int = 0,
-) -> ScoreRecord:
-    """Score a single row against a fixed spectral basis."""
-    _check_basis_rank(basis, k)
-    if lam is not None and lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    a = as_row(row, basis.dim)
-    columns = score_block(
-        (basis.right_vectors.T @ a)[None, :],
-        np.array([a @ a]),
-        basis.values[: basis.rank_used],
-        k,
-        lam,
-    )
-    return score_records(columns, EXACT_FIELDS, mode, row_index)[0]
-
-
 def _warn_if_degenerate(sigma: np.ndarray, k: int) -> None:
     if sigma.size > k and sigma[0] > 0:
         delta = float((sigma[k - 1] ** 2 - sigma[k] ** 2) / sigma[0] ** 2)
@@ -224,12 +191,16 @@ def _warn_if_degenerate(sigma: np.ndarray, k: int) -> None:
 
 def batch_scores(matrix, k: int, lam: float | None = None) -> list[ScoreRecord]:
     """Exact scores for every row of the matrix against its own SVD."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    check_lambda(lam)
     a = as_matrix(matrix)
     basis = svd_thin(a)
-    _check_basis_rank(basis, k)
+    if basis.rank_used < k:
+        raise RankDeficientError(
+            f"basis rank {basis.rank_used} is below requested k={k}"
+        )
     _warn_if_degenerate(basis.values, k)
-    if lam is not None and lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
     columns = score_block(
         a @ basis.right_vectors,
         np.einsum("ij,ij->i", a, a),
@@ -249,6 +220,7 @@ def online_scores(row_stream, k: int, lam: float | None = None) -> list[ScoreRec
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    check_lambda(lam)
     records: list[ScoreRecord] = []
     cov: np.ndarray | None = None
     width: int | None = None
@@ -261,24 +233,13 @@ def online_scores(row_stream, k: int, lam: float | None = None) -> list[ScoreRec
         if basis.rank_used < k:
             records.append(undefined_record(i, MODE_EXACT_ONLINE))
         else:
-            records.append(
-                score_row(basis, k, a, lam=lam, mode=MODE_EXACT_ONLINE, row_index=i)
+            columns = score_block(
+                (basis.right_vectors.T @ a)[None, :],
+                np.array([a @ a]),
+                basis.values[: basis.rank_used],
+                k,
+                lam,
             )
+            records += score_records(columns, EXACT_FIELDS, MODE_EXACT_ONLINE, i)
         cov += np.outer(a, a)
     return records
-
-
-def ridge_identity_deviation(matrix, k: int, lam: float) -> float:
-    """Diagnostic: how far ridge leverage strays from L^k + T^k / lambda.
-
-    The approximation holds when the data is a rank-k signal plus white
-    noise and ``sigma_k^2 >> lam >> sigma_{k+1}^2``.  Returns the maximum
-    relative deviation over rows; reported, never asserted as a bound.
-    """
-    records = batch_scores(matrix, k, lam=lam)
-    worst = 0.0
-    for rec in records:
-        predicted = rec.rank_k_leverage + rec.projection_distance / lam
-        denom = max(abs(rec.ridge_leverage), 1e-30)
-        worst = max(worst, abs(rec.ridge_leverage - predicted) / denom)
-    return worst

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ShapeError, ZeroMassError
 from .linalg import as_matrix, as_row, svd_thin
-from .rng import mix64, mod61, mulmod61, uniform01
+from .rng import mix64, mod61, mulmod61, seed64, uniform01
 
 _LANE_ROW_SAMPLER = 0x521AF00D
 _LANE_COL_SAMPLER = 0x0C01F00D
@@ -127,13 +127,6 @@ class FrequentDirections:
         """Current sketch rows (copy)."""
         return self.buffer[: self.fill].copy()
 
-    def covariance(self) -> np.ndarray:
-        s = self.buffer[: self.fill]
-        return s.T @ s
-
-    def frobenius_sq(self) -> float:
-        return float(np.sum(self.buffer[: self.fill] ** 2))
-
 
 def fd_ingest(rows, ell: int) -> FrequentDirections:
     """Frequent Directions state after ``update`` with every row in order."""
@@ -153,9 +146,10 @@ class SignProjector:
 
     Entry (i, j) is ``+-1/sqrt(ell)``, the sign being the low bit of a
     degree-(w-1) polynomial over GF(2**61 - 1) evaluated at the entry's
-    global position.  State is the seed plus w field coefficients, so the
-    projector itself costs O(w) words; ``matrix()`` materializes all
-    dim * ell entries for fast dense products and is cached.
+    global position ``j * dim + i``.  State is the seed plus w field
+    coefficients, so the projector itself costs O(w) words; ``matrix()``
+    materializes all dim * ell entries for fast dense products and is
+    cached.
     """
 
     def __init__(
@@ -169,7 +163,7 @@ class SignProjector:
             raise ValueError("ell and dim must be >= 1")
         if independence_w < 2:
             raise ValueError("independence_w must be >= 2")
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = seed64(seed)
         self.ell = ell
         self.dim = dim
         self.independence_w = independence_w
@@ -193,13 +187,6 @@ class SignProjector:
         bits = self._hash(positions) & np.uint64(1)
         return np.where(bits == 0, self._scale, -self._scale)
 
-    def entry(self, i: int, j: int) -> float:
-        """R[i, j] for input dimension i, projection column j."""
-        if not (0 <= i < self.dim and 0 <= j < self.ell):
-            raise IndexError(f"entry index ({i}, {j}) out of range")
-        pos = np.uint64(j) * np.uint64(self.dim) + np.uint64(i)
-        return float(self._signs(np.asarray([pos], dtype=np.uint64))[0])
-
     def matrix(self) -> np.ndarray:
         """The full dim x ell matrix (cached; read-only)."""
         if self._matrix is None:
@@ -209,11 +196,6 @@ class SignProjector:
             mat.setflags(write=False)
             self._matrix = mat
         return self._matrix
-
-    def project(self, row) -> np.ndarray:
-        """R^T a for a single row a in R^dim."""
-        a = as_row(row, self.dim)
-        return self.matrix().T @ a
 
     def gram(self, block_cols: int = 65536) -> np.ndarray:
         """R R^T (dim x dim), accumulated in column blocks.
@@ -267,7 +249,7 @@ def row_sample(rows, ell: int, seed: int) -> np.ndarray:
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    seed = seed64(seed)
     slots = np.arange(ell, dtype=np.uint64)
     chosen: np.ndarray | None = None
     chosen_mass = np.zeros(ell)
@@ -334,7 +316,7 @@ def column_sample_plan(rows, ell: int, seed: int) -> ColumnSamplePlan:
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    seed = seed64(seed)
     slots = np.arange(ell, dtype=np.uint64)
     indices = np.zeros(ell, dtype=np.int64)
     col_masses: np.ndarray | None = None
@@ -369,15 +351,12 @@ def column_sample_plan(rows, ell: int, seed: int) -> ColumnSamplePlan:
 
 
 def apply_column_plan(plan: ColumnSamplePlan, rows) -> np.ndarray:
-    """Project a row, or a block of rows, through the sampling plan.
+    """Project a block of rows through the sampling plan.
 
-    ``out[..., t] = rows[..., S_t] * ||A||_F / (sqrt(ell) * ||column S_t||)``
+    ``out[:, t] = rows[:, S_t] * ||A||_F / (sqrt(ell) * ||column S_t||)``
     using the column masses recorded in pass zero.
     """
-    if np.ndim(rows) == 1:
-        a = as_row(rows, plan.dim)
-    else:
-        a = as_matrix(rows, "block")
-        if a.shape[1] != plan.dim:
-            raise ShapeError(f"block has width {a.shape[1]}, expected {plan.dim}")
-    return a[..., plan.indices] * plan.scales()
+    a = as_matrix(rows, "block")
+    if a.shape[1] != plan.dim:
+        raise ShapeError(f"block has width {a.shape[1]}, expected {plan.dim}")
+    return a[:, plan.indices] * plan.scales()

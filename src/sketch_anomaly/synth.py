@@ -47,11 +47,12 @@ def separated_spectrum(
     tail_sr: float = 0.05,
     tail_decay: float = 0.6,
 ) -> np.ndarray:
-    """Singular values (length m) with a gap of exactly delta at k.
+    """Singular values (length m) with a gap of at least delta at k.
 
-    Top-k squared values run linearly from 1 down to 1/kappa;
-    sigma_{k+1}^2 = 1/kappa - delta, and the rest decay geometrically so
-    that the total tail mass is ``tail_sr`` (in units of sigma_1^2).
+    Top-k squared values run linearly from 1 down to 1/kappa (1 alone when
+    k = 1).  The tail decays geometrically with total mass ``tail_sr``, in
+    units of sigma_1^2, scaled down if its top would exceed 1/kappa - delta:
+    the gap is exactly delta only where that cap binds and k >= 2.
     """
     if not 1 <= k < m:
         raise ValueError("need 1 <= k < m")
@@ -63,8 +64,6 @@ def separated_spectrum(
     tail_len = m - k
     weights = tail_decay ** np.arange(tail_len)
     tail = tail_sr * weights / weights.sum()
-    # Keep the gap at k no smaller than requested: if the tail would start
-    # above sigma_{k+1}^2 = 1/kappa - delta, scale the whole tail down.
     if tail.size and tail[0] > next_sq:
         tail = tail * (next_sq / tail[0]) if next_sq > 0 else tail * 0.0
     return np.sqrt(np.concatenate([head, tail]))
@@ -102,19 +101,6 @@ def additive_perturbation(
         return matrix.copy()
     eta = mu_target * sigma1**2 / (2.0 * sigma1 * g_norm)
     return matrix + eta * g
-
-
-def disj_matrix(t: int, distinct: int, d: int) -> np.ndarray:
-    """Set-disjointness style fixture: t copies of e_1, then e_2..e_{1+distinct}.
-
-    The repeated rows each carry full leverage exactly 1/t; the distinct
-    unit rows carry leverage 1.
-    """
-    if t < 1 or distinct < 0 or d < 1 + distinct:
-        raise ValueError("need t >= 1 and d >= 1 + distinct")
-    eye = np.eye(d)
-    rows = [eye[0]] * t + [eye[1 + j] for j in range(distinct)]
-    return np.asarray(rows)
 
 
 def planted_anomaly_dataset(

@@ -115,11 +115,15 @@ def fd_ell_for_mu(mu: float, tail_stable_rank: float, k: int) -> int:
     return int(np.ceil(k + tail_stable_rank / mu))
 
 
-def rproj_ell_for_mu(mu: float, stable_rank: float, fail_prob: float = 0.05) -> int:
+# Failure probability the sign-projection width is sized for.
+RPROJ_FAIL_PROB = 0.05
+
+
+def rproj_ell_for_mu(mu: float, stable_rank: float) -> int:
     """Sign-projection width for target mu (unit-constant reading)."""
-    if mu <= 0 or not 0 < fail_prob < 1:
-        raise ValueError("mu must be positive and fail_prob in (0, 1)")
-    return int(np.ceil((stable_rank + np.log(1.0 / fail_prob)) / mu**2))
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    return int(np.ceil((stable_rank + np.log(1.0 / RPROJ_FAIL_PROB)) / mu**2))
 
 
 def colsample_ell_for_mu(mu: float, stable_rank: float) -> int:
@@ -252,18 +256,19 @@ def _projector_gap(a, at, k: int, bound: _GapBound, seed: int | None) -> BoundRe
     mu = measured_mu_colspace(a, at)
     delta, kappa = stats.separation_delta, stats.condition_kappa_k
     applicable = delta > 0 and mu <= bound.ceiling(k, delta, kappa)
-    decomp_t = svd_thin(at, compute_left=True)
+    # Left vectors of A are the right vectors of A^T.
+    decomp_t = svd_thin(at.T)
     if decomp_t.rank_used < k:
         applicable = False
         lhs = np.inf
     else:
-        decomp = svd_thin(a, compute_left=True)
+        decomp = svd_thin(a.T)
         if decomp.rank_used < k:
             raise RankDeficientError(
                 f"matrix rank {decomp.rank_used} below requested k={k}"
             )
-        u_k = decomp.left_vectors[:, :k]
-        ut_k = decomp_t.left_vectors[:, :k]
+        u_k = decomp.right_vectors[:, :k]
+        ut_k = decomp_t.right_vectors[:, :k]
         if bound.weights is None:
             gap = u_k @ u_k.T - ut_k @ ut_k.T
         else:

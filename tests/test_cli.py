@@ -183,3 +183,42 @@ def test_seed_count_below_one_is_usage_error(capsys, data_path, seeds):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("seed") == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_non_finite_lambda_is_usage_error(capsys, data_path, command, value):
+    argv = [
+        command, "--k", "3", "--input", str(data_path[0]), "--format", "bin",
+        "--lambda", value,
+    ]
+    if command == "eval":
+        argv += ["--mode", "exact", "--eta", "0.05", "--score", "ridge"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lambda" in captured.err
+
+
+def test_negative_seed_colsample_resume_equals_one_shot(capsys, tmp_path, data_path):
+    # Seeds key the sampler as u64, so -1 and 2**64 - 1 are one seed.
+    path, _ = data_path
+    snap = tmp_path / "snap.bin"
+    flags = ["--mode", "colsample", "--ell", "8", "--seed", "-1"]
+    assert run_cli(score_argv(path, *flags, "--sketch-out", str(snap))) == 0
+    resumed = run_json(capsys, score_argv(path, *flags, "--sketch-in", str(snap)))
+    one_shot = run_json(capsys, score_argv(path, *flags))
+    assert resumed == one_shot
+    flags[-1] = str(2**64 - 1)
+    assert run_json(capsys, score_argv(path, *flags)) == one_shot
+
+
+def test_unallocatable_sketch_is_one_line_error(capsys, data_path):
+    # --mu 0.001 sizes ell near 6e6: the ell x ell covariance would take
+    # ~262 TiB, so the allocation fails before touching memory.
+    argv = score_argv(data_path[0], "--mode", "rproj", "--mu", "0.001")
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "memory" in captured.err

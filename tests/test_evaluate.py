@@ -10,11 +10,21 @@ from sketch_anomaly.evaluate import (
     EvalConfig,
     EvalReport,
     evaluate_pipeline,
-    f1_at_mask,
     f1_sweep,
     top_fraction_mask,
 )
 from sketch_anomaly.synth import planted_anomaly_dataset
+
+
+def f1_at_mask(labels, predicted) -> tuple[float, float, float]:
+    """(f1, precision, recall) of a predicted set; an empty set scores 0."""
+    true_pos = int(np.count_nonzero(labels & predicted))
+    pred_pos = int(np.count_nonzero(predicted))
+    precision = true_pos / pred_pos if pred_pos else 0.0
+    if true_pos == 0:
+        return 0.0, precision, 0.0
+    recall = true_pos / int(np.count_nonzero(labels))
+    return 2.0 * precision * recall / (precision + recall), precision, recall
 
 
 def per_fraction_sweep(scores, labels, grid) -> EvalReport:

@@ -12,7 +12,6 @@ from sketch_anomaly.linalg import (
     spectral_stats,
     svd_thin,
     sym_eig,
-    truncate,
 )
 
 
@@ -141,6 +140,20 @@ class TestSymEig:
         assert err.value.residual > 0
 
 
+def assert_reconstructs(a: np.ndarray, dec) -> None:
+    """U = A V / sigma is orthonormal and U Sigma V^T = A V V^T equals A."""
+    v = dec.right_vectors
+    u = (a @ v) / dec.values[: dec.rank_used]
+    assert np.abs(u.T @ u - np.eye(dec.rank_used)).max() <= 1e-10
+    assert np.linalg.norm(a - a @ v @ v.T) <= 1e-8 * np.linalg.norm(a)
+
+
+def rank_k_truncation(a: np.ndarray, k: int) -> np.ndarray:
+    """A_k = A V_k V_k^T, the best rank-k approximation of A."""
+    v_k = svd_thin(a).right_vectors[:, :k]
+    return a @ v_k @ v_k.T
+
+
 class TestSvdThin:
     def test_diagonal_example(self):
         a = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -156,23 +169,33 @@ class TestSvdThin:
     def test_reconstruction_tall(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((6, 4))
-        dec = svd_thin(a, compute_left=True)
-        approx = (dec.left_vectors * dec.values[: dec.rank_used]) @ dec.right_vectors.T
-        assert np.linalg.norm(a - approx) <= 1e-8 * np.linalg.norm(a)
+        assert_reconstructs(a, svd_thin(a))
 
     def test_reconstruction_wide(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((4, 9))
-        dec = svd_thin(a, compute_left=True)
-        approx = (dec.left_vectors * dec.values[: dec.rank_used]) @ dec.right_vectors.T
-        assert np.linalg.norm(a - approx) <= 1e-8 * np.linalg.norm(a)
+        dec = svd_thin(a)
+        assert_reconstructs(a, dec)
         v = dec.right_vectors
         assert np.abs(v.T @ v - np.eye(dec.rank_used)).max() <= 1e-10
 
-    def test_left_vectors_lazy(self):
-        a = np.eye(3)
-        assert svd_thin(a).left_vectors is None
-        assert svd_thin(a, compute_left=True).left_vectors is not None
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7)])
+    def test_transpose_gives_left_vectors(self, shape):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal(shape)
+        dec, dec_t = svd_thin(a), svd_thin(a.T)
+        # Non-square: both routes decompose the same Gram.
+        assert dec_t.values.tobytes() == dec.values.tobytes()
+        assert dec_t.rank_used == dec.rank_used
+        u = dec_t.right_vectors
+        assert np.abs(u.T @ u - np.eye(dec.rank_used)).max() <= 1e-10
+        # Each u_j is +-A v_j / sigma_j (signs are normalized per call), so
+        # the rank-k projectors agree for every k.
+        w = (a @ dec.right_vectors) / dec.values[: dec.rank_used]
+        for k in range(1, dec.rank_used + 1):
+            np.testing.assert_allclose(
+                u[:, :k] @ u[:, :k].T, w[:, :k] @ w[:, :k].T, atol=1e-10
+            )
 
     def test_zero_matrix_rank_zero(self):
         dec = svd_thin(np.zeros((3, 2)))
@@ -237,45 +260,37 @@ class TestSpectralStats:
 
 
 class TestTruncate:
+    """Rank-k truncation through the right vectors of ``svd_thin``."""
+
     def test_full_rank_recovers_input(self):
         rng = np.random.default_rng(14)
         a = rng.standard_normal((6, 4))
-        dec = svd_thin(a, compute_left=True)
-        approx = truncate(dec, dec.rank_used)
+        approx = rank_k_truncation(a, svd_thin(a).rank_used)
         assert np.linalg.norm(a - approx) <= 1e-8 * np.linalg.norm(a)
 
     def test_diagonal_case(self):
-        dec = svd_thin(np.diag([2.0, 1.0]), compute_left=True)
         np.testing.assert_allclose(
-            truncate(dec, 1), [[2.0, 0.0], [0.0, 0.0]], atol=1e-12
+            rank_k_truncation(np.diag([2.0, 1.0]), 1),
+            [[2.0, 0.0], [0.0, 0.0]],
+            atol=1e-12,
         )
 
     def test_eckart_young_identity(self):
         rng = np.random.default_rng(15)
         a = rng.standard_normal((5, 3))
-        dec = svd_thin(a, compute_left=True)
-        resid = np.sum((a - truncate(dec, 1)) ** 2)
-        expected = float(np.sum(dec.values[1:] ** 2))
+        resid = np.sum((a - rank_k_truncation(a, 1)) ** 2)
+        expected = float(np.sum(svd_thin(a).values[1:] ** 2))
         assert resid == pytest.approx(expected, rel=1e-9)
 
     def test_tail_mass_identity_all_k(self):
         rng = np.random.default_rng(16)
-        a = rng.standard_normal((7, 5))
-        dec = svd_thin(a, compute_left=True)
-        for k in range(dec.rank_used + 1):
-            resid = np.sum((a - truncate(dec, k)) ** 2)
-            expected = float(np.sum(dec.values[k:] ** 2))
-            assert resid == pytest.approx(expected, rel=1e-8, abs=1e-12)
-
-    def test_k_out_of_range(self):
-        dec = svd_thin(np.eye(3), compute_left=True)
-        with pytest.raises(ValueError):
-            truncate(dec, 4)
-
-    def test_requires_left_vectors(self):
-        dec = svd_thin(np.eye(3))
-        with pytest.raises(ValueError):
-            truncate(dec, 1)
+        for shape in ((7, 5), (4, 9)):
+            a = rng.standard_normal(shape)
+            dec = svd_thin(a)
+            for k in range(dec.rank_used + 1):
+                resid = np.sum((a - rank_k_truncation(a, k)) ** 2)
+                expected = float(np.sum(dec.values[k:] ** 2))
+                assert resid == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
 
 class TestOperatorNorm:

@@ -1,42 +1,58 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketch_anomaly.errors import RankDeficientError, ShapeError
+from sketch_anomaly.evaluate import EvalConfig
 from sketch_anomaly.linalg import svd_thin
+from sketch_anomaly.pipelines import PipelineConfig
 from sketch_anomaly.scores import (
     SeparationWarning,
     batch_scores,
     online_scores,
-    ridge_identity_deviation,
     score_block,
-    score_row,
     undefined_record,
 )
-from sketch_anomaly.synth import disj_matrix, separated_matrix
+from sketch_anomaly.synth import separated_matrix
 
 BASIS_MATRIX = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
+def score_after(prefix, row, k, lam=None):
+    """Record of ``row`` scored against the SVD of the rows before it."""
+    return online_scores(iter([*prefix, row]), k, lam=lam)[-1]
+
+
+def ridge_identity_deviation(matrix, k, lam):
+    """Max relative gap between ridge leverage and L^k + T^k / lambda."""
+    worst = 0.0
+    for rec in batch_scores(matrix, k, lam=lam):
+        predicted = rec.rank_k_leverage + rec.projection_distance / lam
+        denom = max(abs(rec.ridge_leverage), 1e-30)
+        worst = max(worst, abs(rec.ridge_leverage - predicted) / denom)
+    return worst
+
+
 class TestScoreRow:
+    """One row scored against a fixed basis (the online scorer's step)."""
+
     def test_row_in_principal_direction(self):
-        basis = svd_thin(BASIS_MATRIX)
-        rec = score_row(basis, 1, np.array([2.0, 0.0]))
+        rec = score_after(BASIS_MATRIX, np.array([2.0, 0.0]), 1)
         assert rec.rank_k_leverage == pytest.approx(1.0, abs=1e-12)
         assert rec.projection_distance == pytest.approx(0.0, abs=1e-12)
         assert rec.full_leverage == pytest.approx(1.0, abs=1e-12)
 
     def test_row_orthogonal_to_principal(self):
-        basis = svd_thin(BASIS_MATRIX)
-        rec = score_row(basis, 1, np.array([0.0, 1.0]))
+        rec = score_after(BASIS_MATRIX, np.array([0.0, 1.0]), 1)
         assert rec.rank_k_leverage == pytest.approx(0.0, abs=1e-12)
         assert rec.projection_distance == pytest.approx(1.0, abs=1e-12)
         assert rec.full_leverage == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_row(self):
-        basis = svd_thin(BASIS_MATRIX)
-        rec = score_row(basis, 1, np.zeros(2), lam=0.5)
+        rec = score_after(BASIS_MATRIX, np.zeros(2), 1, lam=0.5)
         assert rec.full_leverage == 0.0
         assert rec.rank_k_leverage == 0.0
         assert rec.projection_distance == 0.0
@@ -44,24 +60,32 @@ class TestScoreRow:
         assert rec.ridge_leverage == 0.0
 
     def test_rank_deficient_basis_rejected(self):
-        basis = svd_thin(np.array([[1.0, 0.0], [2.0, 0.0]]))  # rank 1
+        rank_one = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(RankDeficientError):
-            score_row(basis, 2, np.array([1.0, 0.0]))
+            batch_scores(rank_one, 2)
+        # Online, a prefix of rank below k yields a sentinel instead.
+        assert not score_after(rank_one, np.array([1.0, 0.0]), 2).defined
 
     def test_lambda_must_be_positive(self):
-        basis = svd_thin(BASIS_MATRIX)
-        with pytest.raises(ValueError):
-            score_row(basis, 1, np.array([1.0, 0.0]), lam=0.0)
+        # Every entry point that takes lambda rejects it before scoring.
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda"):
+                batch_scores(BASIS_MATRIX, 1, lam=lam)
+            with pytest.raises(ValueError, match="lambda"):
+                online_scores(iter(BASIS_MATRIX), 1, lam=lam)
+            with pytest.raises(ValueError, match="lambda"):
+                PipelineConfig(k=1, ell=4, lam=lam)
+            with pytest.raises(ValueError, match="lambda"):
+                EvalConfig(k=1, eta=0.1, score_kind="ridge", lam=lam)
 
     def test_ridge_matches_resolvent_oracle(self):
         # L_lam(i) = a_i^T (A^T A + lam I)^-1 a_i, computed via a linear solve.
         rng = np.random.default_rng(21)
         a = rng.standard_normal((12, 5))
         lam = 0.3
-        basis = svd_thin(a)
         gram = a.T @ a + lam * np.eye(5)
         for i in range(12):
-            rec = score_row(basis, 2, a[i], lam=lam)
+            rec = score_after(a, a[i], 2, lam=lam)
             oracle = float(a[i] @ np.linalg.solve(gram, a[i]))
             assert rec.ridge_leverage == pytest.approx(oracle, rel=1e-8)
 
@@ -71,17 +95,19 @@ class TestScoreRow:
         rng = np.random.default_rng(22)
         a = rng.standard_normal((4, 9))
         lam = 0.7
-        basis = svd_thin(a)
         gram = a.T @ a + lam * np.eye(9)
         probe = rng.standard_normal(9)
-        rec = score_row(basis, 2, probe, lam=lam)
+        rec = score_after(a, probe, 2, lam=lam)
         oracle = float(probe @ np.linalg.solve(gram, probe))
         assert rec.ridge_leverage == pytest.approx(oracle, rel=1e-8)
 
 
 class TestBatchScores:
     def test_disj_fixture_full_leverage(self):
-        a = disj_matrix(t=2, distinct=2, d=4)
+        # Set-disjointness style: two copies of e_1, then e_2 and e_3.  The
+        # repeated rows carry full leverage 1/2 each, the distinct ones 1.
+        eye = np.eye(4)
+        a = np.array([eye[0], eye[0], eye[1], eye[2]])
         records = batch_scores(a, k=1)
         lev = [r.full_leverage for r in records]
         assert lev[0] == pytest.approx(0.5, abs=1e-10)
@@ -175,8 +201,16 @@ def prefix_svd_oracle(matrix: np.ndarray, k: int):
         dec = svd_thin(prefix)
         if dec.rank_used < k:
             out.append(None)
-        else:
-            out.append(score_row(dec, k, matrix[i], mode="exact-online", row_index=i))
+            continue
+        row = matrix[i]
+        out.append(
+            score_block(
+                (dec.right_vectors.T @ row)[None, :],
+                np.array([row @ row]),
+                dec.values[: dec.rank_used],
+                k,
+            )
+        )
     return out
 
 
@@ -201,12 +235,14 @@ class TestOnlineScores:
                 continue
             assert rec.defined
             assert rec.rank_k_leverage == pytest.approx(
-                exp.rank_k_leverage, abs=1e-8
+                exp["rank_k_leverage"][0], abs=1e-8
             )
             assert rec.projection_distance == pytest.approx(
-                exp.projection_distance, abs=1e-8
+                exp["projection_distance"][0], abs=1e-8
             )
-            assert rec.full_leverage == pytest.approx(exp.full_leverage, abs=1e-8)
+            assert rec.full_leverage == pytest.approx(
+                exp["full_leverage"][0], abs=1e-8
+            )
 
     def test_orthogonal_row_scores_unit_distance(self):
         e1 = np.array([1.0, 0.0, 0.0, 0.0])

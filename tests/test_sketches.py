@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sketch_anomaly import sketches
 from sketch_anomaly.errors import ShapeError, ZeroMassError
 from sketch_anomaly.linalg import operator_norm, svd_thin
+from sketch_anomaly.rng import MERSENNE61
 from sketch_anomaly.sketches import (
     ColumnSamplePlan,
     FrequentDirections,
@@ -28,6 +29,22 @@ def svd_route_shrink(buffer: np.ndarray, ell: int) -> np.ndarray:
     return kept[nonzero, None] * decomp.right_vectors[:, nonzero].T
 
 
+def gram(fd: FrequentDirections) -> np.ndarray:
+    """S^T S of the current Frequent Directions sketch."""
+    s = fd.sketch()
+    return s.T @ s
+
+
+def python_sign(p: SignProjector, i: int, j: int) -> float:
+    """R[i, j] by Horner's rule in Python integers modulo 2**61 - 1."""
+    prime = int(MERSENNE61)
+    x = (j * p.dim + i) % prime
+    acc = 0
+    for c in reversed([int(c) for c in p.coefficients]):
+        acc = (acc * x + c) % prime
+    return (-1.0 if acc & 1 else 1.0) / np.sqrt(p.ell)
+
+
 def oracle_matrix() -> np.ndarray:
     """30 x 7 with zero rows (one at the start), zero entries and one zero column."""
     rng = np.random.default_rng(71)
@@ -44,7 +61,7 @@ class TestFrequentDirections:
         a = rng.standard_normal((15, 5))
         fd = fd_ingest(a, ell=8)  # 15 <= 2*8 - 1
         assert fd.shrink_count == 0
-        assert np.abs(a.T @ a - fd.covariance()).max() <= 1e-10
+        assert np.abs(a.T @ a - gram(fd)).max() <= 1e-10
 
     def test_covariance_bound_every_k(self):
         # ||A^T A - S^T S|| <= ||A - A_k||_F^2 / (ell - k) for all k < ell.
@@ -52,7 +69,7 @@ class TestFrequentDirections:
         a = rng.standard_normal((150, 30)) @ np.diag(np.linspace(2.0, 0.2, 30))
         ell = 10
         fd = fd_ingest(a, ell)
-        err = operator_norm(a.T @ a - fd.covariance())
+        err = operator_norm(a.T @ a - gram(fd))
         sigma_sq = svd_thin(a).values ** 2
         for k in range(ell):
             tail = float(sigma_sq[k:].sum())
@@ -63,7 +80,7 @@ class TestFrequentDirections:
         a = rng.standard_normal((200, 40))
         ell = 15
         fd = fd_ingest(a, ell)
-        err = operator_norm(a.T @ a - fd.covariance())
+        err = operator_norm(a.T @ a - gram(fd))
         assert err <= float(np.sum(a**2)) / ell
 
     def test_sketch_norm_monotone_throughout_stream(self):
@@ -74,7 +91,7 @@ class TestFrequentDirections:
         for row in a:
             fd.update(row)
             seen += float(row @ row)
-            assert fd.frobenius_sq() <= seen + 1e-9
+            assert float(np.sum(fd.sketch() ** 2)) <= seen + 1e-9
 
     def test_buffer_rows_beyond_fill_are_zero(self):
         rng = np.random.default_rng(45)
@@ -104,7 +121,7 @@ class TestFrequentDirections:
         assert fd.shrink_count == 1
         assert fd.fill == expected.shape[0]
         tol = 1e-10 * float(np.sum(b**2))
-        assert np.abs(fd.covariance() - expected.T @ expected).max() <= tol
+        assert np.abs(gram(fd) - expected.T @ expected).max() <= tol
         assert np.all(fd.buffer[fd.fill :] == 0.0)
 
     def test_width_mismatch(self):
@@ -121,21 +138,26 @@ class TestSignProjector:
     def test_entry_deterministic(self):
         p1 = SignProjector(42, 16, 10)
         p2 = SignProjector(42, 16, 10)
-        assert p1.entry(3, 7) == p2.entry(3, 7)
-        assert p1.entry(3, 7) == p1.entry(3, 7)
+        assert p1.matrix().tobytes() == p2.matrix().tobytes()
+        assert p1.matrix()[3, 7] == SignProjector(42, 16, 10).matrix()[3, 7]
+        assert p1.matrix().tobytes() != SignProjector(43, 16, 10).matrix().tobytes()
 
     def test_entry_magnitude(self):
-        p = SignProjector(1, 25, 8)
-        for i in range(8):
-            for j in range(25):
-                assert abs(p.entry(i, j)) == pytest.approx(1 / 5.0, abs=1e-15)
+        r = SignProjector(1, 25, 8).matrix()
+        assert r.shape == (8, 25)
+        np.testing.assert_allclose(np.abs(r), 1 / 5.0, rtol=0, atol=1e-15)
 
     def test_entry_matches_matrix(self):
-        p = SignProjector(9, 12, 7)
-        r = p.matrix()
-        for i in range(7):
-            for j in range(12):
-                assert p.entry(i, j) == r[i, j]
+        # Entry (i, j) is the polynomial hash at position j * dim + i,
+        # recomputed here without numpy's modular arithmetic.
+        for seed in (9, -1, 2**64 - 1):
+            p = SignProjector(seed, 12, 7)
+            r = p.matrix()
+            for i in range(7):
+                for j in range(12):
+                    assert python_sign(p, i, j) == r[i, j]
+        # -1 and 2**64 - 1 are the same u64 seed.
+        assert p.matrix().tobytes() == SignProjector(-1, 12, 7).matrix().tobytes()
 
     def test_monte_carlo_bias(self):
         # Mean of 1e5 entries, rescaled by sqrt(ell), should be near zero.
@@ -153,7 +175,7 @@ class TestSignProjector:
 
     def test_projection_of_zero_row(self):
         p = SignProjector(3, 10, 6)
-        np.testing.assert_array_equal(p.project(np.zeros(6)), np.zeros(10))
+        np.testing.assert_array_equal(np.zeros(6) @ p.matrix(), np.zeros(10))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32), st.integers(2, 40))
@@ -162,8 +184,9 @@ class TestSignProjector:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal(dim)
         b = rng.standard_normal(dim)
-        lhs = p.project(a + b)
-        rhs = p.project(a) + p.project(b)
+        r = p.matrix()
+        lhs = (a + b) @ r
+        rhs = a @ r + b @ r
         assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_gram_matches_matrix(self):
@@ -359,7 +382,7 @@ class TestApplyColumnPlan:
     def test_single_column_ell_one_exact(self):
         a = np.array([[3.0], [4.0]])
         plan = column_sample_plan(a, 1, seed=5)
-        sketch = np.array([apply_column_plan(plan, row) for row in a])
+        sketch = apply_column_plan(plan, a)
         assert np.abs(sketch @ sketch.T - a @ a.T).max() <= 1e-12
 
     def test_homogeneity(self):
@@ -368,8 +391,8 @@ class TestApplyColumnPlan:
         plan1 = column_sample_plan(a, 5, seed=2)
         plan2 = column_sample_plan(2.0 * a, 5, seed=2)
         assert np.array_equal(plan1.indices, plan2.indices)
-        out1 = apply_column_plan(plan1, a[0])
-        out2 = apply_column_plan(plan2, 2.0 * a[0])
+        out1 = apply_column_plan(plan1, a)
+        out2 = apply_column_plan(plan2, 2.0 * a)
         np.testing.assert_allclose(out2, 2.0 * out1, rtol=1e-12)
 
     def test_defensive_zero_mass_error(self):
@@ -383,7 +406,7 @@ class TestApplyColumnPlan:
             entries_seen=6,
         )
         with pytest.raises(ZeroMassError):
-            apply_column_plan(plan, np.ones(3))
+            apply_column_plan(plan, np.ones((1, 3)))
 
     def test_covariance_trials(self):
         # 200 x 50, ell = 2000 -> within 0.5 sigma_1^2 in >= 90/100 trials.
@@ -397,8 +420,8 @@ class TestApplyColumnPlan:
             plan = column_sample_plan(a, 2000, seed)
             sketch = a[:, plan.indices] * plan.scales()
             if seed == 0:
-                row_api = apply_column_plan(plan, a[3])
-                np.testing.assert_allclose(row_api, sketch[3], rtol=1e-12)
+                block_api = apply_column_plan(plan, a[:7])
+                np.testing.assert_allclose(block_api, sketch[:7], rtol=1e-12)
             if operator_norm(cov - sketch @ sketch.T) <= 0.5 * sigma1_sq:
                 hits += 1
         assert hits >= 90
