@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateSpectrumError, ShapeError
 
 RANK_FLOOR = 1e-12
-DEFAULT_EIG_TOL = 1e-13
+EIG_TOL = 1e-13
 _SYMMETRY_RTOL = 1e-12
 
 
@@ -71,10 +71,6 @@ class SpectralDecomposition:
         self.values.setflags(write=False)
         self.right_vectors.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.right_vectors.shape[0]
-
 
 @dataclass(frozen=True)
 class SpectralStats:
@@ -99,17 +95,15 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def sym_eig(matrix, tol: float = DEFAULT_EIG_TOL) -> SpectralDecomposition:
+def sym_eig(matrix) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     Backed by LAPACK's symmetric solver on the explicitly symmetrized
     input.  The reconstruction residual is verified against
-    ``tol * ||M||_F`` so a silently inaccurate factorization raises
+    ``EIG_TOL * ||M||_F`` so a silently inaccurate factorization raises
     ``ConvergenceError`` instead of propagating.
     """
     m = as_matrix(matrix, "symmetric matrix")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     n, d = m.shape
     if n != d:
         raise ShapeError(f"expected square matrix, got {n}x{d}")
@@ -127,10 +121,10 @@ def sym_eig(matrix, tol: float = DEFAULT_EIG_TOL) -> SpectralDecomposition:
     eigvecs = np.ascontiguousarray(_fix_signs(eigvecs[:, order]))
 
     residual = float(np.linalg.norm((eigvecs * eigvals) @ eigvecs.T - m))
-    if residual > tol * max(norm_f, 1e-300):
+    if residual > EIG_TOL * max(norm_f, 1e-300):
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds "
-            f"{tol:.1e} * ||M||_F = {tol * norm_f:.3e}",
+            f"{EIG_TOL:.1e} * ||M||_F = {EIG_TOL * norm_f:.3e}",
             residual=residual,
         )
     return SpectralDecomposition(

@@ -18,17 +18,23 @@ are None.  Projection distance estimates are clamped at zero, with the raw
 value kept in ``projection_distance_raw``.  Scoring passes go through
 ``scores.score_block`` block by block (``sketches.row_blocks``), in stream
 order.
+
+Row-space sketches take one route, the short side that the Frequent
+Directions shrink uses: ``svd_thin(S.T)`` gives S's left vectors U and sigma
+from the Gram S S^T, and rows are scored through W = S^T U Sigma^-1.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import RankDeficientError, ShapeError
-from .linalg import SpectralDecomposition, as_row, gram_basis, svd_thin, sym_eig
+from .linalg import as_row, gram_basis, svd_thin, sym_eig
 from .scores import (
     MODE_SKETCHED_BATCH,
     MODE_SKETCHED_ONLINE,
@@ -76,17 +82,21 @@ class PipelineConfig:
         check_lambda(self.lam)
 
 
-def _sketch_decomp_or_raise(
-    decomp: SpectralDecomposition, cfg: PipelineConfig
-) -> SpectralDecomposition:
-    usable = decomp.rank_used
+def _require_rank(usable: int, cfg: PipelineConfig) -> None:
     if usable < cfg.k:
         raise RankDeficientError(
             f"sketch retains only {usable} usable direction(s) but k={cfg.k}; "
             f"increase ell from {cfg.ell} to at least "
             f"{cfg.ell + 2 * (cfg.k - usable)}"
         )
-    return decomp
+
+
+def _rowspace_map(sketch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W = S^T U Sigma^-1 (d x r), mapping rows to their coordinates on S's
+    right vectors, and the usable sigma of S, both from ``svd_thin(S.T)``."""
+    left = svd_thin(sketch.T)
+    sigma = left.values[: left.rank_used]
+    return sketch.T @ (left.right_vectors / sigma), sigma
 
 
 def _score_pass(
@@ -111,39 +121,50 @@ def _rowspace_records(
     row_source: RowSource, sketch: np.ndarray, cfg: PipelineConfig
 ) -> list[ScoreRecord]:
     """Score pass against the row space of a sketch (fd, rowsample)."""
-    decomp = _sketch_decomp_or_raise(svd_thin(sketch), cfg)
-    v = decomp.right_vectors
-    sigma = decomp.values[: decomp.rank_used]
-
-    def coords(block: np.ndarray) -> np.ndarray:
-        return block @ v
-
+    w, sigma = _rowspace_map(sketch)
+    _require_rank(sigma.size, cfg)
     return _score_pass(
-        row_source, decomp.dim, coords, sigma, cfg.k, cfg.lam, ROWSPACE_FIELDS
+        row_source, w.shape[0], lambda block: block @ w, sigma, cfg.k, cfg.lam,
+        ROWSPACE_FIELDS,
     )
 
 
 def _projected_records(
     row_source: RowSource,
-    project: Callable[[np.ndarray], np.ndarray],
-    cov: np.ndarray,
+    projector: Callable[[int], Callable[[np.ndarray], np.ndarray]],
     cfg: PipelineConfig,
-    width: int,
+    width: int | None = None,
 ) -> list[ScoreRecord]:
-    """Score pass in projected coordinates (rproj, colsample).
+    """Covariance pass, then score pass, in projected coordinates (rproj,
+    colsample), where only L^k and T^k are defined.
 
-    ``cov`` is the ell x ell Gram of the projected rows; only L^k and T^k
-    are defined there.
+    ``projector(width)`` builds the block projection once the first block
+    fixes the width.  A covariance larger than physical memory raises
+    ``MemoryError`` before it is allocated.
     """
-    decomp = _sketch_decomp_or_raise(gram_basis(sym_eig(cov)), cfg)
+    need = 8 * cfg.ell**2
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical:
+        raise MemoryError(
+            f"an ell x ell covariance with ell={cfg.ell} needs {need} bytes, "
+            f"more than the {physical} bytes of physical memory"
+        )
+    project: Callable[[np.ndarray], np.ndarray] | None = None
+    cov = np.zeros((cfg.ell, cfg.ell))
+    for block in row_blocks(row_source(), width):
+        if project is None:
+            width = block.shape[1]
+            project = projector(width)
+        projected = project(block)
+        cov += projected.T @ projected
+    if project is None:
+        raise ShapeError("row source produced no rows")
+    decomp = gram_basis(sym_eig(cov))
+    _require_rank(decomp.rank_used, cfg)
     v_k = decomp.right_vectors[:, : cfg.k]
-    sigma_k = decomp.values[: cfg.k]
-
-    def coords(block: np.ndarray) -> np.ndarray:
-        return project(block) @ v_k
-
     return _score_pass(
-        row_source, width, coords, sigma_k, cfg.k, None, PROJECTED_FIELDS
+        row_source, width, lambda block: project(block) @ v_k,
+        decomp.values[: cfg.k], cfg.k, None, PROJECTED_FIELDS,
     )
 
 
@@ -173,19 +194,12 @@ def run_rproj_pipeline(
     row_source: RowSource, cfg: PipelineConfig
 ) -> list[ScoreRecord]:
     """Two passes: covariance of sign-projected rows, then score."""
-    projector: SignProjector | None = None
-    cov = np.zeros((cfg.ell, cfg.ell))
-    for block in row_blocks(row_source()):
-        if projector is None:
-            projector = SignProjector(cfg.seed, cfg.ell, block.shape[1])
-        projected = block @ projector.matrix()
-        cov += projected.T @ projected
-    if projector is None:
-        raise ShapeError("row source produced no rows")
-    r = projector.matrix()
-    return _projected_records(
-        row_source, lambda block: block @ r, cov, cfg, projector.dim
-    )
+
+    def projector(width: int) -> Callable[[np.ndarray], np.ndarray]:
+        r = SignProjector(cfg.seed, cfg.ell, width).matrix()
+        return lambda block: block @ r
+
+    return _projected_records(row_source, projector, cfg)
 
 
 def run_colsample_pipeline(
@@ -199,19 +213,9 @@ def run_colsample_pipeline(
     """
     if plan is None:
         plan = column_sample_plan(row_source(), cfg.ell, cfg.seed)
-
-    def project(block: np.ndarray) -> np.ndarray:
-        return apply_column_plan(plan, block)
-
-    cov = np.zeros((cfg.ell, cfg.ell))
-    empty = True
-    for block in row_blocks(row_source(), plan.dim):
-        empty = False
-        projected = project(block)
-        cov += projected.T @ projected
-    if empty:
-        raise ShapeError("row source produced no rows")
-    return _projected_records(row_source, project, cov, cfg, plan.dim)
+    return _projected_records(
+        row_source, lambda _: partial(apply_column_plan, plan), cfg, plan.dim
+    )
 
 
 def run_online_pipeline(
@@ -228,16 +232,14 @@ def run_online_pipeline(
         a = as_row(row, fd.dim if fd is not None else None)
         if fd is None:
             fd = FrequentDirections(cfg.ell, a.shape[0])
-        decomp = svd_thin(fd.sketch()) if fd.fill else None
-        if decomp is None or decomp.rank_used < cfg.k:
+        sigma = np.zeros(0)
+        if fd.fill:
+            w, sigma = _rowspace_map(fd.buffer[: fd.fill])
+        if sigma.size < cfg.k:
             records.append(undefined_record(i, MODE_SKETCHED_ONLINE))
         else:
             columns = score_block(
-                (decomp.right_vectors.T @ a)[None, :],
-                np.array([a @ a]),
-                decomp.values[: decomp.rank_used],
-                cfg.k,
-                cfg.lam,
+                (a @ w)[None, :], np.array([a @ a]), sigma, cfg.k, cfg.lam
             )
             records += score_records(columns, ROWSPACE_FIELDS, MODE_SKETCHED_ONLINE, i)
         fd.update(a)

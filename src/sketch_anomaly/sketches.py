@@ -45,6 +45,7 @@ _LANE_COL_SAMPLER = 0x0C01F00D
 _LANE_SIGN_COEFF = 0x516EC0EF
 
 DEFAULT_INDEPENDENCE = 32
+GRAM_BLOCK_COLS = 65536
 
 # Rows per block of ``row_blocks``.  The reservoir uniforms are keyed by
 # each block's first stream position, so this size is part of the output
@@ -102,11 +103,11 @@ class FrequentDirections:
             self._shrink()
 
     def _shrink(self) -> None:
-        # Decompose B from its short side: the Gram of B^T is B B^T
-        # (2ell x 2ell), whose eigenvectors are B's left vectors U.  The
-        # shrunk rows sqrt(sigma^2 - delta) v^T equal
-        # (sqrt(sigma^2 - delta) / sigma) u^T B, so no right vectors are
-        # formed.
+        # The one route for row-space sketches (the pipelines score through
+        # it too): svd_thin(B^T) eigendecomposes the short-side Gram B B^T
+        # (2ell x 2ell) and returns B's left vectors U.  The shrunk rows
+        # sqrt(sigma^2 - delta) v^T equal (sqrt(sigma^2 - delta) / sigma)
+        # u^T B, so no right vectors are formed.
         decomp = svd_thin(self.buffer.T)
         rank = decomp.rank_used
         sigma = decomp.values[:rank]
@@ -197,15 +198,15 @@ class SignProjector:
             self._matrix = mat
         return self._matrix
 
-    def gram(self, block_cols: int = 65536) -> np.ndarray:
-        """R R^T (dim x dim), accumulated in column blocks.
+    def gram(self) -> np.ndarray:
+        """R R^T (dim x dim), accumulated ``GRAM_BLOCK_COLS`` columns at a time.
 
         Lets callers with very large ell evaluate sketch covariances
         ``(A R)(A R)^T = A (R R^T) A^T`` without holding R.
         """
         g = np.zeros((self.dim, self.dim))
-        for start in range(0, self.ell, block_cols):
-            stop = min(start + block_cols, self.ell)
+        for start in range(0, self.ell, GRAM_BLOCK_COLS):
+            stop = min(start + GRAM_BLOCK_COLS, self.ell)
             positions = np.arange(
                 start * self.dim, stop * self.dim, dtype=np.uint64
             )

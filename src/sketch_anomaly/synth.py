@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+TAIL_DECAY = 0.6
+
 
 def _orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Deterministic orthonormal columns via QR of a Gaussian draw."""
@@ -45,14 +47,14 @@ def separated_spectrum(
     delta: float = 0.5,
     kappa: float = 1.3,
     tail_sr: float = 0.05,
-    tail_decay: float = 0.6,
 ) -> np.ndarray:
     """Singular values (length m) with a gap of at least delta at k.
 
     Top-k squared values run linearly from 1 down to 1/kappa (1 alone when
-    k = 1).  The tail decays geometrically with total mass ``tail_sr``, in
-    units of sigma_1^2, scaled down if its top would exceed 1/kappa - delta:
-    the gap is exactly delta only where that cap binds and k >= 2.
+    k = 1).  The tail decays geometrically by ``TAIL_DECAY`` per value, with
+    total mass ``tail_sr`` in units of sigma_1^2, scaled down if its top would
+    exceed 1/kappa - delta: the gap is exactly delta only where that cap binds
+    and k >= 2.
     """
     if not 1 <= k < m:
         raise ValueError("need 1 <= k < m")
@@ -62,7 +64,7 @@ def separated_spectrum(
     head = np.linspace(1.0, head_floor, k)
     next_sq = head_floor - delta
     tail_len = m - k
-    weights = tail_decay ** np.arange(tail_len)
+    weights = TAIL_DECAY ** np.arange(tail_len)
     tail = tail_sr * weights / weights.sum()
     if tail.size and tail[0] > next_sq:
         tail = tail * (next_sq / tail[0]) if next_sq > 0 else tail * 0.0

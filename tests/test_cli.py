@@ -222,3 +222,20 @@ def test_unallocatable_sketch_is_one_line_error(capsys, data_path):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "memory" in captured.err
+
+
+@pytest.mark.parametrize("mode", ["rproj", "colsample"])
+def test_covariance_larger_than_memory_is_one_line_error(
+    capsys, monkeypatch, data_path, mode
+):
+    # Physical memory reads as 8 KiB, so the 12.8 kB covariance of ell 40
+    # is refused before it is allocated.
+    pages = {"SC_PHYS_PAGES": 2, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    argv = score_argv(data_path[0], "--mode", mode, "--ell", "40")
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "ell=40 needs 12800 bytes" in captured.err
+    assert "8192 bytes of physical memory" in captured.err

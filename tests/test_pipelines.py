@@ -15,7 +15,7 @@ from sketch_anomaly.pipelines import (
     run_rproj_pipeline,
 )
 from sketch_anomaly.scores import batch_scores, online_scores
-from sketch_anomaly.sketches import fd_ingest
+from sketch_anomaly.sketches import FrequentDirections, fd_ingest, row_sample
 from sketch_anomaly.synth import separated_matrix
 from sketch_anomaly.verify import fd_ell_for_mu, mu_for_average_l, mu_for_pointwise_t
 
@@ -242,6 +242,94 @@ class TestOnlinePipeline:
                         checked += 1
             fd.update(a[i])
         assert checked > 20
+
+
+def reference_lk_tk(sketch, rows, k):
+    """L^k and raw T^k of ``rows`` on the row space of ``sketch``, from a QR
+    of S^T and ``np.linalg.svd`` of its R factor."""
+    q, r = np.linalg.qr(sketch.T)
+    _, sigma, zt = np.linalg.svd(r.T)
+    alpha = rows @ (q @ zt.T)[:, :k]
+    lev_k = (alpha**2 / sigma[:k] ** 2).sum(axis=1)
+    return lev_k, np.einsum("ij,ij->i", rows, rows) - (alpha**2).sum(axis=1)
+
+
+class TestShortSideBasis:
+    """Row-space sketches are scored from their short side (the Gram S S^T)."""
+
+    K = 3
+    # (n, d, ell): d > 2 ell, so every sketch is short and wide; and d < 2 ell,
+    # where full FD buffers and the row sample have more rows than columns.
+    SHAPES = [(150, 60, 8), (150, 10, 12)]
+
+    def stream(self, n, d):
+        rng = np.random.default_rng(72)
+        return rng.standard_normal((n, d)) * np.geomspace(4.0, 0.1, d)
+
+    @pytest.mark.parametrize("n,d,ell", SHAPES)
+    def test_batch_matches_svd_reference(self, n, d, ell):
+        a = self.stream(n, d)
+        sketches = {
+            "fd": fd_ingest(a, ell).sketch(),
+            "rowsample": row_sample(a, ell, 5),
+        }
+        for mode, sketch in sketches.items():
+            cfg = PipelineConfig(k=self.K, ell=ell, seed=5, mode=mode)
+            records = run_pipeline(lambda: iter(a), cfg)
+            lev_k, raw_t = reference_lk_tk(sketch, a, self.K)
+            got_lev = [r.rank_k_leverage for r in records]
+            got_t = [r.projection_distance_raw for r in records]
+            np.testing.assert_allclose(got_lev, lev_k, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(got_t, raw_t, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("n,d,ell", SHAPES)
+    def test_online_matches_svd_reference_per_prefix(self, n, d, ell):
+        a = self.stream(n, d)
+        cfg = PipelineConfig(k=self.K, ell=ell, mode="online-fd")
+        records = run_online_pipeline(lambda: iter(a), cfg)
+        fd = FrequentDirections(ell, d)
+        for i, rec in enumerate(records):
+            if rec.defined:
+                lev_k, raw_t = reference_lk_tk(fd.sketch(), a[i : i + 1], self.K)
+                assert rec.rank_k_leverage == pytest.approx(lev_k[0], rel=1e-9)
+                assert rec.projection_distance_raw == pytest.approx(
+                    raw_t[0], rel=1e-9
+                )
+            fd.update(a[i])
+        assert sum(r.defined for r in records) == n - self.K
+
+    def test_online_defined_iff_prefix_rank_reaches_k(self):
+        # Zero rows, then one direction, then two, then full-rank rows: the
+        # prefix sketch's rank climbs 0, 1, 2, ... through FD shrinks.
+        rng = np.random.default_rng(73)
+        d, ell = 12, 4
+        u, v = rng.standard_normal((2, d))
+        a = np.vstack([
+            np.zeros((2, d)),
+            np.outer([1.0, -2.0, 0.5], u),
+            np.outer([1.0, 3.0, -1.0, 2.0], v) + 0.5 * u,
+            rng.standard_normal((30, d)),
+        ])
+        cfg = PipelineConfig(k=self.K, ell=ell, mode="online-fd")
+        records = run_online_pipeline(lambda: iter(a), cfg)
+        fd = FrequentDirections(ell, d)
+        ranks = []
+        for row in a:
+            ranks.append(np.linalg.matrix_rank(fd.sketch()) if fd.fill else 0)
+            fd.update(row)
+        assert [r.defined for r in records] == [rank >= self.K for rank in ranks]
+        assert fd.shrink_count > 0 and min(ranks[10:]) >= self.K
+
+    def test_short_wide_sketches_need_no_qr(self, monkeypatch):
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        n, d, ell = self.SHAPES[0]
+        a = self.stream(n, d)
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        for mode in ("fd", "rowsample", "online-fd"):
+            cfg = PipelineConfig(k=self.K, ell=ell, seed=5, mode=mode)
+            assert len(run_pipeline(lambda: iter(a), cfg)) == n
 
 
 class TestConfigAndHelpers:

@@ -189,10 +189,11 @@ class TestSignProjector:
         rhs = a @ r + b @ r
         assert np.abs(lhs - rhs).max() <= 1e-10
 
-    def test_gram_matches_matrix(self):
+    def test_gram_matches_matrix(self, monkeypatch):
+        monkeypatch.setattr(sketches, "GRAM_BLOCK_COLS", 64)
         p = SignProjector(21, 300, 45)
         r = p.matrix()
-        assert np.abs(p.gram(block_cols=64) - r @ r.T).max() <= 1e-9
+        assert np.abs(p.gram() - r @ r.T).max() <= 1e-9
 
     def test_covariance_preservation_trials(self):
         # n=400, d=100, sr ~ 10, ell = 400: the projected covariance should

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketch_anomaly.sketches import SignProjector
@@ -65,19 +65,23 @@ def test_run_suite_rejects_bad_seed_count_and_name():
         run_suite("bogus", 1)
 
 
-# Full-rank Gaussian C, as in the weyl sweep: svd_thin's Gram route
-# resolves a zero singular value only to ~1e-8 * sigma_1, so a
-# rank-deficient C with smaller noise reads as a Weyl failure.
-@settings(max_examples=30, deadline=None)
+# C of any rank up to min(n, d), with noise down to 1e-9 * the scale of C:
+# a zero singular value of C must read as zero, not as a rounding floor.
+# The pinned example is a rank-2 C with ||N|| = 2.1e-8, below the ~1e-7
+# at which a Gram route resolves a zero singular value.
+@settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(2, 30),
     d=st.integers(2, 30),
-    log_scale=st.floats(-6.0, 1.0),
+    rank=st.integers(1, 30),
+    log_scale=st.floats(-9.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_weyl_holds_on_random_inputs(n, d, log_scale, seed):
+@example(n=26, d=20, rank=2, log_scale=-8.631238284574248, seed=1000000)
+def test_weyl_holds_on_random_inputs(n, d, rank, log_scale, seed):
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal((n, d))
+    rank = min(rank, n, d)
+    c = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
     noise = 10.0**log_scale * rng.standard_normal((n, d))
     report = check_weyl(c, noise, seed=seed)
     assert report.applicable and report.passed
