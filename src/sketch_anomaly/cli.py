@@ -19,8 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     ConvergenceError,
     DataFormatError,
@@ -75,18 +73,6 @@ _DATA_ERRORS = (
 )
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text)
@@ -95,7 +81,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, default=_json_default) + "\n"
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,10 +243,7 @@ def cmd_verify(args) -> int:
         print(f"verify: unknown suite {suite!r}; choose from {known}", file=sys.stderr)
         return 1
     reports = run_suite(suite, args.seeds, base_seed=args.seed, eps=args.epsilon)
-    lines = [
-        json.dumps(r.to_dict(), default=_json_default, sort_keys=False)
-        for r in reports
-    ]
+    lines = [json.dumps(r.to_dict()) for r in reports]
     _emit("\n".join(lines) + "\n", args.output)
     failed = [r for r in reports if r.applicable and not r.passed]
     if failed:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .pipelines import PipelineConfig, run_pipeline
-from .scores import ScoreRecord, batch_scores, check_lambda
+from .scores import PROJECTED_FIELDS, ScoreRecord, batch_scores, check_lambda
 
 SCORE_KINDS = ("leverage-k", "projection-k", "ridge", "tail", "full")
 
@@ -29,6 +29,9 @@ _KIND_TO_FIELD = {
 }
 
 RANDOMIZED_MODES = ("rproj", "colsample", "rowsample")
+
+# Modes that score in projected coordinates, filling only PROJECTED_FIELDS.
+PROJECTED_MODES = ("rproj", "colsample")
 
 # Candidate thresholds per F1 sweep.
 SWEEP_POINTS = 40
@@ -87,12 +90,7 @@ def record_score(record: ScoreRecord, kind: str) -> float:
     """Extract one score kind from a record; sentinels rank lowest."""
     if not record.defined:
         return -math.inf
-    value = getattr(record, _KIND_TO_FIELD[kind])
-    if value is None:
-        raise ValueError(
-            f"score kind {kind!r} is not available in mode {record.mode!r}"
-        )
-    return value
+    return getattr(record, _KIND_TO_FIELD[kind])
 
 
 def scores_vector(records: list[ScoreRecord], kind: str) -> np.ndarray:
@@ -189,6 +187,12 @@ def evaluate_pipeline(
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    field = _KIND_TO_FIELD[cfg.score_kind]
+    if mode in PROJECTED_MODES and field not in PROJECTED_FIELDS:
+        raise ValueError(
+            f"score kind {cfg.score_kind!r} is not available in mode {mode!r}; "
+            "it estimates only leverage-k and projection-k"
+        )
     a = as_matrix(matrix)
     grid = default_sweep_grid(cfg.eta)
     if mode == "exact":

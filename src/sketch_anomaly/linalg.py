@@ -5,11 +5,16 @@ is the boundary validator: every public operation accepts anything
 array-like and rejects non-finite entries.
 
 Decompositions are deterministic: eigenvalues are sorted descending with
-ties broken by the solver's original order (stable sort), and every stored
-vector is sign-normalized so that its largest-magnitude entry is
+ties broken by the solver's original order (stable sort), and every Gram
+eigenvector is sign-normalized so that its largest-magnitude entry is
 nonnegative.  Two calls on identical input bytes return identical output
 bytes.  Only right singular vectors are stored; a caller that needs A's
 left vectors takes the right vectors of ``svd_thin(A.T)``.
+
+There is one decomposition route, the smaller Gram.  A wide A (n < d) gets
+its left vectors U from the Gram A A^T and its right vectors as
+A^T U Sigma^-1, with no orthonormalization pass: column j is orthonormal
+to about eps * (sigma_1 / sigma_j)^2, and its sign follows u_j's.
 """
 
 from __future__ import annotations
@@ -155,24 +160,22 @@ def svd_thin(matrix) -> SpectralDecomposition:
     rank boundary (``effective_rank``).  The right vectors of
     ``svd_thin(A.T)`` are A's left vectors; for non-square A it forms the
     same Gram, so its values and rank are A's to the bit.
+
+    For d > n the right vectors are A^T U Sigma^-1, U being the Gram's
+    eigenvectors: orthonormal to about eps * (sigma_1 / sigma_j)^2 in
+    column j, and signed by u_j rather than sign-normalized themselves.
     """
     a = as_matrix(matrix)
     n, d = a.shape
     if d <= n:
         return gram_basis(sym_eig(a.T @ a))
-    # The Gram of A^T: its "right" vectors are A's left vectors.
-    cols = gram_basis(sym_eig(a @ a.T))
-    sigma, rank = cols.values, cols.rank_used
-    right = np.zeros((d, 0))
-    if rank > 0:
-        raw = (a.T @ cols.right_vectors) / sigma[:rank]
-        # Dividing by small sigma erodes orthogonality; one QR pass
-        # restores it without moving the well-conditioned columns.
-        q, r = np.linalg.qr(raw)
-        diag_signs = np.sign(np.diag(r))
-        diag_signs[diag_signs == 0] = 1.0
-        right = np.ascontiguousarray(_fix_signs(q * diag_signs))
-    return SpectralDecomposition(values=sigma, right_vectors=right, rank_used=rank)
+    left = gram_basis(sym_eig(a @ a.T))
+    sigma = left.values[: left.rank_used]
+    return SpectralDecomposition(
+        values=left.values,
+        right_vectors=a.T @ (left.right_vectors / sigma),
+        rank_used=left.rank_used,
+    )
 
 
 def effective_rank(sigma: np.ndarray) -> int:

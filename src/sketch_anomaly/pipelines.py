@@ -19,9 +19,10 @@ value kept in ``projection_distance_raw``.  Scoring passes go through
 ``scores.score_block`` block by block (``sketches.row_blocks``), in stream
 order.
 
-Row-space sketches take one route, the short side that the Frequent
-Directions shrink uses: ``svd_thin(S.T)`` gives S's left vectors U and sigma
-from the Gram S S^T, and rows are scored through W = S^T U Sigma^-1.
+Row-space sketches take one route, ``svd_thin(S)``: rows are scored through
+its right vectors and usable sigma.  For a sketch with fewer rows than
+columns these come from the short-side Gram S S^T that the Frequent
+Directions shrink also uses, as W = S^T U Sigma^-1.
 """
 
 from __future__ import annotations
@@ -91,14 +92,6 @@ def _require_rank(usable: int, cfg: PipelineConfig) -> None:
         )
 
 
-def _rowspace_map(sketch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W = S^T U Sigma^-1 (d x r), mapping rows to their coordinates on S's
-    right vectors, and the usable sigma of S, both from ``svd_thin(S.T)``."""
-    left = svd_thin(sketch.T)
-    sigma = left.values[: left.rank_used]
-    return sketch.T @ (left.right_vectors / sigma), sigma
-
-
 def _score_pass(
     row_source: RowSource,
     width: int,
@@ -121,11 +114,12 @@ def _rowspace_records(
     row_source: RowSource, sketch: np.ndarray, cfg: PipelineConfig
 ) -> list[ScoreRecord]:
     """Score pass against the row space of a sketch (fd, rowsample)."""
-    w, sigma = _rowspace_map(sketch)
-    _require_rank(sigma.size, cfg)
+    basis = svd_thin(sketch)
+    _require_rank(basis.rank_used, cfg)
+    w = basis.right_vectors
     return _score_pass(
-        row_source, w.shape[0], lambda block: block @ w, sigma, cfg.k, cfg.lam,
-        ROWSPACE_FIELDS,
+        row_source, w.shape[0], lambda block: block @ w,
+        basis.values[: basis.rank_used], cfg.k, cfg.lam, ROWSPACE_FIELDS,
     )
 
 
@@ -232,14 +226,19 @@ def run_online_pipeline(
         a = as_row(row, fd.dim if fd is not None else None)
         if fd is None:
             fd = FrequentDirections(cfg.ell, a.shape[0])
-        sigma = np.zeros(0)
+        rank = 0
         if fd.fill:
-            w, sigma = _rowspace_map(fd.buffer[: fd.fill])
-        if sigma.size < cfg.k:
+            basis = svd_thin(fd.buffer[: fd.fill])
+            rank = basis.rank_used
+        if rank < cfg.k:
             records.append(undefined_record(i, MODE_SKETCHED_ONLINE))
         else:
             columns = score_block(
-                (a @ w)[None, :], np.array([a @ a]), sigma, cfg.k, cfg.lam
+                (a @ basis.right_vectors)[None, :],
+                np.array([a @ a]),
+                basis.values[:rank],
+                cfg.k,
+                cfg.lam,
             )
             records += score_records(columns, ROWSPACE_FIELDS, MODE_SKETCHED_ONLINE, i)
         fd.update(a)

@@ -195,16 +195,19 @@ def batch_scores(matrix, k: int, lam: float | None = None) -> list[ScoreRecord]:
         raise ValueError(f"k must be >= 1, got {k}")
     check_lambda(lam)
     a = as_matrix(matrix)
-    basis = svd_thin(a)
-    if basis.rank_used < k:
-        raise RankDeficientError(
-            f"basis rank {basis.rank_used} is below requested k={k}"
-        )
+    tall = a.shape[1] <= a.shape[0]
+    # A wide A's rows are scored at U Sigma (= A V), U being the right
+    # vectors of svd_thin(A^T).
+    basis = svd_thin(a if tall else a.T)
+    rank = basis.rank_used
+    if rank < k:
+        raise RankDeficientError(f"basis rank {rank} is below requested k={k}")
     _warn_if_degenerate(basis.values, k)
+    sigma = basis.values[:rank]
     columns = score_block(
-        a @ basis.right_vectors,
+        a @ basis.right_vectors if tall else basis.right_vectors * sigma,
         np.einsum("ij,ij->i", a, a),
-        basis.values[: basis.rank_used],
+        sigma,
         k,
         lam,
     )

@@ -16,8 +16,9 @@ Four sketches, all single-writer streaming accumulators:
   sampling over squared entries in row-major order, plus the per-column
   masses needed to rescale on later passes.
 
-The samplers, ``fd_ingest`` and the batch pipelines' passes read their
-stream through ``row_blocks``, in validated blocks of ``_CHUNK`` rows.
+The samplers and the batch pipelines' passes read their stream through
+``row_blocks``, in validated blocks of ``_CHUNK`` rows; ``fd_ingest`` feeds
+each row straight to ``FrequentDirections.update``, which validates it.
 Both samplers are block-merge weighted reservoirs (Chao 1982; Efraimidis
 & Spirakis, "Weighted random sampling with a reservoir", IPL 2006).  With
 running squared mass C0 before a block and C1 after it,
@@ -103,8 +104,7 @@ class FrequentDirections:
             self._shrink()
 
     def _shrink(self) -> None:
-        # The one route for row-space sketches (the pipelines score through
-        # it too): svd_thin(B^T) eigendecomposes the short-side Gram B B^T
+        # svd_thin(B^T) eigendecomposes the short-side Gram B B^T
         # (2ell x 2ell) and returns B's left vectors U.  The shrunk rows
         # sqrt(sigma^2 - delta) v^T equal (sqrt(sigma^2 - delta) / sigma)
         # u^T B, so no right vectors are formed.
@@ -132,11 +132,12 @@ class FrequentDirections:
 def fd_ingest(rows, ell: int) -> FrequentDirections:
     """Frequent Directions state after ``update`` with every row in order."""
     fd: FrequentDirections | None = None
-    for block in row_blocks(rows):
+    for row in rows:
         if fd is None:
-            fd = FrequentDirections(ell, block.shape[1])
-        for row in block:
-            fd.update(row)
+            # The first row's size fixes dim; ``update`` validates every
+            # row, this one included.
+            fd = FrequentDirections(ell, np.size(row))
+        fd.update(row)
     if fd is None:
         raise ShapeError("empty row stream")
     return fd

@@ -79,3 +79,18 @@ def test_empty_seed_tuple_is_rejected(mode):
     matrix, _ = planted_anomaly_dataset(100, 30, 2, seed=5)
     with pytest.raises(ValueError, match="seed"):
         evaluate_pipeline(matrix, mode, 6, EvalConfig(k=2, eta=0.05), ())
+
+
+@pytest.mark.parametrize("mode", ["rproj", "colsample"])
+@pytest.mark.parametrize("kind", ["full", "tail", "ridge"])
+def test_projected_modes_reject_rowspace_kinds_up_front(monkeypatch, mode, kind):
+    def never(*args, **kwargs):
+        raise AssertionError("scored before the kind was checked")
+
+    monkeypatch.setattr(evaluate, "run_pipeline", never)
+    monkeypatch.setattr(evaluate, "batch_scores", never)
+    matrix, _ = planted_anomaly_dataset(100, 30, 2, seed=5)
+    cfg = EvalConfig(k=2, eta=0.05, score_kind=kind, lam=0.5)
+    message = f"score kind '{kind}' is not available in mode '{mode}'"
+    with pytest.raises(ValueError, match=message):
+        evaluate_pipeline(matrix, mode, 6, cfg)

@@ -17,7 +17,12 @@ from sketch_anomaly.pipelines import (
 from sketch_anomaly.scores import batch_scores, online_scores
 from sketch_anomaly.sketches import FrequentDirections, fd_ingest, row_sample
 from sketch_anomaly.synth import separated_matrix
-from sketch_anomaly.verify import fd_ell_for_mu, mu_for_average_l, mu_for_pointwise_t
+from sketch_anomaly.verify import (
+    check_projector,
+    fd_ell_for_mu,
+    mu_for_average_l,
+    mu_for_pointwise_t,
+)
 
 
 def record_arrays(records):
@@ -320,16 +325,25 @@ class TestShortSideBasis:
         assert [r.defined for r in records] == [rank >= self.K for rank in ranks]
         assert fd.shrink_count > 0 and min(ranks[10:]) >= self.K
 
-    def test_short_wide_sketches_need_no_qr(self, monkeypatch):
+    def test_no_decomposition_needs_qr(self, monkeypatch):
+        # Every route goes through a Gram eigendecomposition: the row-space
+        # sketches on both shapes (d > 2 ell and d < 2 ell), exact scores of
+        # a wide matrix, and the projector check, whose left vectors come
+        # from the wide A^T.
         def no_qr(*args, **kwargs):
             raise AssertionError("np.linalg.qr called")
 
-        n, d, ell = self.SHAPES[0]
-        a = self.stream(n, d)
+        streams = [(self.stream(n, d), ell) for n, d, ell in self.SHAPES]
+        wide = self.stream(20, 60)
+        a = separated_matrix(80, 20, 3, seed=5)
+        at = a + 1e-6 * np.random.default_rng(74).standard_normal(a.shape)
         monkeypatch.setattr(np.linalg, "qr", no_qr)
-        for mode in ("fd", "rowsample", "online-fd"):
-            cfg = PipelineConfig(k=self.K, ell=ell, seed=5, mode=mode)
-            assert len(run_pipeline(lambda: iter(a), cfg)) == n
+        for stream, ell in streams:
+            for mode in ("fd", "rowsample", "online-fd"):
+                cfg = PipelineConfig(k=self.K, ell=ell, seed=5, mode=mode)
+                assert len(run_pipeline(lambda: iter(stream), cfg)) == len(stream)
+        assert len(batch_scores(wide, self.K)) == 20
+        assert check_projector(a, at, 3).applicable
 
 
 class TestConfigAndHelpers:

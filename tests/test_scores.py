@@ -171,6 +171,26 @@ class TestBatchScores:
         recs = batch_scores(np.eye(3) * 2.0 + np.ones((3, 3)), 1)
         assert all(r.mode == "exact-batch" and r.defined for r in recs)
 
+    @pytest.mark.parametrize("cond", [1e3, 1e5])
+    @pytest.mark.parametrize("n,d", [(60, 400), (30, 800)])
+    def test_wide_matches_lapack(self, n, d, cond):
+        # A = U diag(sigma) V^T with sigma geometric from 1 to 1/cond.
+        rng = np.random.default_rng(28)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((d, n)))
+        a = (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+        k = 5
+        records = batch_scores(a, k)
+        lu, s, _ = np.linalg.svd(a, full_matrices=False)
+        expected = {
+            "full_leverage": (lu**2).sum(axis=1),
+            "rank_k_leverage": (lu[:, :k] ** 2).sum(axis=1),
+            "projection_distance": ((lu[:, k:] * s[k:]) ** 2).sum(axis=1),
+        }
+        for field, ref in expected.items():
+            got = np.array([getattr(r, field) for r in records])
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=field)
+
 
 class TestRidgeDiagnostic:
     def test_ridge_relation_on_planted_data(self):

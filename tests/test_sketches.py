@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sketch_anomaly import sketches
 from sketch_anomaly.errors import ShapeError, ZeroMassError
-from sketch_anomaly.linalg import operator_norm, svd_thin
+from sketch_anomaly.linalg import effective_rank, operator_norm, svd_thin
 from sketch_anomaly.rng import MERSENNE61
 from sketch_anomaly.sketches import (
     ColumnSamplePlan,
@@ -20,13 +20,14 @@ from sketch_anomaly.sketches import (
 
 
 def svd_route_shrink(buffer: np.ndarray, ell: int) -> np.ndarray:
-    """Shrink by sigma_ell^2 through the buffer's right singular vectors."""
-    decomp = svd_thin(buffer)
-    sigma = decomp.values
+    """Shrink by sigma_ell^2 through LAPACK's right singular vectors of the
+    buffer, kept up to the package's usable rank."""
+    _, sigma, vt = np.linalg.svd(buffer, full_matrices=False)
+    rank = effective_rank(sigma)
     shift = sigma[ell - 1] ** 2 if sigma.size >= ell else 0.0
-    kept = np.sqrt(np.clip(sigma[: decomp.rank_used] ** 2 - shift, 0.0, None))
+    kept = np.sqrt(np.clip(sigma[:rank] ** 2 - shift, 0.0, None))
     nonzero = kept > 0.0
-    return kept[nonzero, None] * decomp.right_vectors[:, nonzero].T
+    return kept[nonzero, None] * vt[:rank][nonzero]
 
 
 def gram(fd: FrequentDirections) -> np.ndarray:
