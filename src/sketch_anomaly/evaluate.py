@@ -135,22 +135,14 @@ def ground_truth(matrix, cfg: EvalConfig) -> np.ndarray:
     return top_fraction_mask(_exact_scores(matrix, cfg), cfg.eta)
 
 
-def _f1_from_counts(
-    true_pos: int, pred_pos: int, actual_pos: int
-) -> tuple[float, float, float]:
-    if pred_pos == 0 or actual_pos == 0 or true_pos == 0:
-        return 0.0, 0.0 if pred_pos == 0 else true_pos / pred_pos, 0.0
-    precision = true_pos / pred_pos
-    recall = true_pos / actual_pos
-    return 2.0 * precision * recall / (precision + recall), precision, recall
-
-
 def f1_sweep(approx_scores, labels, sweep_grid) -> EvalReport:
     """Best F1 over the threshold grid.
 
     The scores are ranked once; the top ceil(eta' * n) rows of that order
     are exactly ``top_fraction_mask(scores, eta')``, so each grid point
     reads its true-positive count from a running sum along the order.
+    Each point predicts at least one row and the labels hold at least one
+    positive, so precision and recall are always defined.
     """
     scores = np.asarray(approx_scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
@@ -164,7 +156,10 @@ def f1_sweep(approx_scores, labels, sweep_grid) -> EvalReport:
     best = None
     for eta_prime in sweep_grid:
         m = _top_count(eta_prime, n)
-        f1, precision, recall = _f1_from_counts(int(true_pos[m - 1]), m, actual_pos)
+        tp = int(true_pos[m - 1])
+        precision = tp / m
+        recall = tp / actual_pos
+        f1 = 2.0 * precision * recall / (precision + recall) if tp else 0.0
         if best is None or f1 > best[0]:
             best = (f1, float(eta_prime), precision, recall)
     return EvalReport(
@@ -213,11 +208,15 @@ def evaluate_pipeline(
     reports = [run_one(s) for s in seeds]
 
     per_seed = [
-        {"seed": int(s), **rep.to_dict() | {"per_seed": None}}
+        {
+            "seed": int(s),
+            "f1": rep.f1,
+            "best_eta_prime": rep.best_eta_prime,
+            "precision": rep.precision,
+            "recall": rep.recall,
+        }
         for s, rep in zip(seeds, reports)
     ]
-    for entry in per_seed:
-        entry.pop("per_seed")
     return EvalReport(
         f1=float(np.mean([r.f1 for r in reports])),
         best_eta_prime=float(np.median([r.best_eta_prime for r in reports])),

@@ -42,17 +42,17 @@ def as_matrix(obj, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_row(obj, width: int | None = None, name: str = "row") -> np.ndarray:
+def as_row(obj, width: int | None = None) -> np.ndarray:
     """Validate a 1-D float64 vector, optionally of fixed width."""
     vec = np.ascontiguousarray(obj, dtype=np.float64)
     if vec.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got ndim={vec.ndim}")
+        raise ShapeError(f"row must be 1-D, got ndim={vec.ndim}")
     if width is not None and vec.shape[0] != width:
-        raise ShapeError(f"{name} has width {vec.shape[0]}, expected {width}")
+        raise ShapeError(f"row has width {vec.shape[0]}, expected {width}")
     # The method, not np.all: this runs once per streamed row, and np.all's
     # dispatch costs more than the check on a 400-wide row.
     if not np.isfinite(vec).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError("row contains non-finite entries")
     return vec
 
 
@@ -81,8 +81,6 @@ class SpectralDecomposition:
 class SpectralStats:
     """Spectrum-derived scalars used by separation and sketch-size bounds."""
 
-    k: int
-    p: int
     sigma_sq: np.ndarray
     separation_delta: float
     condition_kappa_k: float
@@ -193,33 +191,28 @@ def effective_rank(sigma: np.ndarray) -> int:
     return int(np.count_nonzero(sigma > thresh))
 
 
-def spectral_stats(matrix, k: int, p: int) -> SpectralStats:
-    """Separation, condition number, stable rank, and p-th numeric rank."""
-    a = as_matrix(matrix)
-    n, d = a.shape
-    m = min(n, d)
+def spectral_stats(sigma, k: int) -> SpectralStats:
+    """Separation, condition number, stable rank, and k-th numeric rank.
+
+    ``sigma`` is A's full singular spectrum, non-increasing: pass
+    ``svd_thin(A).values`` from the decomposition the caller already holds.
+    """
+    sigma_sq = np.asarray(sigma, dtype=np.float64) ** 2
+    m = sigma_sq.size
     if not 1 <= k < m:
         raise ValueError(f"k must satisfy 1 <= k < min(n, d) = {m}, got {k}")
-    if not 1 <= p <= m:
-        raise ValueError(f"p must satisfy 1 <= p <= min(n, d) = {m}, got {p}")
-    sigma = svd_thin(a).values
-    sigma_sq = sigma**2
     top = float(sigma_sq[0])
     if top <= 0.0:
         raise DegenerateSpectrumError("zero matrix has no spectral statistics")
     total = float(sigma_sq.sum())
     delta = float((sigma_sq[k - 1] - sigma_sq[k]) / top)
     kappa = float(top / sigma_sq[k - 1]) if sigma_sq[k - 1] > 0 else np.inf
-    head_p = float(sigma_sq[:p].sum())
-    numeric_rank = p * total / head_p if head_p > 0 else np.inf
     return SpectralStats(
-        k=k,
-        p=p,
         sigma_sq=sigma_sq,
         separation_delta=delta,
         condition_kappa_k=kappa,
         stable_rank=total / top,
-        numeric_rank_p=numeric_rank,
+        numeric_rank_p=k * total / float(sigma_sq[:k].sum()),
     )
 
 

@@ -173,7 +173,6 @@ class SignProjector:
             mix64(self.seed, _LANE_SIGN_COEFF, np.arange(independence_w, dtype=np.uint64))
         )
         self._scale = 1.0 / np.sqrt(ell)
-        self._matrix: np.ndarray | None = None
 
     def _hash(self, positions: np.ndarray) -> np.ndarray:
         """Horner evaluation of the coefficient polynomial at positions."""
@@ -190,14 +189,11 @@ class SignProjector:
         return np.where(bits == 0, self._scale, -self._scale)
 
     def matrix(self) -> np.ndarray:
-        """The full dim x ell matrix (cached; read-only)."""
-        if self._matrix is None:
-            positions = np.arange(self.ell * self.dim, dtype=np.uint64)
-            mat = self._signs(positions).reshape(self.ell, self.dim).T
-            mat = np.ascontiguousarray(mat)
-            mat.setflags(write=False)
-            self._matrix = mat
-        return self._matrix
+        """The full dim x ell matrix."""
+        positions = np.arange(self.ell * self.dim, dtype=np.uint64)
+        return np.ascontiguousarray(
+            self._signs(positions).reshape(self.ell, self.dim).T
+        )
 
     def gram(self) -> np.ndarray:
         """R R^T (dim x dim), accumulated ``GRAM_BLOCK_COLS`` columns at a time.

@@ -12,6 +12,12 @@ import numpy as np
 
 TAIL_DECAY = 0.6
 
+# Planted-anomaly datasets: signal standard deviations run linearly from
+# the first value to the second over the k signal directions, and anomalies
+# live in this many further orthogonal directions.
+SIGNAL_SCALE = (1.3, 1.0)
+ANOMALY_DIMS = 20
+
 
 def _orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Deterministic orthonormal columns via QR of a Gaussian draw."""
@@ -112,10 +118,8 @@ def planted_anomaly_dataset(
     seed: int,
     *,
     anomaly_fraction: float = 0.02,
-    signal_scale: tuple[float, float] = (1.3, 1.0),
     noise_scale: float = 0.02,
     anomaly_scale: float = 4.0,
-    anomaly_dims: int = 20,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank-k signal + white noise + off-subspace anomaly rows.
 
@@ -124,23 +128,27 @@ def planted_anomaly_dataset(
     ``anomaly_scale`` inside a separate block of directions orthogonal to
     the signal.  Returns ``(matrix, planted_mask)``.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if not 0 < anomaly_fraction < 1:
         raise ValueError("anomaly_fraction must be in (0, 1)")
-    if d < k + anomaly_dims:
+    if d < k + ANOMALY_DIMS:
         raise ValueError("d too small for signal plus anomaly directions")
     rng = np.random.default_rng(seed)
-    basis = _orthonormal(rng, d, k + anomaly_dims)
+    basis = _orthonormal(rng, d, k + ANOMALY_DIMS)
     v_signal = basis[:, :k]
     v_anom = basis[:, k:]
 
-    stds = np.linspace(signal_scale[0], signal_scale[1], k)
+    stds = np.linspace(SIGNAL_SCALE[0], SIGNAL_SCALE[1], k)
     z = rng.standard_normal((n, k)) * stds
     x = z @ v_signal.T + noise_scale * rng.standard_normal((n, d))
 
     m = max(1, int(round(anomaly_fraction * n)))
     planted = np.zeros(n, dtype=bool)
     planted[rng.choice(n, size=m, replace=False)] = True
-    direction = rng.standard_normal((m, anomaly_dims))
+    direction = rng.standard_normal((m, ANOMALY_DIMS))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     x[planted] += anomaly_scale * direction @ v_anom.T
     return x, planted

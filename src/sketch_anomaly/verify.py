@@ -5,27 +5,17 @@ stated right side from measured quantities, and returns a ``BoundReport``.
 The covariance error ``mu`` is always *measured* from the matrices at
 hand, never assumed from a sketch-size formula; a theorem whose
 precondition fails on the measured value is reported ``applicable=False``
-(the bound asserts nothing there) rather than failed.  Spectra come from
-``linalg.spectral_stats`` and scores from ``scores.score_block``, the
-same kernels the pipelines use.
+(the bound asserts nothing there) rather than failed.  Each matrix is
+decomposed once by ``linalg.svd_thin``, whose singular values
+``linalg.spectral_stats`` reads, and scores come from
+``scores.score_block``: the same kernels the pipelines use.
 
 Checkers are pure: identical inputs and seeds give identical reports.
 
-``run_suite`` runs one seeded sweep per suite (``SUITES``).  Per seed:
-
-* ``weyl``: one report on a 120x40 Gaussian matrix plus noise at a
-  random scale.
-* ``projector``, ``sigma-squared``, ``sigma-inverse``: two reports, at
-  k = 2 and k = 5, on a 120x40 separated matrix and an additive
-  perturbation under the check's mu ceiling.
-* ``diag``: one report on a 40x40 symmetric matrix (indefinite, low
-  rank or rank one).
-* ``pointwise``: two reports on a 200x40 separated matrix, k = 3,
-  Frequent Directions sketches; default eps 0.2.
-* ``average``: two reports on a 200x30 separated matrix, k = 2, a
-  sign-projection sketch; default eps 0.25.
-* ``lowrank``: one report on a 300x60 separated matrix, p = 5, 200
-  projected rows; default eps 0.3.
+``run_suite`` runs the seeded sweeps of the suite table ``_SWEEPS``
+(names in ``SUITES``): for each seed it calls the suite's instance
+function (``_weyl_instance``, ``_gap_instance``, ...), which builds that
+seed's matrices and returns its checker's reports.
 
 The ``*_ell_for_mu`` and ``mu_for_*`` helpers translate the covariance
 error a guarantee prescribes into a sketch size; the CLI ``--mu`` flag
@@ -43,6 +33,7 @@ import numpy as np
 
 from .errors import RankDeficientError, ShapeError
 from .linalg import (
+    SpectralDecomposition,
     SpectralStats,
     as_matrix,
     gram_basis,
@@ -108,10 +99,14 @@ def _report(name: str, lhs: float, rhs: float, applicable: bool, **inputs) -> Bo
 # and bounds are always gated on the *measured* mu, never on these formulas.
 
 
+def _check_mu(mu: float) -> None:
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be positive and finite, got {mu}")
+
+
 def fd_ell_for_mu(mu: float, tail_stable_rank: float, k: int) -> int:
     """Frequent Directions size for target mu, given sum_{i>k} s_i^2/s_1^2."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     return int(np.ceil(k + tail_stable_rank / mu))
 
 
@@ -121,15 +116,13 @@ RPROJ_FAIL_PROB = 0.05
 
 def rproj_ell_for_mu(mu: float, stable_rank: float) -> int:
     """Sign-projection width for target mu (unit-constant reading)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     return int(np.ceil((stable_rank + np.log(1.0 / RPROJ_FAIL_PROB)) / mu**2))
 
 
 def colsample_ell_for_mu(mu: float, stable_rank: float) -> int:
     """Column-subsample count for target mu (unit-constant reading)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     sr = max(stable_rank, 2.0)
     return int(np.ceil(sr * np.log(sr / mu**2) / mu**2))
 
@@ -157,16 +150,11 @@ def mu_for_average_t(eps: float, stable_rank: float, k: int) -> float:
 # --- measured quantities -------------------------------------------------
 
 
-def measured_mu_colspace(a: np.ndarray, at: np.ndarray) -> float:
-    """||A A^T - At At^T|| / sigma_1(A)^2 (column-space sketch error)."""
-    sigma1 = operator_norm(a)
-    if sigma1 == 0:
-        raise ValueError("zero matrix has no relative covariance error")
-    return operator_norm(a @ a.T - at @ at.T) / sigma1**2
-
-
 def measured_mu_rowspace(a: np.ndarray, at: np.ndarray) -> float:
-    """||A^T A - At^T At|| / sigma_1(A)^2 (row-space sketch error)."""
+    """||A^T A - At^T At|| / sigma_1(A)^2 (row-space sketch error).
+
+    The column-space error of a pair is ``measured_mu_rowspace(a.T, at.T)``.
+    """
     sigma1 = operator_norm(a)
     if sigma1 == 0:
         raise ValueError("zero matrix has no relative covariance error")
@@ -252,21 +240,21 @@ def _projector_gap(a, at, k: int, bound: _GapBound, seed: int | None) -> BoundRe
     at = as_matrix(at, "At")
     if a.shape[0] != at.shape[0]:
         raise ShapeError("A and At must share the row count (column spaces)")
-    stats = spectral_stats(a, k, k)
-    mu = measured_mu_colspace(a, at)
+    # Left vectors of A are the right vectors of A^T.
+    decomp = svd_thin(a.T)
+    stats = spectral_stats(decomp.values, k)
+    mu = measured_mu_rowspace(a.T, at.T)
     delta, kappa = stats.separation_delta, stats.condition_kappa_k
     applicable = delta > 0 and mu <= bound.ceiling(k, delta, kappa)
-    # Left vectors of A are the right vectors of A^T.
     decomp_t = svd_thin(at.T)
     if decomp_t.rank_used < k:
         applicable = False
         lhs = np.inf
+    elif decomp.rank_used < k:
+        raise RankDeficientError(
+            f"matrix rank {decomp.rank_used} below requested k={k}"
+        )
     else:
-        decomp = svd_thin(a.T)
-        if decomp.rank_used < k:
-            raise RankDeficientError(
-                f"matrix rank {decomp.rank_used} below requested k={k}"
-            )
         u_k = decomp.right_vectors[:, :k]
         ut_k = decomp_t.right_vectors[:, :k]
         if bound.weights is None:
@@ -327,10 +315,9 @@ def check_diag_dominance(matrix, seed: int | None = None) -> BoundReport:
 
 
 def _rowspace_estimates(
-    a: np.ndarray, row_sq: np.ndarray, basis: np.ndarray, k: int
+    a: np.ndarray, row_sq: np.ndarray, decomp: SpectralDecomposition, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(L^k, raw T^k) for every row of a against the row space of basis."""
-    decomp = svd_thin(basis)
+    """(L^k, raw T^k) for every row of a against ``svd_thin`` of a basis."""
     if decomp.rank_used < k:
         raise RankDeficientError(
             f"basis rank {decomp.rank_used} below k={k}; "
@@ -366,7 +353,8 @@ def check_average_guarantees(
     projected-space estimator the rproj pipeline computes.
     """
     a = as_matrix(a, "A")
-    stats = spectral_stats(a, k, k)
+    exact = svd_thin(a)
+    stats = spectral_stats(exact.values, k)
     delta, sr = stats.separation_delta, stats.stable_rank
     sigma1_sq = float(stats.sigma_sq[0])
     mu_l_target = mu_for_average_l(eps, delta)
@@ -382,7 +370,7 @@ def check_average_guarantees(
             break
 
     row_sq = np.einsum("ij,ij->i", a, a)
-    lev_exact, proj_exact = _rowspace_estimates(a, row_sq, a, k)
+    lev_exact, proj_exact = _rowspace_estimates(a, row_sq, exact, k)
     sketch = gram_basis(sym_eig(cov_sketch))
     rank_ok = sketch.rank_used >= k
     if rank_ok:
@@ -449,7 +437,8 @@ def check_pointwise_guarantees(
     records ``mu_regime="upper-bound reading"`` in the inputs.
     """
     a = as_matrix(a, "A")
-    stats = spectral_stats(a, k, k)
+    exact = svd_thin(a)
+    stats = spectral_stats(exact.values, k)
     delta, kappa, sr = (
         stats.separation_delta,
         stats.condition_kappa_k,
@@ -459,7 +448,7 @@ def check_pointwise_guarantees(
     tail_sr = float(sq[k:].sum() / sq[0])
     row_sq = np.einsum("ij,ij->i", a, a)
     nonzero = row_sq > 0
-    lev_exact, proj_exact = _rowspace_estimates(a, row_sq, a, k)
+    lev_exact, proj_exact = _rowspace_estimates(a, row_sq, exact, k)
 
     def build(mu_target: float) -> tuple[np.ndarray, float, int]:
         ell0 = max(fd_ell_for_mu(mu_target, tail_sr, k), k + 1)
@@ -481,7 +470,7 @@ def check_pointwise_guarantees(
 
     mu_t_target = mu_for_pointwise_t(eps, delta)
     sketch_t, mu_t, ell_t = build(mu_t_target)
-    _, proj_t = _rowspace_estimates(a, row_sq, sketch_t, k)
+    _, proj_t = _rowspace_estimates(a, row_sq, svd_thin(sketch_t), k)
     lhs_t = float(
         np.max(np.abs(proj_exact[nonzero] - proj_t[nonzero]) / row_sq[nonzero])
     )
@@ -498,7 +487,7 @@ def check_pointwise_guarantees(
 
     mu_l_target = mu_for_pointwise_l(eps, k, sr, kappa)
     sketch_l, mu_l, ell_l = build(mu_l_target)
-    lev_l, _ = _rowspace_estimates(a, row_sq, sketch_l, k)
+    lev_l, _ = _rowspace_estimates(a, row_sq, svd_thin(sketch_l), k)
     scale = float(sq.sum()) / k
     lhs_l = float(
         np.max(np.abs(lev_exact[nonzero] - lev_l[nonzero]) * scale / row_sq[nonzero])
@@ -551,7 +540,7 @@ def check_low_rank_approx(
     aw = a @ w
     approx = aw @ w.T
 
-    stats = spectral_stats(a, p, p)
+    stats = spectral_stats(svd_thin(a).values, p)
     head = float(stats.sigma_sq[:p].sum())
     total = float(stats.sigma_sq.sum())
     baseline = max(total - head, 0.0)
@@ -577,18 +566,19 @@ def check_low_rank_approx(
     )
 
 
-# --- seeded sweeps (shared by the CLI `verify` command and tests) --------
+# --- the suites: one instance per seed -----------------------------------
+#
+# Each instance function takes the sweep's base seed, the seed index s, the
+# seed count and the suite's eps, builds seed s's instance and returns its
+# checker's reports, seeded base + s.  ``run_suite`` is the one seed loop.
 
 
-def sweep_weyl(num_seeds: int, base_seed: int) -> list[BoundReport]:
-    reports = []
-    for s in range(num_seeds):
-        rng = np.random.default_rng(base_seed + s)
-        c = rng.standard_normal((120, 40))
-        scale = 10.0 ** rng.uniform(-3, 0)
-        noise = scale * rng.standard_normal((120, 40))
-        reports.append(check_weyl(c, noise, seed=base_seed + s))
-    return reports
+def _weyl_instance(base: int, s: int, num_seeds: int, eps: float | None):
+    rng = np.random.default_rng(base + s)
+    c = rng.standard_normal((120, 40))
+    scale = 10.0 ** rng.uniform(-3, 0)
+    noise = scale * rng.standard_normal((120, 40))
+    return [check_weyl(c, noise, seed=base + s)]
 
 
 def _perturbed_separated(
@@ -601,114 +591,93 @@ def _perturbed_separated(
     instances are applicable by construction.
     """
     a = separated_matrix(120, 40, k, seed, delta=0.5, kappa=1.3, tail_sr=0.05)
-    stats = spectral_stats(a, k, k)
+    stats = spectral_stats(svd_thin(a).values, k)
     cap = bound.ceiling(k, stats.separation_delta, stats.condition_kappa_k)
     target = mu_fraction_of_max * cap
     at = additive_perturbation(a, target, seed + 1)
     for _ in range(8):
-        if measured_mu_colspace(a, at) <= cap:
+        if measured_mu_rowspace(a.T, at.T) <= cap:
             break
         target *= 0.5
         at = additive_perturbation(a, target, seed + 1)
     return a, at
 
 
-def _sweep_gap(
-    num_seeds: int,
-    base_seed: int,
+def _gap_instance(
     bound: _GapBound,
     seed_stride: int,
-    mu_fraction: Callable[[int], float],
-) -> list[BoundReport]:
-    """Projector-gap reports at k = 2 and 5 for each seed s.
+    log_spread: bool,
+    base: int,
+    s: int,
+    num_seeds: int,
+    eps: float | None,
+):
+    """Projector-gap reports at k = 2 and 5, instance seeds base + stride*s + k.
 
-    ``mu_fraction(s)`` is the share of the precondition ceiling that seed
-    s's perturbation targets.
+    The perturbation targets 0.6 of the precondition ceiling or, with
+    ``log_spread``, a share spread log-evenly over the sweep from 1e-6 up
+    to half the ceiling.
     """
+    if log_spread:
+        mu_fraction = min(10.0 ** (-6.0 + 5.7 * (s / max(num_seeds - 1, 1))), 0.5)
+    else:
+        mu_fraction = 0.6
     reports = []
-    for s in range(num_seeds):
-        for k in (2, 5):
-            a, at = _perturbed_separated(
-                k, base_seed + seed_stride * s + k, mu_fraction(s), bound
-            )
-            reports.append(_projector_gap(a, at, k, bound, base_seed + s))
+    for k in (2, 5):
+        a, at = _perturbed_separated(k, base + seed_stride * s + k, mu_fraction, bound)
+        reports.append(_projector_gap(a, at, k, bound, base + s))
     return reports
 
 
-def sweep_projector(num_seeds: int, base_seed: int) -> list[BoundReport]:
-    return _sweep_gap(num_seeds, base_seed, _PROJECTOR, 1000, lambda s: 0.6)
+def _diag_instance(base: int, s: int, num_seeds: int, eps: float | None):
+    """A 40x40 symmetric matrix: indefinite, low rank or rank one by s mod 3."""
+    rng = np.random.default_rng(base + s)
+    kind = s % 3
+    if kind == 0:
+        g = rng.standard_normal((40, 40))
+        m = g + g.T
+    elif kind == 1:
+        rank = int(rng.integers(1, 6))
+        g = rng.standard_normal((40, rank))
+        m = g @ g.T
+    else:
+        v = rng.standard_normal(40)
+        m = np.outer(v, v)
+    return [check_diag_dominance(m, seed=base + s)]
 
 
-def sweep_sigma_weighted(
-    num_seeds: int, base_seed: int, mode: str
-) -> list[BoundReport]:
-    def mu_fraction(s: int) -> float:
-        # Log-spread targets over the sweep, from 1e-6 up to half the cap.
-        return min(10.0 ** (-6.0 + 5.7 * (s / max(num_seeds - 1, 1))), 0.5)
-
-    return _sweep_gap(num_seeds, base_seed, _SIGMA_WEIGHTED[mode], 2000, mu_fraction)
+def _pointwise_instance(base: int, s: int, num_seeds: int, eps: float):
+    a = separated_matrix(200, 40, 3, base + s, delta=0.3, kappa=1.15, tail_sr=5e-5)
+    return list(check_pointwise_guarantees(a, 3, eps, seed=base + s))
 
 
-def sweep_diag_dominance(num_seeds: int, base_seed: int) -> list[BoundReport]:
-    reports = []
-    for s in range(num_seeds):
-        rng = np.random.default_rng(base_seed + s)
-        kind = s % 3
-        if kind == 0:
-            g = rng.standard_normal((40, 40))
-            m = g + g.T
-        elif kind == 1:
-            rank = int(rng.integers(1, 6))
-            g = rng.standard_normal((40, rank))
-            m = g @ g.T
-        else:
-            v = rng.standard_normal(40)
-            m = np.outer(v, v)
-        reports.append(check_diag_dominance(m, seed=base_seed + s))
-    return reports
+def _average_instance(base: int, s: int, num_seeds: int, eps: float):
+    a = separated_matrix(200, 30, 2, base + s, delta=0.7, kappa=1.05, tail_sr=0.05)
+    return list(check_average_guarantees(a, 2, eps, seed=base + s))
 
 
-def sweep_pointwise(num_seeds: int, base_seed: int, eps: float) -> list[BoundReport]:
-    reports = []
-    for s in range(num_seeds):
-        a = separated_matrix(
-            200, 40, 3, base_seed + s, delta=0.3, kappa=1.15, tail_sr=5e-5
-        )
-        reports.extend(check_pointwise_guarantees(a, 3, eps, seed=base_seed + s))
-    return reports
+def _low_rank_instance(base: int, s: int, num_seeds: int, eps: float):
+    a = separated_matrix(300, 60, 5, base + s, delta=0.6, kappa=1.2, tail_sr=0.08)
+    return [check_low_rank_approx(a, 5, 200, base + s, eps)]
 
 
-def sweep_average(num_seeds: int, base_seed: int, eps: float) -> list[BoundReport]:
-    reports = []
-    for s in range(num_seeds):
-        a = separated_matrix(
-            200, 30, 2, base_seed + s, delta=0.7, kappa=1.05, tail_sr=0.05
-        )
-        reports.extend(check_average_guarantees(a, 2, eps, seed=base_seed + s))
-    return reports
-
-
-def sweep_low_rank(num_seeds: int, base_seed: int, eps: float) -> list[BoundReport]:
-    reports = []
-    for s in range(num_seeds):
-        a = separated_matrix(
-            300, 60, 5, base_seed + s, delta=0.6, kappa=1.2, tail_sr=0.08
-        )
-        reports.append(check_low_rank_approx(a, 5, 200, base_seed + s, eps))
-    return reports
-
-
-# Suite name -> (sweep, default eps); a None default means the sweep takes
-# no eps.  The order is the order of ``--suite all``.
+# Suite name -> (instance function, default eps); a None default means the
+# suite takes no eps.  The order is the order of ``--suite all``.
 _SWEEPS: dict[str, tuple[Callable[..., list[BoundReport]], float | None]] = {
-    "weyl": (sweep_weyl, None),
-    "projector": (sweep_projector, None),
-    "sigma-squared": (partial(sweep_sigma_weighted, mode="squared"), None),
-    "sigma-inverse": (partial(sweep_sigma_weighted, mode="inverse-squared"), None),
-    "diag": (sweep_diag_dominance, None),
-    "pointwise": (sweep_pointwise, 0.2),
-    "average": (sweep_average, 0.25),
-    "lowrank": (sweep_low_rank, 0.3),
+    "weyl": (_weyl_instance, None),
+    "projector": (partial(_gap_instance, _PROJECTOR, 1000, False), None),
+    "sigma-squared": (
+        partial(_gap_instance, _SIGMA_WEIGHTED["squared"], 2000, True),
+        None,
+    ),
+    "sigma-inverse": (
+        partial(_gap_instance, _SIGMA_WEIGHTED["inverse-squared"], 2000, True),
+        None,
+    ),
+    "diag": (_diag_instance, None),
+    "pointwise": (_pointwise_instance, 0.2),
+    "average": (_average_instance, 0.25),
+    "lowrank": (_low_rank_instance, 0.3),
 }
 
 SUITES = tuple(_SWEEPS)
@@ -720,9 +689,10 @@ def run_suite(
     base_seed: int = 0,
     eps: float | None = None,
 ) -> list[BoundReport]:
-    """Run one named sweep (or all of them) and return the reports.
+    """Run one named suite (or all of them) over seeds base_seed + s.
 
-    ``eps`` overrides each eps-taking sweep's default; it must be positive
+    Reports come suite by suite, and within a suite seed by seed.
+    ``eps`` overrides each eps-taking suite's default; it must be positive
     and finite, and ``num_seeds`` at least 1.
     """
     if name != "all" and name not in _SWEEPS:
@@ -733,9 +703,8 @@ def run_suite(
         raise ValueError(f"epsilon must be positive and finite, got {eps}")
     reports = []
     for suite in SUITES if name == "all" else (name,):
-        sweep, default_eps = _SWEEPS[suite]
-        if default_eps is None:
-            reports += sweep(num_seeds, base_seed)
-        else:
-            reports += sweep(num_seeds, base_seed, default_eps if eps is None else eps)
+        instance, default_eps = _SWEEPS[suite]
+        suite_eps = default_eps if eps is None else eps
+        for s in range(num_seeds):
+            reports += instance(base_seed, s, num_seeds, suite_eps)
     return reports

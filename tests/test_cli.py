@@ -200,6 +200,42 @@ def test_non_finite_lambda_is_usage_error(capsys, data_path, command, value):
     assert "lambda" in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("mode", ["fd", "rproj", "colsample"])
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_non_finite_mu_is_usage_error(
+    capsys, recwarn, data_path, command, mode, value
+):
+    argv = [
+        command, "--mode", mode, "--k", "3", "--mu", value,
+        "--input", str(data_path[0]), "--format", "bin",
+    ]
+    if command == "eval":
+        argv += ["--eta", "0.05"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"mu must be positive and finite, got {value}"
+    assert captured.err == f"sketch-anomaly: {message}\n"
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "50", "--k", "0"], "k must be >= 1, got 0"),
+        (["--n", "50", "--k", "-1"], "k must be >= 1, got -1"),
+        (["--n", "0", "--k", "2"], "n must be >= 1, got 0"),
+        (["--n", "-5", "--k", "2"], "n must be >= 1, got -5"),
+    ],
+)
+def test_synth_rejects_empty_shapes(capsys, tmp_path, flags, message):
+    out = tmp_path / "x.csv"
+    assert run_cli(["synth", *flags, "--d", "30", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"sketch-anomaly: {message}\n"
+    assert not out.exists()
+
+
 def test_negative_seed_colsample_resume_equals_one_shot(capsys, tmp_path, data_path):
     # Seeds key the sampler as u64, so -1 and 2**64 - 1 are one seed.
     path, _ = data_path

@@ -211,21 +211,21 @@ class TestSvdThin:
 
 class TestSpectralStats:
     def test_hand_computed_example(self):
-        stats = spectral_stats(np.diag([2.0, 1.0, 0.0]), k=1, p=1)
+        stats = spectral_stats(svd_thin(np.diag([2.0, 1.0, 0.0])).values, k=1)
         assert stats.separation_delta == pytest.approx(0.75, abs=1e-12)
         assert stats.condition_kappa_k == pytest.approx(1.0, abs=1e-12)
         assert stats.stable_rank == pytest.approx(1.25, abs=1e-12)
         assert stats.numeric_rank_p == pytest.approx(1.25, abs=1e-12)
 
     def test_degenerate_spectrum_delta_zero(self):
-        stats = spectral_stats(np.eye(2), k=1, p=1)
+        stats = spectral_stats(svd_thin(np.eye(2)).values, k=1)
         assert stats.separation_delta == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((8, 5))
-        s1 = spectral_stats(a, k=2, p=3)
-        s2 = spectral_stats(3.7 * a, k=2, p=3)
+        s1 = spectral_stats(svd_thin(a).values, k=2)
+        s2 = spectral_stats(svd_thin(3.7 * a).values, k=2)
         for field in (
             "separation_delta",
             "condition_kappa_k",
@@ -237,24 +237,22 @@ class TestSpectralStats:
     def test_numeric_rank_at_least_one(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
-            a = rng.standard_normal((10, 6))
-            for p in (1, 3, 6):
-                stats = spectral_stats(a, k=2, p=p)
+            sigma = svd_thin(rng.standard_normal((10, 6))).values
+            for k in (1, 3, 5):
+                stats = spectral_stats(sigma, k=k)
                 assert stats.numeric_rank_p >= 1.0 - 1e-12
-                assert stats.numeric_rank_p >= p - 1e-9
+                assert stats.numeric_rank_p >= k - 1e-9
 
     def test_zero_matrix_raises(self):
         with pytest.raises(DegenerateSpectrumError):
-            spectral_stats(np.zeros((4, 3)), k=1, p=1)
+            spectral_stats(svd_thin(np.zeros((4, 3))).values, k=1)
 
     def test_k_range_validation(self):
-        a = np.eye(3)
+        sigma = svd_thin(np.eye(3)).values
         with pytest.raises(ValueError):
-            spectral_stats(a, k=3, p=1)
+            spectral_stats(sigma, k=3)
         with pytest.raises(ValueError):
-            spectral_stats(a, k=0, p=1)
-        with pytest.raises(ValueError):
-            spectral_stats(a, k=1, p=0)
+            spectral_stats(sigma, k=0)
 
 
 class TestTruncate:

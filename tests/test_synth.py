@@ -88,3 +88,11 @@ def test_planted_anomaly_dataset_shape_and_mask():
     assert norms[planted].min() > np.median(norms[~planted])
     with pytest.raises(ValueError):
         planted_anomaly_dataset(10, 5, 3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n, k, name", [(50, 0, "k"), (50, -1, "k"), (0, 2, "n"), (-5, 2, "n")]
+)
+def test_planted_anomaly_dataset_rejects_empty_shapes(n, k, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {min(n, k)}$"):
+        planted_anomaly_dataset(n, 30, k, seed=0)

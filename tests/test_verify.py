@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sketch_anomaly.linalg import operator_norm
 from sketch_anomaly.sketches import SignProjector
 from sketch_anomaly.synth import separated_matrix
 from sketch_anomaly.verify import (
@@ -11,6 +12,7 @@ from sketch_anomaly.verify import (
     check_diag_dominance,
     check_projector,
     check_weyl,
+    measured_mu_rowspace,
     run_suite,
 )
 
@@ -47,6 +49,29 @@ def test_suite_one_seed_names_and_passes(suite):
     assert all(r.applicable for r in reports)
     assert all(r.passed for r in reports)
     assert run_suite(suite, 1) == reports
+
+
+@pytest.mark.parametrize("suite", sorted(EXPECTED_NAMES))
+def test_run_suite_is_one_loop_over_seeds(suite):
+    names = EXPECTED_NAMES[suite]
+    reports = run_suite(suite, 3, base_seed=7)
+    assert len(reports) == 3 * len(names)
+    groups = [reports[i : i + len(names)] for i in range(0, len(reports), len(names))]
+    for seed, group in zip((7, 8, 9), groups):
+        assert [r.bound_name for r in group] == names
+        assert [r.inputs["seed"] for r in group] == [seed] * len(names)
+
+
+def test_column_space_mu_is_row_space_mu_of_the_transposes():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((30, 9))
+    at = a + 0.05 * rng.standard_normal((30, 9))
+    # The column-space error ||A A^T - At At^T|| / sigma_1(A)^2, formed as
+    # the column-space checkers used to form it.
+    colspace = operator_norm(a @ a.T - at @ at.T) / operator_norm(a) ** 2
+    assert measured_mu_rowspace(a.T, at.T) == colspace
+    reference = np.linalg.norm(a @ a.T - at @ at.T, 2) / np.linalg.norm(a, 2) ** 2
+    assert colspace == pytest.approx(reference, rel=1e-10)
 
 
 @pytest.mark.parametrize(
