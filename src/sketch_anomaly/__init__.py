@@ -41,7 +41,7 @@ from .pipelines import (
     run_rproj_pipeline,
 )
 from .scores import (
-    ScoreRecord,
+    ScoreTable,
     batch_scores,
     online_scores,
     score_block,

@@ -10,12 +10,21 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification suite
 had an applicable bound that failed.  Output is byte-deterministic for
 fixed inputs, flags, and seeds.
+
+``score`` writes the ``ScoreTable`` its scorer returns, straight from the
+score columns (``ScoreTable.to_json``): the bytes are exactly those of
+``json.dumps(rows, indent=2) + "\n"``, where ``rows`` holds one dict per
+row with the keys row_index, full_leverage, rank_k_leverage,
+projection_distance, tail_leverage, ridge_leverage, mode, defined and
+projection_distance_raw, in that order, and null for a score the mode does
+not fill or an undefined online row.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,7 +45,7 @@ from .pipelines import (
     run_pipeline,
 )
 from .rng import seed64
-from .scores import batch_scores
+from .scores import ScoreTable, batch_scores
 from .sketches import (
     ColumnSamplePlan,
     FrequentDirections,
@@ -80,7 +89,36 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _ScoreRows(list):
+    """A ``ScoreTable`` passed to ``_dump_json`` as the list of rows it
+    writes, with no per-row object built.
+
+    ``_dump_json`` stays the one hook on every JSON document the CLI
+    writes: perfbench/selftest.py wraps it and sets
+    ``rows[0]["projection_distance"]`` to check that the benchmark flags
+    a corrupted ``score`` output.  Item i is a view of row i whose writes
+    go to the table's columns.
+    """
+
+    def __init__(self, table: ScoreTable):
+        super().__init__()
+        self.table = table
+
+    def __getitem__(self, i: int) -> "_RowCells":
+        return _RowCells(self.table, i)
+
+
+class _RowCells:
+    def __init__(self, table: ScoreTable, i: int):
+        self.table, self.i = table, i
+
+    def __setitem__(self, field: str, value: float) -> None:
+        getattr(self.table, field)[self.i] = value
+
+
 def _dump_json(obj) -> str:
+    if isinstance(obj, _ScoreRows):
+        return obj.table.to_json()
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -159,15 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_ell(args, mode: str) -> int | None:
     if args.ell is not None:
         return args.ell
-    if args.mu is not None:
-        # Stable-rank proxy sr ~ k, per the approximate low-rank assumption.
-        if mode in ("fd", "rowsample", "online"):
-            return fd_ell_for_mu(args.mu, float(args.k), args.k)
-        if mode == "rproj":
-            return rproj_ell_for_mu(args.mu, float(args.k))
-        if mode == "colsample":
-            return colsample_ell_for_mu(args.mu, float(args.k))
-    return None
+    if args.mu is None or mode == "exact":
+        return None
+    # A relative covariance error of 1 or more asks for no sketch; NaN and
+    # inf are left to the helpers' own check.
+    if 1.0 <= args.mu < math.inf:
+        raise ValueError(f"mu must be below 1, got {args.mu}")
+    # Stable-rank proxy sr ~ k, per the approximate low-rank assumption.
+    if mode == "rproj":
+        return rproj_ell_for_mu(args.mu, float(args.k))
+    if mode == "colsample":
+        return colsample_ell_for_mu(args.mu, float(args.k))
+    return fd_ell_for_mu(args.mu, float(args.k), args.k)
 
 
 def cmd_score(args) -> int:
@@ -184,7 +225,7 @@ def cmd_score(args) -> int:
     row_source = lambda: iter(matrix)
 
     if mode == "exact":
-        records = batch_scores(matrix, args.k, lam=args.lam)
+        table = batch_scores(matrix, args.k, lam=args.lam)
     else:
         cfg = PipelineConfig(
             k=args.k,
@@ -208,7 +249,7 @@ def cmd_score(args) -> int:
                 if not isinstance(state, FrequentDirections):
                     raise DataFormatError(f"{args.sketch_in}: not an fd snapshot")
                 _check_snapshot_flag(args.sketch_in, "ell", state.ell, ell)
-                records = run_fd_pipeline(row_source, cfg, state=state)
+                table = run_fd_pipeline(row_source, cfg, state=state)
             else:
                 if not isinstance(state, ColumnSamplePlan):
                     raise DataFormatError(
@@ -218,11 +259,11 @@ def cmd_score(args) -> int:
                 _check_snapshot_flag(
                     args.sketch_in, "seed", state.seed, args.seed, seed64
                 )
-                records = run_colsample_pipeline(row_source, cfg, plan=state)
+                table = run_colsample_pipeline(row_source, cfg, plan=state)
         else:
-            records = run_pipeline(row_source, cfg)
+            table = run_pipeline(row_source, cfg)
 
-    _emit(_dump_json([r.to_dict() for r in records]), args.output)
+    _emit(_dump_json(_ScoreRows(table)), args.output)
     return 0
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .pipelines import PipelineConfig, run_pipeline
-from .scores import PROJECTED_FIELDS, ScoreRecord, batch_scores, check_lambda
+from .scores import PROJECTED_FIELDS, ScoreTable, batch_scores, check_lambda
 
 SCORE_KINDS = ("leverage-k", "projection-k", "ridge", "tail", "full")
 
@@ -86,15 +86,9 @@ class EvalReport:
         }
 
 
-def record_score(record: ScoreRecord, kind: str) -> float:
-    """Extract one score kind from a record; sentinels rank lowest."""
-    if not record.defined:
-        return -math.inf
-    return getattr(record, _KIND_TO_FIELD[kind])
-
-
-def scores_vector(records: list[ScoreRecord], kind: str) -> np.ndarray:
-    return np.asarray([record_score(r, kind) for r in records])
+def _kind_column(table: ScoreTable, kind: str) -> np.ndarray:
+    """One score kind's column; undefined rows rank lowest (-inf)."""
+    return np.where(table.defined, getattr(table, _KIND_TO_FIELD[kind]), -np.inf)
 
 
 def _top_count(fraction: float, n: int) -> int:
@@ -126,8 +120,7 @@ def top_fraction_mask(scores: np.ndarray, fraction: float) -> np.ndarray:
 
 def _exact_scores(matrix, cfg: EvalConfig) -> np.ndarray:
     """Exact scores of the configured kind, one per row."""
-    records = batch_scores(matrix, cfg.k, lam=cfg.lam)
-    return scores_vector(records, cfg.score_kind)
+    return _kind_column(batch_scores(matrix, cfg.k, lam=cfg.lam), cfg.score_kind)
 
 
 def ground_truth(matrix, cfg: EvalConfig) -> np.ndarray:
@@ -200,8 +193,8 @@ def evaluate_pipeline(
         pipe_cfg = PipelineConfig(
             k=cfg.k, ell=ell, seed=seed, lam=cfg.lam, mode=mode
         )
-        records = run_pipeline(lambda: iter(a), pipe_cfg)
-        return f1_sweep(scores_vector(records, cfg.score_kind), labels, grid)
+        table = run_pipeline(lambda: iter(a), pipe_cfg)
+        return f1_sweep(_kind_column(table, cfg.score_kind), labels, grid)
 
     if mode not in RANDOMIZED_MODES:
         return run_one(seeds[0])

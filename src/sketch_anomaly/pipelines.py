@@ -11,13 +11,15 @@ discipline is observable from outside:
 * ``run_online_pipeline``    - 1 pass (score against the sketch so far,
   then fold the row in)
 
-Row-space sketches (fd, rowsample) support the full score set; projected
-sketches (rproj, colsample) support only the two estimators defined in
-projected coordinates (rank-k leverage and projection distance), the rest
-are None.  Projection distance estimates are clamped at zero, with the raw
-value kept in ``projection_distance_raw``.  Scoring passes go through
+Every pipeline returns a ``scores.ScoreTable``.  Row-space sketches (fd,
+rowsample) fill the full score set; projected sketches (rproj, colsample)
+fill only the two estimators defined in projected coordinates (rank-k
+leverage and projection distance), and the other columns are None.
+Projection distance estimates are clamped at zero, with the raw value kept
+in ``projection_distance_raw``.  Scoring passes stack the columns of
 ``scores.score_block`` block by block (``sketches.row_blocks``), in stream
-order.
+order, and build no per-row objects; the online pipeline collects its
+single-row blocks in a ``scores.OnlineRows``.
 
 Row-space sketches take one route, ``svd_thin(S)``: rows are scored through
 its right vectors and usable sigma.  For a sketch with fewer rows than
@@ -35,17 +37,20 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import RankDeficientError, ShapeError
-from .linalg import as_row, gram_basis, svd_thin, sym_eig
+# ``as_row`` is not called here (``FrequentDirections.update`` validates
+# online rows), but perfbench/tracing.py counts its calls through this
+# module's name for it.
+from .linalg import as_row, gram_basis, svd_thin, sym_eig  # noqa: F401
 from .scores import (
     MODE_SKETCHED_BATCH,
     MODE_SKETCHED_ONLINE,
     PROJECTED_FIELDS,
     ROWSPACE_FIELDS,
-    ScoreRecord,
+    OnlineRows,
+    ScoreTable,
     check_lambda,
     score_block,
-    score_records,
-    undefined_record,
+    score_table,
 )
 from .sketches import (
     ColumnSamplePlan,
@@ -100,19 +105,18 @@ def _score_pass(
     k: int,
     lam: float | None,
     fields: tuple[str, ...],
-) -> list[ScoreRecord]:
+) -> ScoreTable:
     """One pass scoring every row, block by block, from its basis coordinates."""
-    records: list[ScoreRecord] = []
-    for block in row_blocks(row_source(), width):
-        row_sq = np.einsum("ij,ij->i", block, block)
-        columns = score_block(coords(block), row_sq, sigma, k, lam)
-        records += score_records(columns, fields, MODE_SKETCHED_BATCH, len(records))
-    return records
+    blocks = [
+        score_block(coords(block), np.einsum("ij,ij->i", block, block), sigma, k, lam)
+        for block in row_blocks(row_source(), width)
+    ]
+    return score_table(MODE_SKETCHED_BATCH, blocks, fields)
 
 
-def _rowspace_records(
+def _rowspace_table(
     row_source: RowSource, sketch: np.ndarray, cfg: PipelineConfig
-) -> list[ScoreRecord]:
+) -> ScoreTable:
     """Score pass against the row space of a sketch (fd, rowsample)."""
     basis = svd_thin(sketch)
     _require_rank(basis.rank_used, cfg)
@@ -123,12 +127,12 @@ def _rowspace_records(
     )
 
 
-def _projected_records(
+def _projected_table(
     row_source: RowSource,
     projector: Callable[[int], Callable[[np.ndarray], np.ndarray]],
     cfg: PipelineConfig,
     width: int | None = None,
-) -> list[ScoreRecord]:
+) -> ScoreTable:
     """Covariance pass, then score pass, in projected coordinates (rproj,
     colsample), where only L^k and T^k are defined.
 
@@ -166,88 +170,90 @@ def run_fd_pipeline(
     row_source: RowSource,
     cfg: PipelineConfig,
     state: FrequentDirections | None = None,
-) -> list[ScoreRecord]:
+) -> ScoreTable:
     """Two passes: Frequent Directions sketch, then score all rows.
 
     An externally built ``state`` (e.g. reloaded from a snapshot) skips
     pass one, turning this into the resume path for multi-invocation runs.
     """
     fd = state if state is not None else fd_ingest(row_source(), cfg.ell)
-    return _rowspace_records(row_source, fd.sketch(), cfg)
+    return _rowspace_table(row_source, fd.sketch(), cfg)
 
 
 def run_rowsample_pipeline(
     row_source: RowSource, cfg: PipelineConfig
-) -> list[ScoreRecord]:
+) -> ScoreTable:
     """Two passes: length-squared row reservoirs, then score all rows."""
     sketch = row_sample(row_source(), cfg.ell, cfg.seed)
-    return _rowspace_records(row_source, sketch, cfg)
+    return _rowspace_table(row_source, sketch, cfg)
 
 
 def run_rproj_pipeline(
     row_source: RowSource, cfg: PipelineConfig
-) -> list[ScoreRecord]:
+) -> ScoreTable:
     """Two passes: covariance of sign-projected rows, then score."""
 
     def projector(width: int) -> Callable[[np.ndarray], np.ndarray]:
         r = SignProjector(cfg.seed, cfg.ell, width).matrix()
         return lambda block: block @ r
 
-    return _projected_records(row_source, projector, cfg)
+    return _projected_table(row_source, projector, cfg)
 
 
 def run_colsample_pipeline(
     row_source: RowSource,
     cfg: PipelineConfig,
     plan: ColumnSamplePlan | None = None,
-) -> list[ScoreRecord]:
+) -> ScoreTable:
     """Three passes: sampling plan, sampled covariance, then score.
 
     A pre-built ``plan`` (reloaded from a snapshot) skips pass zero.
     """
     if plan is None:
         plan = column_sample_plan(row_source(), cfg.ell, cfg.seed)
-    return _projected_records(
+    return _projected_table(
         row_source, lambda _: partial(apply_column_plan, plan), cfg, plan.dim
     )
 
 
 def run_online_pipeline(
     row_source: RowSource, cfg: PipelineConfig
-) -> list[ScoreRecord]:
+) -> ScoreTable:
     """One pass: score each row against the sketch of rows before it.
 
     Score-then-update ordering: row i never sees itself.  While the sketch
-    still has rank < k the row gets a sentinel record.
+    still has rank < k the row is undefined.
     """
     fd: FrequentDirections | None = None
-    records: list[ScoreRecord] = []
-    for i, row in enumerate(row_source()):
-        a = as_row(row, fd.dim if fd is not None else None)
+    rows = OnlineRows()
+    for row in row_source():
         if fd is None:
-            fd = FrequentDirections(cfg.ell, a.shape[0])
+            # The first row's size fixes dim; ``update`` validates every
+            # row, this one included.
+            fd = FrequentDirections(cfg.ell, np.size(row))
         rank = 0
         if fd.fill:
             basis = svd_thin(fd.buffer[: fd.fill])
             rank = basis.rank_used
+        # The basis above is the sketch of the rows before this one, so the
+        # row can be validated and folded in before it is scored.
+        a = fd.update(row)
         if rank < cfg.k:
-            records.append(undefined_record(i, MODE_SKETCHED_ONLINE))
+            rows.add(None)
         else:
-            columns = score_block(
+            rows.add(score_block(
                 (a @ basis.right_vectors)[None, :],
                 np.array([a @ a]),
                 basis.values[:rank],
                 cfg.k,
                 cfg.lam,
-            )
-            records += score_records(columns, ROWSPACE_FIELDS, MODE_SKETCHED_ONLINE, i)
-        fd.update(a)
+            ))
     if fd is None:
         raise ShapeError("row source produced no rows")
-    return records
+    return rows.table(MODE_SKETCHED_ONLINE, ROWSPACE_FIELDS)
 
 
-_RUNNERS: dict[str, Callable[[RowSource, PipelineConfig], list[ScoreRecord]]] = {
+_RUNNERS: dict[str, Callable[[RowSource, PipelineConfig], ScoreTable]] = {
     "fd": run_fd_pipeline,
     "rproj": run_rproj_pipeline,
     "colsample": run_colsample_pipeline,
@@ -258,7 +264,7 @@ _RUNNERS: dict[str, Callable[[RowSource, PipelineConfig], list[ScoreRecord]]] = 
 PIPELINE_MODES = tuple(_RUNNERS)
 
 
-def run_pipeline(row_source: RowSource, cfg: PipelineConfig) -> list[ScoreRecord]:
+def run_pipeline(row_source: RowSource, cfg: PipelineConfig) -> ScoreTable:
     """Dispatch on cfg.mode."""
     return _RUNNERS[cfg.mode](row_source, cfg)
 

@@ -17,14 +17,22 @@ on some basis.  Directions with ``sigma_j`` at or below the relative rank
 floor contribute zero to leverage sums rather than exploding; for ridge
 leverage the mass outside the stored basis is charged at ``1/lam`` (its
 true weight at sigma = 0).
+
+Every scorer returns a ``ScoreTable``: the mode, a ``defined`` mask and
+one float64 column per field, stacked from ``score_block``'s columns with
+no per-row objects in between.  ``ScoreTable.to_json`` writes the bytes
+``json.dumps`` with ``indent=2`` would write for the list of row dicts.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -49,61 +57,13 @@ class SeparationWarning(UserWarning):
     """Spectrum gap at k is numerically degenerate; scores are fragile."""
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    """Per-row anomaly scores with provenance.
-
-    ``defined`` is False for online rows whose prefix had rank < k; all
-    score fields are then None (the sentinel the early stream gets).
-    ``projection_distance_raw`` preserves the unclamped estimator value in
-    sketched modes, where projection can push it slightly negative.
-    """
-
-    row_index: int
-    full_leverage: float | None
-    rank_k_leverage: float | None
-    projection_distance: float | None
-    tail_leverage: float | None
-    ridge_leverage: float | None
-    mode: str
-    defined: bool = True
-    projection_distance_raw: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "row_index": self.row_index,
-            "full_leverage": self.full_leverage,
-            "rank_k_leverage": self.rank_k_leverage,
-            "projection_distance": self.projection_distance,
-            "tail_leverage": self.tail_leverage,
-            "ridge_leverage": self.ridge_leverage,
-            "mode": self.mode,
-            "defined": self.defined,
-            "projection_distance_raw": self.projection_distance_raw,
-        }
-
-
-def undefined_record(row_index: int, mode: str) -> ScoreRecord:
-    """Sentinel for rows scored against a basis of insufficient rank."""
-    return ScoreRecord(
-        row_index=row_index,
-        full_leverage=None,
-        rank_k_leverage=None,
-        projection_distance=None,
-        tail_leverage=None,
-        ridge_leverage=None,
-        mode=mode,
-        defined=False,
-    )
-
-
 def check_lambda(lam: float | None) -> None:
     """Reject a ridge parameter that is set but not positive and finite."""
     if lam is not None and not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
 
 
-# Record fields each family of scorers fills; the rest read None.
+# Columns each family of scorers fills; the rest are None.
 EXACT_FIELDS = (
     "full_leverage",
     "rank_k_leverage",
@@ -126,7 +86,7 @@ def score_block(
 
     ``alpha[i, j]`` is row i's coordinate on basis vector j (the basis
     must hold at least k vectors, with singular values ``sigma``) and
-    ``row_sq[i]`` its squared norm.  Returns one column per record field;
+    ``row_sq[i]`` its squared norm.  Returns one column per table field;
     ``ridge_leverage`` is None without ``lam``.  This is the only place
     the score formulas are written out: exact, sketched, online and
     verification scorers differ only in the basis they pass.
@@ -151,29 +111,149 @@ def score_block(
     }
 
 
-def score_records(
-    columns: dict, fields: tuple[str, ...], mode: str, start: int = 0
-) -> list[ScoreRecord]:
-    """One record per row of ``columns``, filling only ``fields``."""
-    lists = [
-        columns[name].tolist()
-        if name in fields and columns[name] is not None
-        else repeat(None)
-        for name in ROWSPACE_FIELDS
-    ]
-    return [
-        ScoreRecord(
-            row_index=start + i,
-            full_leverage=full,
-            rank_k_leverage=rank_k,
-            projection_distance=proj,
-            tail_leverage=tail,
-            ridge_leverage=ridge,
-            mode=mode,
-            projection_distance_raw=raw,
+# Key order of one row object in the ``score`` JSON output.
+_JSON_KEYS = (
+    ("row_index",) + EXACT_FIELDS + ("mode", "defined", "projection_distance_raw")
+)
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %s' for key in _JSON_KEYS) + "\n  }"
+
+ScoreRow = namedtuple("ScoreRow", ("row_index", "defined") + ROWSPACE_FIELDS)
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Per-row anomaly scores of one scorer, held as columns.
+
+    ``defined[i]`` is False for online rows whose prefix had rank < k;
+    every column holds NaN there.  A column is None where the mode's
+    family of scorers does not fill that field (``ridge_leverage`` also
+    without lambda).  ``projection_distance_raw`` keeps the unclamped
+    estimator value in sketched modes, where projection can push it
+    slightly negative.
+    """
+
+    mode: str
+    defined: np.ndarray
+    full_leverage: np.ndarray | None
+    rank_k_leverage: np.ndarray | None
+    projection_distance: np.ndarray | None
+    tail_leverage: np.ndarray | None
+    ridge_leverage: np.ndarray | None
+    projection_distance_raw: np.ndarray | None
+
+    def __len__(self) -> int:
+        return self.defined.shape[0]
+
+    def __iter__(self) -> Iterator[ScoreRow]:
+        """One ``ScoreRow`` per row, None where a column is absent or the
+        row is undefined.  For readers outside the package; package code
+        reads the columns."""
+        cells = [self._cells(name, None) for name in ROWSPACE_FIELDS]
+        return map(ScoreRow, range(len(self)), self.defined.tolist(), *cells)
+
+    def _cells(self, name: str, null, fmt=None) -> Iterable:
+        """Column ``name`` as a list, mapped through ``fmt`` when given, with
+        ``null`` where the column is absent or the row undefined."""
+        column = getattr(self, name)
+        if column is None:
+            return repeat(null)
+        cells = column.tolist()
+        if fmt is not None:
+            cells = list(map(fmt, cells))
+        for i in np.flatnonzero(~self.defined):
+            cells[i] = null
+        return cells
+
+    def to_json(self) -> str:
+        """The rows as ``json.dumps([...], indent=2) + "\\n"`` writes them.
+
+        Each row is an object with the keys of ``_JSON_KEYS`` in that
+        order; an absent column and every score of an undefined row are
+        null.  Floats read as json writes them: ``float.__repr__`` when
+        finite, else ``NaN``, ``Infinity`` or ``-Infinity``.
+        """
+        n = len(self)
+        if n == 0:
+            return "[]\n"
+        text = {}
+        for name in ROWSPACE_FIELDS:
+            text[name] = cells = self._cells(name, "null", float.__repr__)
+            column = getattr(self, name)
+            if column is not None:
+                for i in np.flatnonzero(self.defined & ~np.isfinite(column)):
+                    cells[i] = json.dumps(float(column[i]))
+        rows = zip(
+            range(n),
+            *(text[name] for name in EXACT_FIELDS),
+            repeat(json.dumps(self.mode)),
+            np.where(self.defined, "true", "false").tolist(),
+            text["projection_distance_raw"],
         )
-        for i, (full, rank_k, proj, tail, ridge, raw) in enumerate(zip(*lists))
-    ]
+        return "[\n" + ",\n".join(_JSON_ROW % row for row in rows) + "\n]\n"
+
+
+def _stack(blocks: list[dict]) -> dict:
+    """One ``score_block`` output holding the rows of ``blocks`` in order."""
+    return {
+        name: None if first is None else np.concatenate([b[name] for b in blocks])
+        for name, first in blocks[0].items()
+    }
+
+
+def score_table(
+    mode: str,
+    blocks: list[dict],
+    fields: tuple[str, ...],
+    defined: np.ndarray | None = None,
+) -> ScoreTable:
+    """Stack ``score_block`` outputs, in row order, into a table filling
+    only ``fields``.
+
+    Without ``defined`` every row is defined.  With it, the blocks hold
+    the defined rows only, and the undefined rows read NaN.
+    """
+    stacked = _stack(blocks) if blocks else dict.fromkeys(fields, np.empty(0))
+    if defined is None:
+        defined = np.ones(stacked["rank_k_leverage"].shape[0], dtype=bool)
+    columns = dict.fromkeys(ROWSPACE_FIELDS)
+    for name in fields:
+        values = stacked[name]
+        if values is None or defined.all():
+            columns[name] = values
+        else:
+            columns[name] = np.full(defined.shape, np.nan)
+            columns[name][defined] = values
+    return ScoreTable(mode, defined, **columns)
+
+
+class OnlineRows:
+    """The rows of an online scorer, in stream order.
+
+    Defined rows arrive as single-row ``score_block`` outputs and are
+    stacked every ``STACK_ROWS`` of them, so a long stream holds its
+    scores as columns rather than one dict of one-element arrays per row.
+    """
+
+    STACK_ROWS = 512
+
+    def __init__(self):
+        self.blocks: list[dict] = []
+        self.pending: list[dict] = []
+        self.defined: list[bool] = []
+
+    def add(self, block: dict | None) -> None:
+        """Append one row: its ``score_block`` output, or None if undefined."""
+        self.defined.append(block is not None)
+        if block is not None:
+            self.pending.append(block)
+            if len(self.pending) == self.STACK_ROWS:
+                self.blocks.append(_stack(self.pending))
+                self.pending = []
+
+    def table(self, mode: str, fields: tuple[str, ...]) -> ScoreTable:
+        return score_table(
+            mode, self.blocks + self.pending, fields, np.array(self.defined, dtype=bool)
+        )
 
 
 def _warn_if_degenerate(sigma: np.ndarray, k: int) -> None:
@@ -189,7 +269,7 @@ def _warn_if_degenerate(sigma: np.ndarray, k: int) -> None:
             )
 
 
-def batch_scores(matrix, k: int, lam: float | None = None) -> list[ScoreRecord]:
+def batch_scores(matrix, k: int, lam: float | None = None) -> ScoreTable:
     """Exact scores for every row of the matrix against its own SVD."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -211,38 +291,37 @@ def batch_scores(matrix, k: int, lam: float | None = None) -> list[ScoreRecord]:
         k,
         lam,
     )
-    return score_records(columns, EXACT_FIELDS, MODE_EXACT_BATCH)
+    return score_table(MODE_EXACT_BATCH, [columns], EXACT_FIELDS)
 
 
-def online_scores(row_stream, k: int, lam: float | None = None) -> list[ScoreRecord]:
+def online_scores(row_stream, k: int, lam: float | None = None) -> ScoreTable:
     """Score each row against the prefix that preceded it.
 
-    Rows arriving while the prefix rank is still below k get sentinel
-    records (``defined=False``); there is no principal subspace to measure
-    against yet.
+    Rows arriving while the prefix rank is still below k are undefined
+    (``defined`` False); there is no principal subspace to measure against
+    yet.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     check_lambda(lam)
-    records: list[ScoreRecord] = []
+    rows = OnlineRows()
     cov: np.ndarray | None = None
     width: int | None = None
-    for i, row in enumerate(row_stream):
+    for row in row_stream:
         a = as_row(row, width)
         if cov is None:
             width = a.shape[0]
             cov = np.zeros((width, width))
         basis = gram_basis(sym_eig(cov))
         if basis.rank_used < k:
-            records.append(undefined_record(i, MODE_EXACT_ONLINE))
+            rows.add(None)
         else:
-            columns = score_block(
+            rows.add(score_block(
                 (basis.right_vectors.T @ a)[None, :],
                 np.array([a @ a]),
                 basis.values[: basis.rank_used],
                 k,
                 lam,
-            )
-            records += score_records(columns, EXACT_FIELDS, MODE_EXACT_ONLINE, i)
+            ))
         cov += np.outer(a, a)
-    return records
+    return rows.table(MODE_EXACT_ONLINE, EXACT_FIELDS)

@@ -95,13 +95,17 @@ class FrequentDirections:
         self.fill = 0
         self.shrink_count = 0
 
-    def update(self, row) -> None:
-        """Append one row; shrink when the buffer reaches 2*ell rows."""
+    def update(self, row) -> np.ndarray:
+        """Append one row; shrink when the buffer reaches 2*ell rows.
+
+        Returns the row as validated by ``as_row``.
+        """
         a = as_row(row, self.dim)
         self.buffer[self.fill] = a
         self.fill += 1
         if self.fill == 2 * self.ell:
             self._shrink()
+        return a
 
     def _shrink(self) -> None:
         # svd_thin(B^T) eigendecomposes the short-side Gram B B^T

@@ -43,20 +43,23 @@ def run_json(capsys, argv):
     "mode", ["exact", "fd", "rproj", "colsample", "rowsample", "online"]
 )
 @pytest.mark.parametrize("lam", [None, 0.5])
-def test_score_json_equals_direct_call(capsys, data_path, mode, lam):
+def test_score_json_equals_direct_call(capsys, data_path, table_columns, mode, lam):
     path, matrix = data_path
     flags = ["--mode", mode, "--ell", "8", "--seed", "4"]
     if lam is not None:
         flags += ["--lambda", str(lam)]
     emitted = run_json(capsys, score_argv(path, *flags))
     if mode == "exact":
-        records = batch_scores(matrix, 3, lam=lam)
+        table = batch_scores(matrix, 3, lam=lam)
     else:
         cfg = PipelineConfig(
             k=3, ell=8, seed=4, lam=lam, mode="online-fd" if mode == "online" else mode
         )
-        records = run_pipeline(lambda: iter(matrix), cfg)
-    assert emitted == [r.to_dict() for r in records]
+        table = run_pipeline(lambda: iter(matrix), cfg)
+    expected = table_columns(table)
+    assert sorted(emitted[0]) == sorted(expected)
+    for key, column in expected.items():
+        assert [row[key] for row in emitted] == column, key
 
 
 @pytest.mark.parametrize("mode", ["fd", "colsample"])
@@ -218,6 +221,24 @@ def test_non_finite_mu_is_usage_error(
     message = f"mu must be positive and finite, got {value}"
     assert captured.err == f"sketch-anomaly: {message}\n"
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("value", ["1", "10", "1e200"])
+@pytest.mark.parametrize("mode", ["fd", "rproj", "colsample", "rowsample", "online"])
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_mu_of_one_or_more_is_usage_error(capsys, data_path, command, mode, value):
+    # A relative covariance error of 1 or more asks for no sketch; the
+    # sketch-size formulas are never reached (mu**2 overflows at 1e200).
+    argv = [
+        command, "--mode", mode, "--k", "3", "--mu", value,
+        "--input", str(data_path[0]), "--format", "bin",
+    ]
+    if command == "eval":
+        argv += ["--eta", "0.05"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sketch-anomaly: mu must be below 1, got {float(value)}\n"
 
 
 @pytest.mark.parametrize(

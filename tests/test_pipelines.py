@@ -80,7 +80,7 @@ class TestFdPipeline:
                 exp.projection_distance, abs=1e-8
             )
             assert rec.full_leverage == pytest.approx(exp.full_leverage, abs=1e-8)
-        assert records[0].mode == "sketched-batch"
+        assert records.mode == "sketched-batch"
 
     def test_pointwise_projection_bound_regime(self):
         # Theorem regime: measured mu <= eps^2 * Delta with eps = 0.2.
@@ -159,13 +159,13 @@ class TestColsamplePipeline:
                 exp.projection_distance, abs=1e-8
             )
 
-    def test_deterministic_per_seed(self):
+    def test_deterministic_per_seed(self, table_columns):
         rng = np.random.default_rng(65)
         a = rng.standard_normal((25, 8))
         cfg = PipelineConfig(k=2, ell=16, seed=9, mode="colsample")
         r1 = run_colsample_pipeline(lambda: iter(a), cfg)
         r2 = run_colsample_pipeline(lambda: iter(a), cfg)
-        assert [r.to_dict() for r in r1] == [r.to_dict() for r in r2]
+        assert table_columns(r1) == table_columns(r2)
 
     def test_average_error_at_cubic_ell(self):
         # ell = O(k^3) gives the random-projection-style average bounds.
@@ -205,7 +205,26 @@ class TestOnlinePipeline:
                 assert rec.projection_distance == pytest.approx(
                     exp.projection_distance, abs=1e-8
                 )
-        assert records[-1].mode == "sketched-online"
+        assert records.mode == "sketched-online"
+
+    def test_stacked_rows_keep_stream_order(self, monkeypatch, table_columns):
+        # Rows stacked every 3 defined rows read as rows never stacked.
+        from sketch_anomaly.scores import OnlineRows
+
+        rng = np.random.default_rng(71)
+        a = rng.standard_normal((20, 5))
+        for lam in (None, 0.5):
+            cfg = PipelineConfig(k=2, ell=4, lam=lam, mode="online-fd")
+            whole = run_online_pipeline(lambda: iter(a), cfg)
+            monkeypatch.setattr(OnlineRows, "STACK_ROWS", 3)
+            stacked = run_online_pipeline(lambda: iter(a), cfg)
+            exact_stacked = online_scores(iter(a), 2, lam=lam)
+            monkeypatch.undo()
+            exact = online_scores(iter(a), 2, lam=lam)
+            assert table_columns(stacked) == table_columns(whole)
+            assert table_columns(exact_stacked) == table_columns(exact)
+            assert whole.defined[2:].all()
+            assert (whole.ridge_leverage is None) == (lam is None)
 
     def test_early_rows_are_sentinels(self):
         rng = np.random.default_rng(67)
@@ -213,8 +232,8 @@ class TestOnlinePipeline:
         records = run_online_pipeline(
             lambda: iter(a), PipelineConfig(k=3, ell=8, mode="online-fd")
         )
-        assert all(not r.defined for r in records[:3])
-        assert records[3].defined
+        assert not records.defined[:3].any()
+        assert records.defined[3]
 
     def test_pointwise_bound_carries_over_per_prefix(self):
         # For each row, if the sketch-so-far meets mu <= eps^2 * delta of
@@ -359,13 +378,13 @@ class TestConfigAndHelpers:
         with pytest.raises(ValueError):
             PipelineConfig(k=1, ell=4, lam=-1.0)
 
-    def test_dispatch_matches_direct_calls(self):
+    def test_dispatch_matches_direct_calls(self, table_columns):
         rng = np.random.default_rng(69)
         a = rng.standard_normal((15, 5))
         cfg = PipelineConfig(k=1, ell=12, seed=4, mode="fd")
         via_dispatch = run_pipeline(lambda: iter(a), cfg)
         direct = run_fd_pipeline(lambda: iter(a), cfg)
-        assert [r.to_dict() for r in via_dispatch] == [r.to_dict() for r in direct]
+        assert table_columns(via_dispatch) == table_columns(direct)
 
     def test_fd_ell_formula(self):
         # ell = k + (sum_{i>k} s_i^2 / s_1^2) / mu, from the sketch theorem.
@@ -378,7 +397,7 @@ class TestConfigAndHelpers:
         assert mu_for_pointwise_t(0.2, 0.5) == pytest.approx(0.02)
         assert mu_for_average_l(0.25, 0.8) == pytest.approx(0.25**2 * 0.8 / 16)
 
-    def test_multi_chunk_order_and_determinism(self):
+    def test_multi_chunk_order_and_determinism(self, table_columns):
         # 900 rows span two scoring blocks of 512.
         rng = np.random.default_rng(70)
         a = rng.standard_normal((900, 10))
@@ -386,15 +405,15 @@ class TestConfigAndHelpers:
             cfg = PipelineConfig(k=2, ell=8, seed=1, mode=mode)
             first = run_pipeline(lambda: iter(a), cfg)
             second = run_pipeline(lambda: iter(a), cfg)
-            assert [r.row_index for r in first] == list(range(900))
-            assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+            assert len(first) == 900
+            assert table_columns(first) == table_columns(second)
         # Record i scores row i: recompute fd's raw T^k from its sketch.
         basis = svd_thin(fd_ingest(a, 8).sketch())
         alpha = a @ basis.right_vectors[:, :2]
         expected = np.einsum("ij,ij->i", a, a) - (alpha**2).sum(axis=1)
         records = run_fd_pipeline(lambda: iter(a), PipelineConfig(k=2, ell=8))
         np.testing.assert_allclose(
-            [r.projection_distance_raw for r in records], expected, rtol=1e-9
+            records.projection_distance_raw, expected, rtol=1e-9
         )
 
 

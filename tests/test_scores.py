@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,11 +11,17 @@ from sketch_anomaly.evaluate import EvalConfig
 from sketch_anomaly.linalg import svd_thin
 from sketch_anomaly.pipelines import PipelineConfig
 from sketch_anomaly.scores import (
+    EXACT_FIELDS,
+    MODE_EXACT_BATCH,
+    MODE_EXACT_ONLINE,
+    MODE_SKETCHED_BATCH,
+    MODE_SKETCHED_ONLINE,
+    ROWSPACE_FIELDS,
+    ScoreTable,
     SeparationWarning,
     batch_scores,
     online_scores,
     score_block,
-    undefined_record,
 )
 from sketch_anomaly.synth import separated_matrix
 
@@ -22,8 +29,8 @@ BASIS_MATRIX = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 def score_after(prefix, row, k, lam=None):
-    """Record of ``row`` scored against the SVD of the rows before it."""
-    return online_scores(iter([*prefix, row]), k, lam=lam)[-1]
+    """Row of ``row`` scored against the SVD of the rows before it."""
+    return list(online_scores(iter([*prefix, row]), k, lam=lam))[-1]
 
 
 def ridge_identity_deviation(matrix, k, lam):
@@ -168,8 +175,8 @@ class TestBatchScores:
             batch_scores(a, 1)
 
     def test_mode_field(self):
-        recs = batch_scores(np.eye(3) * 2.0 + np.ones((3, 3)), 1)
-        assert all(r.mode == "exact-batch" and r.defined for r in recs)
+        table = batch_scores(np.eye(3) * 2.0 + np.ones((3, 3)), 1)
+        assert table.mode == "exact-batch" and table.defined.all()
 
     @pytest.mark.parametrize("cond", [1e3, 1e5])
     @pytest.mark.parametrize("n,d", [(60, 400), (30, 800)])
@@ -180,7 +187,7 @@ class TestBatchScores:
         v, _ = np.linalg.qr(rng.standard_normal((d, n)))
         a = (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
         k = 5
-        records = batch_scores(a, k)
+        table = batch_scores(a, k)
         lu, s, _ = np.linalg.svd(a, full_matrices=False)
         expected = {
             "full_leverage": (lu**2).sum(axis=1),
@@ -188,8 +195,9 @@ class TestBatchScores:
             "projection_distance": ((lu[:, k:] * s[k:]) ** 2).sum(axis=1),
         }
         for field, ref in expected.items():
-            got = np.array([getattr(r, field) for r in records])
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=field)
+            np.testing.assert_allclose(
+                getattr(table, field), ref, rtol=1e-12, atol=0, err_msg=field
+            )
 
 
 class TestRidgeDiagnostic:
@@ -238,11 +246,11 @@ class TestOnlineScores:
     def test_first_rows_are_sentinels(self):
         rng = np.random.default_rng(33)
         a = rng.standard_normal((10, 4))
-        records = online_scores(iter(a), k=3)
-        for rec in records[:3]:
-            assert not rec.defined
-            assert rec.full_leverage is None
-        assert records[3].defined
+        table = online_scores(iter(a), k=3)
+        assert not table.defined[:3].any() and table.defined[3]
+        for row in list(table)[:3]:
+            assert not row.defined
+            assert row.full_leverage is None
 
     def test_matches_prefix_svd_oracle(self):
         rng = np.random.default_rng(34)
@@ -267,8 +275,8 @@ class TestOnlineScores:
     def test_orthogonal_row_scores_unit_distance(self):
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0, 0.0])
-        records = online_scores(iter([e1, e1, e1, e2]), k=1)
-        assert records[3].projection_distance == pytest.approx(1.0, abs=1e-10)
+        table = online_scores(iter([e1, e1, e1, e2]), k=1)
+        assert table.projection_distance[3] == pytest.approx(1.0, abs=1e-10)
 
     def test_width_mismatch_raises(self):
         rows = [np.ones(3), np.ones(4)]
@@ -276,11 +284,16 @@ class TestOnlineScores:
             online_scores(iter(rows), k=1)
 
     def test_sentinel_serialization_shape(self):
-        rec = undefined_record(5, "exact-online")
-        d = rec.to_dict()
-        assert d["row_index"] == 5
-        assert d["defined"] is False
-        assert d["full_leverage"] is None
+        # Rows 0 and 1 see a prefix of rank 0 and 1 < k = 2.
+        table = online_scores(iter(np.eye(3)), k=2, lam=0.5)
+        assert table.defined.tolist() == [False, False, True]
+        assert json.loads(table.to_json())[1] == {
+            "row_index": 1,
+            **dict.fromkeys(EXACT_FIELDS),
+            "mode": "exact-online",
+            "defined": False,
+            "projection_distance_raw": None,
+        }
 
 
 class TestScoreBlock:
@@ -330,3 +343,64 @@ class TestScoreBlock:
         cols = score_block(np.ones((3, 2)), np.full(3, 2.0), np.ones(2), 1)
         assert cols["ridge_leverage"] is None
         np.testing.assert_array_equal(cols["projection_distance_raw"], np.ones(3))
+
+
+def reference_json(table: ScoreTable) -> str:
+    """The table through ``json.dumps``: one dict per row, read cell by cell
+    from the columns."""
+
+    def cell(name, i):
+        column = getattr(table, name)
+        return None if column is None or not table.defined[i] else float(column[i])
+
+    rows = [
+        {
+            "row_index": i,
+            **{name: cell(name, i) for name in EXACT_FIELDS},
+            "mode": table.mode,
+            "defined": bool(table.defined[i]),
+            "projection_distance_raw": cell("projection_distance_raw", i),
+        }
+        for i in range(len(table))
+    ]
+    return json.dumps(rows, indent=2) + "\n"
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+    -1e300, 1e16, 0.1, math.nan, math.inf, -math.inf,
+]
+
+
+@st.composite
+def score_tables(draw):
+    n = draw(st.integers(0, 50))
+    values = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+    column = st.none() | st.lists(values, min_size=n, max_size=n).map(np.array)
+    mask = st.lists(st.booleans(), min_size=n, max_size=n)
+    mode = st.sampled_from(
+        [MODE_EXACT_BATCH, MODE_EXACT_ONLINE, MODE_SKETCHED_BATCH, MODE_SKETCHED_ONLINE]
+    )
+    return ScoreTable(
+        draw(mode),
+        np.array(draw(mask), dtype=bool),
+        **{name: draw(column) for name in ROWSPACE_FIELDS},
+    )
+
+
+class TestScoreTable:
+    @settings(max_examples=200, deadline=None)
+    @given(score_tables())
+    def test_json_matches_json_dumps(self, table):
+        assert table.to_json() == reference_json(table)
+
+    @settings(max_examples=50, deadline=None)
+    @given(score_tables())
+    def test_rows_read_the_columns(self, table):
+        # json.dumps compares NaN cells that ``==`` would not.
+        rows = [row._asdict() for row in table]
+        assert len(table) == len(rows)
+        reference = json.loads(reference_json(table))
+        for ref in reference:
+            del ref["mode"]
+        assert json.dumps(rows, sort_keys=True) == json.dumps(reference, sort_keys=True)
