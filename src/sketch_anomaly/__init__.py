@@ -40,12 +40,7 @@ from .pipelines import (
     run_rowsample_pipeline,
     run_rproj_pipeline,
 )
-from .scores import (
-    ScoreTable,
-    batch_scores,
-    online_scores,
-    score_block,
-)
+from .scores import ScoreTable, batch_scores, score_block
 from .sketches import (
     ColumnSamplePlan,
     FrequentDirections,

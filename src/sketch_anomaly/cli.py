@@ -222,7 +222,7 @@ def cmd_score(args) -> int:
         return 1
 
     matrix = load_matrix(args.input, fmt=args.format, header=args.header)
-    row_source = lambda: iter(matrix)
+    row_source = lambda: matrix
 
     if mode == "exact":
         table = batch_scores(matrix, args.k, lam=args.lam)

@@ -193,7 +193,7 @@ def evaluate_pipeline(
         pipe_cfg = PipelineConfig(
             k=cfg.k, ell=ell, seed=seed, lam=cfg.lam, mode=mode
         )
-        table = run_pipeline(lambda: iter(a), pipe_cfg)
+        table = run_pipeline(lambda: a, pipe_cfg)
         return f1_sweep(_kind_column(table, cfg.score_kind), labels, grid)
 
     if mode not in RANDOMIZED_MODES:

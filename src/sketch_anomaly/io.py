@@ -57,21 +57,40 @@ def _unpack_header(blob: bytes, path: str):
     return kind, ell, dim, seed
 
 
+def _check_finite(data: np.ndarray, path: str) -> np.ndarray:
+    if not np.isfinite(data).all():
+        raise DataFormatError(f"{path}: non-finite value in payload")
+    return data
+
+
 def _f64(blob: bytes, offset: int, count: int, path: str) -> tuple[np.ndarray, int]:
     end = offset + 8 * count
     if end > len(blob):
         raise DataFormatError(f"{path}: truncated payload")
-    data = np.frombuffer(blob[offset:end], dtype="<f8").copy()
-    if not np.all(np.isfinite(data)):
-        raise DataFormatError(f"{path}: non-finite value in payload")
-    return data, end
+    data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).copy()
+    return _check_finite(data, path), end
 
 
 def _u64(blob: bytes, offset: int, count: int, path: str) -> tuple[np.ndarray, int]:
     end = offset + 8 * count
     if end > len(blob):
         raise DataFormatError(f"{path}: truncated payload")
-    return np.frombuffer(blob[offset:end], dtype="<u8").copy(), end
+    return np.frombuffer(blob, dtype="<u8", count=count, offset=offset).copy(), end
+
+
+def _read_matrix(handle, rows: int, cols: int, path: str) -> np.ndarray:
+    """The rows x cols float64 payload after the header, read straight from
+    the file into one new array."""
+    size = 8 * rows * cols
+    # Checked against the file size before allocating, so a corrupt header
+    # reads as truncation rather than as an allocation failure.
+    if handle.seek(0, 2) - _HEADER.size < size:
+        raise DataFormatError(f"{path}: truncated payload")
+    handle.seek(_HEADER.size)
+    data = np.empty((rows, cols), dtype="<f8")
+    if handle.readinto(data) != size:
+        raise DataFormatError(f"{path}: truncated payload")
+    return _check_finite(data, path)
 
 
 def save_snapshot(path, obj, seed: int = 0) -> None:
@@ -97,17 +116,23 @@ def save_snapshot(path, obj, seed: int = 0) -> None:
 
 
 def load_snapshot(path):
-    """Read back whatever ``save_snapshot`` wrote."""
+    """Read back whatever ``save_snapshot`` wrote.
+
+    A matrix payload is read from the file into one new writable array,
+    which is checked for finiteness once; the smaller sketch kinds are read
+    whole and parsed.
+    """
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with path.open("rb") as handle:
+            blob = handle.read(_HEADER.size)
+            kind, ell, dim, seed = _unpack_header(blob, str(path))
+            if kind == KIND_MATRIX:
+                return _read_matrix(handle, ell, dim, str(path))
+            blob += handle.read()
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    kind, ell, dim, seed = _unpack_header(blob, str(path))
     offset = _HEADER.size
-    if kind == KIND_MATRIX:
-        data, _ = _f64(blob, offset, ell * dim, str(path))
-        return data.reshape(ell, dim)
     if kind in (KIND_FD_STATE, KIND_COLUMN_PLAN) and (ell < 1 or dim < 1):
         raise DataFormatError(f"{path}: snapshot has ell {ell} and dim {dim}")
     if kind == KIND_FD_STATE:
@@ -197,17 +222,28 @@ def save_csv(path, matrix) -> None:
 
 
 def load_matrix(path, fmt: str = "csv", header: bool = False) -> np.ndarray:
-    """Load a matrix from CSV or from a binary snapshot."""
+    """Load a matrix from CSV or from a binary snapshot.
+
+    The result is a new, writable, C-contiguous float64 array, nonempty and
+    finite, so callers can hand it to the pipelines as their row source
+    with no further copy.  Each format copies and checks the data once: a
+    CSV is parsed into one array that ``as_matrix`` validates, and a
+    snapshot's payload is read into one array that ``load_snapshot`` has
+    checked finite.
+    """
     if fmt == "csv":
         mat = load_csv(path, header=header)
-    elif fmt == "bin":
-        obj = load_snapshot(path)
-        if not isinstance(obj, np.ndarray):
-            raise DataFormatError(f"{path}: snapshot is not a matrix")
-        mat = obj
-    else:
+        try:
+            return as_matrix(mat)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+    if fmt != "bin":
         raise ValueError(f"unknown format {fmt!r}")
-    try:
-        return as_matrix(mat)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    mat = load_snapshot(path)
+    if not isinstance(mat, np.ndarray):
+        raise DataFormatError(f"{path}: snapshot is not a matrix")
+    if mat.size == 0:
+        raise DataFormatError(
+            f"{path}: matrix must be nonempty, got shape {mat.shape}"
+        )
+    return mat

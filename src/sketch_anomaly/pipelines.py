@@ -1,8 +1,12 @@
 """End-to-end streaming score pipelines.
 
 Every pipeline takes a ``row_source``: a zero-argument callable returning
-a fresh iterable of rows.  Each call is one pass over the data, so pass
-discipline is observable from outside:
+either a 2-D array or a fresh iterable of rows.  Each call is one pass over
+the data, so pass discipline is observable from outside.  The batch passes
+read an array as views of ``_CHUNK``-row blocks after one vectorized
+finiteness check, and validate any other iterable row by row
+(``sketches.row_blocks``); both give the same bytes.  The online pipeline
+reads every source row by row.  Passes per pipeline:
 
 * ``run_fd_pipeline``        - 2 passes (sketch, then score)
 * ``run_rproj_pipeline``     - 2 passes (projected covariance, then score)
@@ -63,6 +67,7 @@ from .sketches import (
     row_sample,
 )
 
+# A 2-D array or an iterable of rows.
 RowSource = Callable[[], Iterable]
 
 

@@ -1,9 +1,8 @@
-"""Exact subspace anomaly scores, batch and online.
+"""Subspace anomaly scores: the score kernel and exact batch scores.
 
-Batch scores are computed against the SVD of the whole matrix; online
-scores for row i are computed against only rows 1..i-1 (maintained as a
-d x d covariance accumulator).  Score definitions, for a row ``a`` with
-spectrum ``sigma`` and right singular vectors ``v_j``:
+Exact scores are computed against the SVD of the whole matrix.  Score
+definitions, for a row ``a`` with spectrum ``sigma`` and right singular
+vectors ``v_j``:
 
 * full leverage        ``L    = sum_j (a.v_j)^2 / sigma_j^2``
 * rank-k leverage      ``L^k  = sum_{j<=k} (a.v_j)^2 / sigma_j^2``
@@ -37,16 +36,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import RankDeficientError
-from .linalg import (
-    as_matrix,
-    as_row,
-    gram_basis,
-    svd_thin,
-    sym_eig,
-)
+# ``as_row`` and ``sym_eig`` are not called here, but perfbench/tracing.py
+# counts and times their calls through this module's names for them.
+from .linalg import as_matrix, as_row, svd_thin, sym_eig  # noqa: F401
 
 MODE_EXACT_BATCH = "exact-batch"
-MODE_EXACT_ONLINE = "exact-online"
 MODE_SKETCHED_BATCH = "sketched-batch"
 MODE_SKETCHED_ONLINE = "sketched-online"
 
@@ -292,36 +286,3 @@ def batch_scores(matrix, k: int, lam: float | None = None) -> ScoreTable:
         lam,
     )
     return score_table(MODE_EXACT_BATCH, [columns], EXACT_FIELDS)
-
-
-def online_scores(row_stream, k: int, lam: float | None = None) -> ScoreTable:
-    """Score each row against the prefix that preceded it.
-
-    Rows arriving while the prefix rank is still below k are undefined
-    (``defined`` False); there is no principal subspace to measure against
-    yet.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    check_lambda(lam)
-    rows = OnlineRows()
-    cov: np.ndarray | None = None
-    width: int | None = None
-    for row in row_stream:
-        a = as_row(row, width)
-        if cov is None:
-            width = a.shape[0]
-            cov = np.zeros((width, width))
-        basis = gram_basis(sym_eig(cov))
-        if basis.rank_used < k:
-            rows.add(None)
-        else:
-            rows.add(score_block(
-                (basis.right_vectors.T @ a)[None, :],
-                np.array([a @ a]),
-                basis.values[: basis.rank_used],
-                k,
-                lam,
-            ))
-        cov += np.outer(a, a)
-    return rows.table(MODE_EXACT_ONLINE, EXACT_FIELDS)

@@ -16,9 +16,16 @@ Four sketches, all single-writer streaming accumulators:
   sampling over squared entries in row-major order, plus the per-column
   masses needed to rescale on later passes.
 
-The samplers and the batch pipelines' passes read their stream through
-``row_blocks``, in validated blocks of ``_CHUNK`` rows; ``fd_ingest`` feeds
-each row straight to ``FrequentDirections.update``, which validates it.
+The samplers, ``fd_ingest`` and the batch pipelines' passes read their
+stream through ``row_blocks``, in validated blocks of ``_CHUNK`` rows.  A
+2-D array is validated once, with one vectorized finiteness check, and
+yields views of itself; any other iterable is validated row by row and
+restacked.  Both paths cut the stream at the same multiples of ``_CHUNK``,
+so every sketch is the same bytes either way.  ``fd_ingest`` copies each
+block into the Frequent Directions buffer as many rows at a time as fit
+before the next shrink; ``FrequentDirections.update`` adds one row, for the
+online pipeline.
+
 Both samplers are block-merge weighted reservoirs (Chao 1982; Efraimidis
 & Spirakis, "Weighted random sampling with a reservoir", IPL 2006).  With
 running squared mass C0 before a block and C1 after it,
@@ -59,10 +66,21 @@ _CHUNK = 512
 def row_blocks(rows, width: int | None = None):
     """Validated 2-D float64 blocks of up to ``_CHUNK`` consecutive rows.
 
-    ``rows`` is any iterable of rows (a matrix iterates by row).  Every row
-    passes ``as_row``: finite and, when ``width`` is given, that wide;
-    otherwise the first row fixes the width.
+    ``rows`` is a 2-D array or any other iterable of rows.  An array passes
+    ``as_matrix`` once (nonempty and finite, converted to C-contiguous
+    float64 if it is not already) and the blocks are views of it, which
+    callers read but never write.  Any other iterable is validated row by
+    row with ``as_row`` and each block is a new array.  Either way every row
+    is finite and, when ``width`` is given, that wide; otherwise the first
+    row fixes the width.
     """
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        a = as_matrix(rows)
+        if width is not None and a.shape[1] != width:
+            raise ShapeError(f"row has width {a.shape[1]}, expected {width}")
+        for start in range(0, a.shape[0], _CHUNK):
+            yield a[start : start + _CHUNK]
+        return
     block: list[np.ndarray] = []
     for row in rows:
         a = as_row(row, width)
@@ -134,14 +152,25 @@ class FrequentDirections:
 
 
 def fd_ingest(rows, ell: int) -> FrequentDirections:
-    """Frequent Directions state after ``update`` with every row in order."""
+    """Frequent Directions state after ``update`` with every row in order.
+
+    Each block of ``row_blocks(rows)`` is copied into the buffer up to
+    2*ell - fill rows at a time, shrinking whenever the buffer fills: the
+    shrinks fall on the same rows as with one ``update`` per row, so the
+    state is the same bytes.
+    """
     fd: FrequentDirections | None = None
-    for row in rows:
+    for block in row_blocks(rows):
         if fd is None:
-            # The first row's size fixes dim; ``update`` validates every
-            # row, this one included.
-            fd = FrequentDirections(ell, np.size(row))
-        fd.update(row)
+            fd = FrequentDirections(ell, block.shape[1])
+        start = 0
+        while start < block.shape[0]:
+            take = min(2 * ell - fd.fill, block.shape[0] - start)
+            fd.buffer[fd.fill : fd.fill + take] = block[start : start + take]
+            fd.fill += take
+            start += take
+            if fd.fill == 2 * ell:
+                fd._shrink()
     if fd is None:
         raise ShapeError("empty row stream")
     return fd

@@ -693,7 +693,8 @@ def run_suite(
 
     Reports come suite by suite, and within a suite seed by seed.
     ``eps`` overrides each eps-taking suite's default; it must be positive
-    and finite, and ``num_seeds`` at least 1.
+    and below 1 (at 1 or more every suite's bound is vacuous or its
+    precondition fails), and ``num_seeds`` at least 1.
     """
     if name != "all" and name not in _SWEEPS:
         raise ValueError(f"unknown suite {name!r}")
@@ -701,6 +702,8 @@ def run_suite(
         raise ValueError(f"seed count must be >= 1, got {num_seeds}")
     if eps is not None and not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"epsilon must be positive and finite, got {eps}")
+    if eps is not None and eps >= 1.0:
+        raise ValueError(f"epsilon must be below 1, got {eps}")
     reports = []
     for suite in SUITES if name == "all" else (name,):
         instance, default_eps = _SWEEPS[suite]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sketch_anomaly
+from sketch_anomaly import linalg, pipelines, scores, sketches
 from sketch_anomaly.cli import run_cli
 from sketch_anomaly.io import save_snapshot
 from sketch_anomaly.pipelines import PipelineConfig, run_pipeline
@@ -166,13 +167,18 @@ def test_module_entry_points(data_path, module):
     assert [r["row_index"] for r in records] == list(range(matrix.shape[0]))
 
 
-@pytest.mark.parametrize("value", ["0", "-0.5", "nan"])
+@pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf", "1", "1e200"])
 def test_verify_rejects_non_positive_or_non_finite_epsilon(capsys, value):
-    argv = ["verify", "--suite", "all", "--seeds", "1", "--epsilon", value]
-    assert run_cli(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "epsilon" in captured.err
+    # 1e200 once overflowed in the pointwise and average suites' eps**2.
+    for suite in ("all", "pointwise", "average"):
+        argv = ["verify", "--suite", suite, "--seeds", "1", "--epsilon", value]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "epsilon" in captured.err
+        if value in ("1", "1e200"):
+            assert f"epsilon must be below 1, got {float(value)}" in captured.err
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
@@ -296,3 +302,82 @@ def test_covariance_larger_than_memory_is_one_line_error(
     assert captured.err.count("\n") == 1
     assert "ell=40 needs 12800 bytes" in captured.err
     assert "8192 bytes of physical memory" in captured.err
+
+
+@pytest.mark.parametrize(
+    "mode, sketch_flag",
+    [(mode, None) for mode in ("exact", "fd", "rproj", "colsample", "rowsample")]
+    + [(mode, flag) for mode in ("fd", "colsample")
+       for flag in ("--sketch-out", "--sketch-in")],
+)
+def test_batch_score_of_a_loaded_matrix_validates_no_row(
+    capsys, monkeypatch, tmp_path, data_path, mode, sketch_flag
+):
+    flags = ["--mode", mode, "--ell", "8", "--seed", "7"]
+    if sketch_flag == "--sketch-in":
+        flags += [sketch_flag, str(write_snapshot(tmp_path, data_path, mode))]
+    elif sketch_flag == "--sketch-out":
+        flags += [sketch_flag, str(tmp_path / "out.bin")]
+    calls = []
+
+    def counting(original):
+        def as_row(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        return as_row
+
+    for module in (linalg, pipelines, scores, sketches):
+        monkeypatch.setattr(module, "as_row", counting(module.as_row))
+    assert run_cli(score_argv(data_path[0], *flags)) == 0
+    assert calls == []
+    # The counter is live: the online mode validates each row once.
+    assert run_cli(score_argv(data_path[0], "--mode", "online", "--ell", "8")) == 0
+    assert len(calls) == data_path[1].shape[0]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (lambda m: m.at_nan(), "non-finite value in payload"),
+        (lambda m: m.at_inf(), "non-finite value in payload"),
+        (lambda m: m.cut(), "truncated payload"),
+        (lambda m: m.header_only(), "matrix must be nonempty, got shape (0, 3)"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["exact", "fd", "online"])
+def test_bad_matrix_file_is_one_line_data_error(capsys, tmp_path, payload, message, mode):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(payload(HandMadeMatrix(rows=6, cols=3)))
+    argv = score_argv(path, "--mode", mode, "--ell", "4")
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sketch-anomaly: {path}: {message}\n"
+
+
+class HandMadeMatrix:
+    """Matrix snapshot bytes written field by field, not by save_snapshot."""
+
+    def __init__(self, rows: int, cols: int):
+        self.rows, self.cols = rows, cols
+        self.values = [float(i % 5) - 1.5 for i in range(rows * cols)]
+
+    def blob(self, rows=None, values=None) -> bytes:
+        rows = self.rows if rows is None else rows
+        values = self.values if values is None else values
+        head = struct.pack("<4sHBBQQQ", b"SKAN", 1, 0, 0, rows, self.cols, 0)
+        return head + struct.pack(f"<{len(values)}d", *values)
+
+    def at_nan(self) -> bytes:
+        return self.blob(values=self.values[:7] + [float("nan")] + self.values[8:])
+
+    def at_inf(self) -> bytes:
+        return self.blob(values=self.values[:-1] + [float("-inf")])
+
+    def cut(self) -> bytes:
+        return self.blob()[:-1]
+
+    def header_only(self) -> bytes:
+        return self.blob(rows=0, values=[])

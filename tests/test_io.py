@@ -12,6 +12,7 @@ from sketch_anomaly.io import (
     KIND_FD_STATE,
     KIND_MATRIX,
     load_csv,
+    load_matrix,
     load_snapshot,
     save_csv,
     save_snapshot,
@@ -166,3 +167,49 @@ def test_corrupt_header_is_data_error(tmp_path, kind, fields, message):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataFormatError):
         load_snapshot(tmp_path / "absent.bin")
+
+
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_load_matrix_returns_a_fresh_writable_float64_array(tmp_path, fmt):
+    a = gaussian(9, 7, 5)
+    path = tmp_path / f"m.{fmt}"
+    (save_snapshot if fmt == "bin" else save_csv)(path, a)
+    loaded = load_matrix(path, fmt=fmt)
+    assert loaded.dtype == np.float64
+    assert loaded.flags.c_contiguous and loaded.flags.writeable
+    assert loaded.tobytes() == a.tobytes()
+    loaded[0, 0] = 1.0
+    assert load_matrix(path, fmt=fmt)[0, 0] == a[0, 0]
+
+
+def test_matrix_payload_is_read_in_one_copy(tmp_path, monkeypatch):
+    # The payload goes from the file into the returned array: neither a
+    # bytes object of the whole file nor a second array is made.
+    a = gaussian(10, 40, 6)
+    path = tmp_path / "m.bin"
+    save_snapshot(path, a)
+
+    def no_read_bytes(self):
+        raise AssertionError("whole file read into bytes")
+
+    monkeypatch.setattr(type(path), "read_bytes", no_read_bytes)
+    monkeypatch.setattr(np, "frombuffer", None)
+    loaded = load_matrix(path, fmt="bin")
+    assert loaded.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_matrix_payload_is_data_error(tmp_path, value):
+    blob = bytearray(snapshot_blob(tmp_path, KIND_MATRIX))
+    struct.pack_into("<d", blob, HEADER.size + 8 * 29, value)
+    path = tmp_path / "nan.bin"
+    path.write_bytes(bytes(blob))
+    for load in (load_snapshot, lambda p: load_matrix(p, fmt="bin")):
+        with pytest.raises(DataFormatError, match="non-finite value in payload"):
+            load(path)
+
+
+def test_huge_matrix_header_is_truncation_not_allocation(tmp_path):
+    blob = patched_header(snapshot_blob(tmp_path, KIND_MATRIX), ell=2**40, dim=2**20)
+    with pytest.raises(DataFormatError, match="truncated payload"):
+        load_blob(tmp_path, blob)

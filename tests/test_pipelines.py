@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketch_anomaly.errors import RankDeficientError
+from sketch_anomaly.errors import RankDeficientError, ShapeError
 from sketch_anomaly.linalg import operator_norm, svd_thin
 from sketch_anomaly.pipelines import (
+    PIPELINE_MODES,
     PipelineConfig,
     run_colsample_pipeline,
     run_fd_pipeline,
@@ -14,8 +15,13 @@ from sketch_anomaly.pipelines import (
     run_rowsample_pipeline,
     run_rproj_pipeline,
 )
-from sketch_anomaly.scores import batch_scores, online_scores
-from sketch_anomaly.sketches import FrequentDirections, fd_ingest, row_sample
+from sketch_anomaly.scores import ROWSPACE_FIELDS, batch_scores
+from sketch_anomaly.sketches import (
+    FrequentDirections,
+    column_sample_plan,
+    fd_ingest,
+    row_sample,
+)
 from sketch_anomaly.synth import separated_matrix
 from sketch_anomaly.verify import (
     check_projector,
@@ -23,6 +29,8 @@ from sketch_anomaly.verify import (
     mu_for_average_l,
     mu_for_pointwise_t,
 )
+
+from oracles import online_scores
 
 
 def record_arrays(records):
@@ -415,6 +423,56 @@ class TestConfigAndHelpers:
         np.testing.assert_allclose(
             records.projection_distance_raw, expected, rtol=1e-9
         )
+
+
+class TestArraySource:
+    """An array row source gives the bytes an iterator over its rows gives."""
+
+    # 1100 rows: two full 512-row blocks and a partial one.
+    A = np.random.default_rng(75).standard_normal((1100, 9)) * np.geomspace(3.0, 0.2, 9)
+
+    @staticmethod
+    def same_table(t1, t2):
+        assert t1.mode == t2.mode
+        assert t1.defined.tobytes() == t2.defined.tobytes()
+        assert t1.to_json() == t2.to_json()
+        for name in ROWSPACE_FIELDS:
+            c1, c2 = getattr(t1, name), getattr(t2, name)
+            assert (c1 is None) == (c2 is None), name
+            if c1 is not None:
+                assert c1.tobytes() == c2.tobytes(), name
+
+    @pytest.mark.parametrize("mode", PIPELINE_MODES)
+    @pytest.mark.parametrize("lam", [None, 0.3])
+    def test_every_pipeline(self, mode, lam):
+        a = self.A
+        cfg = PipelineConfig(k=3, ell=10, seed=6, lam=lam, mode=mode)
+        self.same_table(run_pipeline(lambda: a, cfg), run_pipeline(lambda: iter(a), cfg))
+
+    def test_resumed_fd_and_colsample(self):
+        a = self.A
+        fd_cfg = PipelineConfig(k=3, ell=10, mode="fd")
+        self.same_table(
+            run_fd_pipeline(lambda: a, fd_cfg, state=fd_ingest(a, 10)),
+            run_fd_pipeline(lambda: iter(a), fd_cfg),
+        )
+        cs_cfg = PipelineConfig(k=3, ell=10, seed=6, mode="colsample")
+        plan = column_sample_plan(a, 10, 6)
+        self.same_table(
+            run_colsample_pipeline(lambda: a, cs_cfg, plan=plan),
+            run_colsample_pipeline(lambda: iter(a), cs_cfg),
+        )
+
+    def test_wrong_width_and_non_finite_array_raise(self):
+        a = self.A.copy()
+        fd_cfg = PipelineConfig(k=3, ell=10, mode="fd")
+        with pytest.raises(ShapeError):
+            run_fd_pipeline(lambda: a[:, :5], fd_cfg, state=fd_ingest(a, 10))
+        a[700, 4] = np.nan
+        for mode in PIPELINE_MODES:
+            cfg = PipelineConfig(k=3, ell=10, mode=mode)
+            with pytest.raises(ValueError, match="non-finite"):
+                run_pipeline(lambda: a, cfg)
 
 
 class TestRecordInvariants:

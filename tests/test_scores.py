@@ -13,17 +13,17 @@ from sketch_anomaly.pipelines import PipelineConfig
 from sketch_anomaly.scores import (
     EXACT_FIELDS,
     MODE_EXACT_BATCH,
-    MODE_EXACT_ONLINE,
     MODE_SKETCHED_BATCH,
     MODE_SKETCHED_ONLINE,
     ROWSPACE_FIELDS,
     ScoreTable,
     SeparationWarning,
     batch_scores,
-    online_scores,
     score_block,
 )
 from sketch_anomaly.synth import separated_matrix
+
+from oracles import MODE_EXACT_ONLINE, online_scores
 
 BASIS_MATRIX = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 

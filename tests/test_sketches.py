@@ -221,28 +221,52 @@ class TestSignProjector:
         assert eigvals.min() >= -1e-9
 
 
+# Stream shapes for the two row_blocks paths: up to three full blocks and a
+# partial one.
+stream_shapes = (
+    st.integers(1, 3 * sketches._CHUNK + 1),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def gaussian_stream(n: int, d: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal((n, d))
+
+
 class TestRowBlocks:
-    def test_array_and_iterator_give_same_blocks(self):
-        rng = np.random.default_rng(72)
-        a = rng.standard_normal((1100, 7))
+    @settings(max_examples=30, deadline=None)
+    @given(*stream_shapes)
+    def test_array_and_iterator_give_same_blocks(self, n, d, seed):
+        a = gaussian_stream(n, d, seed)
         from_array = list(row_blocks(a))
-        from_rows = list(row_blocks(iter(a), width=7))
-        assert [b.shape[0] for b in from_array] == [512, 512, 76]
+        from_rows = list(row_blocks(iter(a), width=d))
+        sizes = [b.shape[0] for b in from_array]
+        assert sizes[:-1] == [sketches._CHUNK] * (len(sizes) - 1) and sum(sizes) == n
+        assert [b.shape for b in from_array] == [b.shape for b in from_rows]
         assert [b.tobytes() for b in from_array] == [b.tobytes() for b in from_rows]
         assert all(b.flags.c_contiguous for b in from_array + from_rows)
+        # Array blocks are views of the array; row blocks are new arrays.
+        assert all(np.shares_memory(b, a) for b in from_array)
+        assert not any(np.shares_memory(b, a) for b in from_rows)
 
-    def test_array_and_iterator_give_same_sketches(self):
-        rng = np.random.default_rng(73)
-        a = rng.standard_normal((1100, 7))
+    @settings(max_examples=15, deadline=None)
+    @given(*stream_shapes, st.integers(2, 12))
+    def test_array_and_iterator_give_same_sketches(self, n, d, seed, ell):
+        a = gaussian_stream(n, d, seed)
         rows = lambda: (list(r) for r in a)  # noqa: E731
-        assert row_sample(a, 6, 5).tobytes() == row_sample(rows(), 6, 5).tobytes()
-        p1, p2 = column_sample_plan(a, 6, 5), column_sample_plan(rows(), 6, 5)
+        assert row_sample(a, ell, seed).tobytes() == row_sample(rows(), ell, seed).tobytes()
+        p1, p2 = column_sample_plan(a, ell, seed), column_sample_plan(rows(), ell, seed)
         assert p1.indices.tobytes() == p2.indices.tobytes()
         assert p1.column_masses.tobytes() == p2.column_masses.tobytes()
-        assert p1.running_mass == p2.running_mass
-        fd1, fd2 = fd_ingest(a, 4), fd_ingest(rows(), 4)
-        assert fd1.fill == fd2.fill
-        assert fd1.buffer.tobytes() == fd2.buffer.tobytes()
+        assert (p1.running_mass, p1.entries_seen) == (p2.running_mass, p2.entries_seen)
+        # Both ingest paths equal one ``update`` per row, shrinks included.
+        by_row = FrequentDirections(ell, d)
+        for row in a:
+            by_row.update(row)
+        for fd in (fd_ingest(a, ell), fd_ingest(rows(), ell)):
+            assert (fd.fill, fd.shrink_count) == (by_row.fill, by_row.shrink_count)
+            assert fd.buffer.tobytes() == by_row.buffer.tobytes()
 
     def test_validation(self):
         with pytest.raises(ShapeError):
@@ -256,6 +280,25 @@ class TestRowBlocks:
         with pytest.raises(ValueError):
             list(row_blocks(np.array([[1.0, np.inf]])))
         assert list(row_blocks(iter([]))) == []
+        with pytest.raises(ShapeError):
+            list(row_blocks(np.ones((0, 3))))
+        # An array of another dtype or layout is converted once.
+        a = np.arange(1200, dtype=np.int64).reshape(600, 2)
+        blocks = list(row_blocks(np.asfortranarray(a)))
+        assert all(b.dtype == np.float64 and b.flags.c_contiguous for b in blocks)
+        assert np.vstack(blocks).tobytes() == a.astype(np.float64).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(*stream_shapes, st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_entry_raises_on_both_paths(self, n, d, seed, bad):
+        a = gaussian_stream(n, d, seed)
+        rng = np.random.default_rng(seed)
+        a[rng.integers(n), rng.integers(d)] = bad
+        for rows in (a, iter(a)):
+            with pytest.raises(ValueError, match="non-finite"):
+                list(row_blocks(rows))
+        with pytest.raises(ValueError, match="non-finite"):
+            fd_ingest(a, 2)
 
 
 class TestBlockReservoirs:

@@ -76,7 +76,14 @@ def test_column_space_mu_is_row_space_mu_of_the_transposes():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"eps": 0.0}, {"eps": -0.5}, {"eps": float("nan")}, {"eps": float("inf")}],
+    [
+        {"eps": 0.0},
+        {"eps": -0.5},
+        {"eps": float("nan")},
+        {"eps": float("inf")},
+        {"eps": 1.0},
+        {"eps": 1e200},
+    ],
 )
 def test_run_suite_rejects_bad_epsilon(kwargs):
     with pytest.raises(ValueError, match="epsilon"):
