@@ -86,6 +86,12 @@ def _read_matrix(handle, rows: int, cols: int, path: str) -> np.ndarray:
     # reads as truncation rather than as an allocation failure.
     if handle.seek(0, 2) - _HEADER.size < size:
         raise DataFormatError(f"{path}: truncated payload")
+    # With a zero dimension the payload is empty whatever the other one
+    # says; numpy refuses a dimension whose bytes overflow its index type.
+    if 8 * max(rows, cols) > np.iinfo(np.intp).max:
+        raise DataFormatError(
+            f"{path}: matrix header dimension too large ({rows} x {cols})"
+        )
     handle.seek(_HEADER.size)
     data = np.empty((rows, cols), dtype="<f8")
     if handle.readinto(data) != size:

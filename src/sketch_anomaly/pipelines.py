@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -60,7 +59,6 @@ from .sketches import (
     ColumnSamplePlan,
     FrequentDirections,
     SignProjector,
-    apply_column_plan,
     column_sample_plan,
     fd_ingest,
     row_blocks,
@@ -216,9 +214,15 @@ def run_colsample_pipeline(
     """
     if plan is None:
         plan = column_sample_plan(row_source(), cfg.ell, cfg.seed)
-    return _projected_table(
-        row_source, lambda _: partial(apply_column_plan, plan), cfg, plan.dim
-    )
+
+    def projector(_width: int) -> Callable[[np.ndarray], np.ndarray]:
+        # ``row_blocks`` has validated every block and its width, so the
+        # blocks skip ``apply_column_plan``'s checks; the scales are taken
+        # once.
+        indices, scales = plan.indices, plan.scales()
+        return lambda block: block[:, indices] * scales
+
+    return _projected_table(row_source, projector, cfg, plan.dim)
 
 
 def run_online_pipeline(

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ShapeError, ZeroMassError
 from .linalg import as_matrix, as_row, svd_thin
-from .rng import mix64, mod61, mulmod61, seed64, uniform01
+from .rng import mix64, mod61, polyval61, seed64, uniform01
 
 _LANE_ROW_SAMPLER = 0x521AF00D
 _LANE_COL_SAMPLER = 0x0C01F00D
@@ -182,9 +182,10 @@ class SignProjector:
     Entry (i, j) is ``+-1/sqrt(ell)``, the sign being the low bit of a
     degree-(w-1) polynomial over GF(2**61 - 1) evaluated at the entry's
     global position ``j * dim + i``.  State is the seed plus w field
-    coefficients, so the projector itself costs O(w) words; ``matrix()``
-    materializes all dim * ell entries for fast dense products and is
-    cached.
+    coefficients, so the projector itself costs O(w) words.  ``matrix()``
+    materializes all dim * ell entries for fast dense products, hashing
+    them afresh on every call; ``gram()`` never holds more than
+    ``GRAM_BLOCK_COLS`` columns.
     """
 
     def __init__(
@@ -207,18 +208,8 @@ class SignProjector:
         )
         self._scale = 1.0 / np.sqrt(ell)
 
-    def _hash(self, positions: np.ndarray) -> np.ndarray:
-        """Horner evaluation of the coefficient polynomial at positions."""
-        x = mod61(positions)
-        coeffs = self.coefficients
-        acc = np.broadcast_to(coeffs[-1], x.shape).copy()
-        with np.errstate(over="ignore"):
-            for t in range(self.independence_w - 2, -1, -1):
-                acc = mod61(mulmod61(acc, x) + coeffs[t])
-        return acc
-
     def _signs(self, positions: np.ndarray) -> np.ndarray:
-        bits = self._hash(positions) & np.uint64(1)
+        bits = polyval61(self.coefficients, positions) & np.uint64(1)
         return np.where(bits == 0, self._scale, -self._scale)
 
     def matrix(self) -> np.ndarray:

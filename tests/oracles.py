@@ -1,8 +1,9 @@
-"""Reference scorers the tests compare the package against."""
+"""Reference scorers and sign hashes the tests compare the package against."""
 
 import numpy as np
 
 from sketch_anomaly.linalg import as_row, gram_basis, sym_eig
+from sketch_anomaly.rng import MERSENNE61, mod61
 from sketch_anomaly.scores import EXACT_FIELDS, OnlineRows, check_lambda, score_block
 
 MODE_EXACT_ONLINE = "exact-online"
@@ -40,3 +41,69 @@ def online_scores(row_stream, k: int, lam: float | None = None):
             ))
         cov += np.outer(a, a)
     return rows.table(MODE_EXACT_ONLINE, EXACT_FIELDS)
+
+
+_LO32 = np.uint64(0xFFFFFFFF)
+_LO29 = np.uint64((1 << 29) - 1)
+
+
+def mulmod61(a, b):
+    """(a * b) mod (2**61 - 1) for uint64 inputs < 2**61, vectorized.
+
+    Splits each factor into 32-bit halves so every partial product fits in
+    64 bits, then folds using 2**61 = 1 (mod p).
+    """
+    with np.errstate(over="ignore"):
+        a = np.asarray(a, dtype=np.uint64)
+        b = np.asarray(b, dtype=np.uint64)
+        a1 = a >> np.uint64(32)
+        a0 = a & _LO32
+        b1 = b >> np.uint64(32)
+        b0 = b & _LO32
+        hi = a1 * b1  # < 2**58
+        mid = a1 * b0 + a0 * b1  # < 2**62
+        lo = a0 * b0  # < 2**64, wraps nothing
+        # hi * 2**64 == hi * 8 (mod p); mid * 2**32 folds via a 29-bit split.
+        acc = (hi << np.uint64(3)) + (mid >> np.uint64(29)) + ((mid & _LO29) << np.uint64(32))
+        acc += (lo & MERSENNE61) + (lo >> np.uint64(61))
+        acc = (acc & MERSENNE61) + (acc >> np.uint64(61))
+        acc = (acc & MERSENNE61) + (acc >> np.uint64(61))
+        return np.where(acc >= MERSENNE61, acc - MERSENNE61, acc)
+
+
+def sign_hash(projector, positions: np.ndarray) -> np.ndarray:
+    """``SignProjector``'s polynomial hash by Horner's rule with a full
+    ``mulmod61`` and ``mod61`` reduction at every step."""
+    x = mod61(positions)
+    coeffs = projector.coefficients
+    acc = np.broadcast_to(coeffs[-1], x.shape).copy()
+    with np.errstate(over="ignore"):
+        for t in range(projector.independence_w - 2, -1, -1):
+            acc = mod61(mulmod61(acc, x) + coeffs[t])
+    return acc
+
+
+def sign_entries(projector, positions: np.ndarray) -> np.ndarray:
+    """+-1/sqrt(ell) from the low bit of ``sign_hash``."""
+    scale = 1.0 / np.sqrt(projector.ell)
+    bits = sign_hash(projector, positions) & np.uint64(1)
+    return np.where(bits == 0, scale, -scale)
+
+
+def sign_matrix(projector) -> np.ndarray:
+    """The dim x ell sign matrix, entry (i, j) hashed at j * dim + i."""
+    positions = np.arange(projector.ell * projector.dim, dtype=np.uint64)
+    entries = sign_entries(projector, positions)
+    return np.ascontiguousarray(entries.reshape(projector.ell, projector.dim).T)
+
+
+def sign_gram(projector, block_cols: int) -> np.ndarray:
+    """R R^T summed over blocks of ``block_cols`` columns, in order."""
+    dim = projector.dim
+    g = np.zeros((dim, dim))
+    for start in range(0, projector.ell, block_cols):
+        stop = min(start + block_cols, projector.ell)
+        positions = np.arange(start * dim, stop * dim, dtype=np.uint64)
+        block = sign_entries(projector, positions).reshape(stop - start, dim)
+        g += block.T @ block
+    return g

@@ -344,6 +344,8 @@ def test_batch_score_of_a_loaded_matrix_validates_no_row(
         (lambda m: m.at_inf(), "non-finite value in payload"),
         (lambda m: m.cut(), "truncated payload"),
         (lambda m: m.header_only(), "matrix must be nonempty, got shape (0, 3)"),
+        (lambda m: m.blob(rows=0, cols=2**63, values=[]),
+         f"matrix header dimension too large (0 x {2**63})"),
     ],
 )
 @pytest.mark.parametrize("mode", ["exact", "fd", "online"])
@@ -364,10 +366,11 @@ class HandMadeMatrix:
         self.rows, self.cols = rows, cols
         self.values = [float(i % 5) - 1.5 for i in range(rows * cols)]
 
-    def blob(self, rows=None, values=None) -> bytes:
+    def blob(self, rows=None, values=None, cols=None) -> bytes:
         rows = self.rows if rows is None else rows
+        cols = self.cols if cols is None else cols
         values = self.values if values is None else values
-        head = struct.pack("<4sHBBQQQ", b"SKAN", 1, 0, 0, rows, self.cols, 0)
+        head = struct.pack("<4sHBBQQQ", b"SKAN", 1, 0, 0, rows, cols, 0)
         return head + struct.pack(f"<{len(values)}d", *values)
 
     def at_nan(self) -> bytes:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketch_anomaly import sketches
 from sketch_anomaly.errors import RankDeficientError, ShapeError
 from sketch_anomaly.linalg import operator_norm, svd_thin
 from sketch_anomaly.pipelines import (
@@ -17,6 +18,7 @@ from sketch_anomaly.pipelines import (
 )
 from sketch_anomaly.scores import ROWSPACE_FIELDS, batch_scores
 from sketch_anomaly.sketches import (
+    ColumnSamplePlan,
     FrequentDirections,
     column_sample_plan,
     fd_ingest,
@@ -462,6 +464,22 @@ class TestArraySource:
             run_colsample_pipeline(lambda: a, cs_cfg, plan=plan),
             run_colsample_pipeline(lambda: iter(a), cs_cfg),
         )
+
+    def test_colsample_validates_each_pass_once(self, monkeypatch):
+        seen = {"as_matrix": 0, "scales": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sketches, "as_matrix", counted("as_matrix", sketches.as_matrix))
+        monkeypatch.setattr(ColumnSamplePlan, "scales", counted("scales", ColumnSamplePlan.scales))
+        a = self.A
+        run_colsample_pipeline(lambda: a, PipelineConfig(k=3, ell=10, seed=6, mode="colsample"))
+        # One check per pass over the three blocks; the plan's scales once.
+        assert seen == {"as_matrix": 3, "scales": 1}
 
     def test_wrong_width_and_non_finite_array_raise(self):
         a = self.A.copy()

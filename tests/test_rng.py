@@ -3,10 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketch_anomaly import rng
-from sketch_anomaly.rng import MERSENNE61, mix64, mod61, mulmod61, seed64, uniform01
+from sketch_anomaly.rng import MERSENNE61, mix64, mod61, polyval61, seed64, uniform01
 
 P = int(MERSENNE61)
 words = st.integers(0, 2**64 - 1)
+field = st.integers(0, P - 1)
+EDGES = [0, 1, P - 1, P, P + 1, 2**61, 2**64 - 1]
+CHUNK = rng._POLY_CHUNK
 
 
 @settings(max_examples=60, deadline=None)
@@ -48,18 +51,56 @@ def test_uniform01_is_roughly_uniform():
     assert np.all(np.abs(counts - 2000) < 200)
 
 
+def horner(coefficients, x: int) -> int:
+    acc = 0
+    for c in reversed(coefficients):
+        acc = (acc * x + c) % P
+    return acc
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, P - 1), st.integers(0, P - 1), words)
+@given(field, field, words)
 def test_field_arithmetic_matches_python_ints(a, b, x):
-    assert int(mulmod61(np.uint64(a), np.uint64(b))) == a * b % P
+    assert int(polyval61([0, a], np.uint64(b))) == a * b % P
     assert int(mod61(np.uint64(x))) == x % P
 
 
 def test_field_arithmetic_edges():
-    edges = np.array([0, 1, P - 1, P, P + 1, 2**61, 2**64 - 1], dtype=np.uint64)
-    assert mod61(edges).tolist() == [int(e) % P for e in edges.tolist()]
+    edges = np.array(EDGES, dtype=np.uint64)
+    assert mod61(edges).tolist() == [e % P for e in EDGES]
     top = np.uint64(P - 1)
-    assert int(mulmod61(top, top)) == (P - 1) ** 2 % P
+    assert int(polyval61([0, P - 1], top)) == (P - 1) ** 2 % P
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coefficients=st.one_of(
+        st.lists(field, min_size=2, max_size=32),
+        st.integers(2, 32).map(lambda n: [P - 1] * n),
+    ),
+    start=words,
+    drawn=st.lists(words, max_size=6),
+    length=st.sampled_from([1, 2, 9, CHUNK - 1, CHUNK, CHUNK + 1]),
+)
+def test_polyval61_matches_python_horner(coefficients, start, drawn, length):
+    # A run of consecutive u64 positions from a random start, wrapping at
+    # 2**64, with the edge cases and drawn words at both ends.
+    positions = [(start + i) % 2**64 for i in range(length)]
+    special = (EDGES + drawn)[:length]
+    positions[: len(special)] = special
+    positions[len(positions) - len(special) :] = special
+    got = polyval61(np.array(coefficients, dtype=np.uint64),
+                    np.array(positions, dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.shape == (length,)
+    assert got.tolist() == [horner(coefficients, x % P) for x in positions]
+
+
+def test_polyval61_keeps_the_shape_of_x():
+    x = np.arange(3 * (CHUNK // 2 + 1), dtype=np.uint64).reshape(3, -1)
+    coefficients = [5, P - 1, 7]
+    got = polyval61(coefficients, x)
+    assert got.shape == x.shape
+    assert got.ravel().tolist() == [horner(coefficients, v) for v in range(x.size)]
 
 
 def test_seed64_wraps_into_u64():

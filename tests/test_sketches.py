@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sign_gram, sign_matrix
 from sketch_anomaly import sketches
 from sketch_anomaly.errors import ShapeError, ZeroMassError
 from sketch_anomaly.linalg import effective_rank, operator_norm, svd_thin
 from sketch_anomaly.rng import MERSENNE61
 from sketch_anomaly.sketches import (
+    GRAM_BLOCK_COLS,
     ColumnSamplePlan,
     FrequentDirections,
     SignProjector,
@@ -159,6 +161,20 @@ class TestSignProjector:
                     assert python_sign(p, i, j) == r[i, j]
         # -1 and 2**64 - 1 are the same u64 seed.
         assert p.matrix().tobytes() == SignProjector(-1, 12, 7).matrix().tobytes()
+
+    @pytest.mark.parametrize(
+        "ell, dim, w", [(40, 400, 32), (40, 800, 32), (40, 800, 8), (40, 400, 8)]
+    )
+    def test_matrix_is_the_mulmod61_oracle_bytes(self, ell, dim, w):
+        for seed in (0, 901):
+            p = SignProjector(seed, ell, dim, w)
+            assert p.matrix().tobytes() == sign_matrix(p).tobytes()
+
+    @pytest.mark.parametrize("dim, w", [(2, 32), (3, 8)])
+    def test_gram_over_several_blocks_is_the_mulmod61_oracle_bytes(self, dim, w):
+        p = SignProjector(17, GRAM_BLOCK_COLS + 40, dim, w)
+        expected = sign_gram(p, GRAM_BLOCK_COLS)
+        assert p.gram().tobytes() == expected.tobytes()
 
     def test_monte_carlo_bias(self):
         # Mean of 1e5 entries, rescaled by sqrt(ell), should be near zero.
