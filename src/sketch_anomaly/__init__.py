@@ -45,7 +45,6 @@ from .sketches import (
     ColumnSamplePlan,
     FrequentDirections,
     SignProjector,
-    apply_column_plan,
     column_sample_plan,
     fd_ingest,
     row_sample,

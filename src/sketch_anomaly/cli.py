@@ -206,7 +206,8 @@ def _resolve_ell(args, mode: str) -> int | None:
     # Stable-rank proxy sr ~ k, per the approximate low-rank assumption.
     if mode == "rproj":
         return rproj_ell_for_mu(args.mu, float(args.k))
-    if mode == "colsample":
+    # Length-squared sampling, of columns or of rows, follows one law.
+    if mode in ("colsample", "rowsample"):
         return colsample_ell_for_mu(args.mu, float(args.k))
     return fd_ell_for_mu(args.mu, float(args.k), args.k)
 

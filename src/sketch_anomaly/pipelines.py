@@ -22,8 +22,9 @@ leverage and projection distance), and the other columns are None.
 Projection distance estimates are clamped at zero, with the raw value kept
 in ``projection_distance_raw``.  Scoring passes stack the columns of
 ``scores.score_block`` block by block (``sketches.row_blocks``), in stream
-order, and build no per-row objects; the online pipeline collects its
-single-row blocks in a ``scores.OnlineRows``.
+order.  The online pipeline appends each row's scores to one float64
+column per field, NaN where the row is undefined, and builds the table
+once at the end.  Neither builds per-row objects.
 
 Row-space sketches take one route, ``svd_thin(S)``: rows are scored through
 its right vectors and usable sigma.  For a sketch with fewer rows than
@@ -33,7 +34,9 @@ Directions shrink also uses, as W = S^T U Sigma^-1.
 
 from __future__ import annotations
 
+import math
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -49,7 +52,6 @@ from .scores import (
     MODE_SKETCHED_ONLINE,
     PROJECTED_FIELDS,
     ROWSPACE_FIELDS,
-    OnlineRows,
     ScoreTable,
     check_lambda,
     score_block,
@@ -216,9 +218,8 @@ def run_colsample_pipeline(
         plan = column_sample_plan(row_source(), cfg.ell, cfg.seed)
 
     def projector(_width: int) -> Callable[[np.ndarray], np.ndarray]:
-        # ``row_blocks`` has validated every block and its width, so the
-        # blocks skip ``apply_column_plan``'s checks; the scales are taken
-        # once.
+        # ``row_blocks`` has validated every block and its width; the
+        # scales are taken once.
         indices, scales = plan.indices, plan.scales()
         return lambda block: block[:, indices] * scales
 
@@ -233,8 +234,11 @@ def run_online_pipeline(
     Score-then-update ordering: row i never sees itself.  While the sketch
     still has rank < k the row is undefined.
     """
+    columns = {name: array("d") for name in ROWSPACE_FIELDS}
+    if cfg.lam is None:
+        del columns["ridge_leverage"]
+    defined = bytearray()
     fd: FrequentDirections | None = None
-    rows = OnlineRows()
     for row in row_source():
         if fd is None:
             # The first row's size fixes dim; ``update`` validates every
@@ -247,19 +251,27 @@ def run_online_pipeline(
         # The basis above is the sketch of the rows before this one, so the
         # row can be validated and folded in before it is scored.
         a = fd.update(row)
+        defined.append(rank >= cfg.k)
         if rank < cfg.k:
-            rows.add(None)
-        else:
-            rows.add(score_block(
-                (a @ basis.right_vectors)[None, :],
-                np.array([a @ a]),
-                basis.values[:rank],
-                cfg.k,
-                cfg.lam,
-            ))
+            for column in columns.values():
+                column.append(math.nan)
+            continue
+        scored = score_block(
+            (a @ basis.right_vectors)[None, :],
+            np.array([a @ a]),
+            basis.values[:rank],
+            cfg.k,
+            cfg.lam,
+        )
+        for name, column in columns.items():
+            column.append(scored[name][0])
     if fd is None:
         raise ShapeError("row source produced no rows")
-    return rows.table(MODE_SKETCHED_ONLINE, ROWSPACE_FIELDS)
+    table = dict.fromkeys(ROWSPACE_FIELDS)
+    table.update((name, np.frombuffer(column)) for name, column in columns.items())
+    return ScoreTable(
+        MODE_SKETCHED_ONLINE, np.frombuffer(defined, dtype=bool), **table
+    )
 
 
 _RUNNERS: dict[str, Callable[[RowSource, PipelineConfig], ScoreTable]] = {

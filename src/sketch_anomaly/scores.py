@@ -18,8 +18,10 @@ leverage the mass outside the stored basis is charged at ``1/lam`` (its
 true weight at sigma = 0).
 
 Every scorer returns a ``ScoreTable``: the mode, a ``defined`` mask and
-one float64 column per field, stacked from ``score_block``'s columns with
-no per-row objects in between.  ``ScoreTable.to_json`` writes the bytes
+one float64 column per field.  Batch scorers stack ``score_block``'s
+columns with ``score_table``; the online pipeline appends each row's
+scores to its own float64 columns, NaN where a row is undefined.  Neither
+builds per-row objects.  ``ScoreTable.to_json`` writes the bytes
 ``json.dumps`` with ``indent=2`` would write for the list of row dicts.
 """
 
@@ -186,68 +188,20 @@ class ScoreTable:
         return "[\n" + ",\n".join(_JSON_ROW % row for row in rows) + "\n]\n"
 
 
-def _stack(blocks: list[dict]) -> dict:
-    """One ``score_block`` output holding the rows of ``blocks`` in order."""
-    return {
-        name: None if first is None else np.concatenate([b[name] for b in blocks])
-        for name, first in blocks[0].items()
-    }
-
-
 def score_table(
-    mode: str,
-    blocks: list[dict],
-    fields: tuple[str, ...],
-    defined: np.ndarray | None = None,
+    mode: str, blocks: list[dict], fields: tuple[str, ...]
 ) -> ScoreTable:
-    """Stack ``score_block`` outputs, in row order, into a table filling
-    only ``fields``.
-
-    Without ``defined`` every row is defined.  With it, the blocks hold
-    the defined rows only, and the undefined rows read NaN.
-    """
-    stacked = _stack(blocks) if blocks else dict.fromkeys(fields, np.empty(0))
-    if defined is None:
-        defined = np.ones(stacked["rank_k_leverage"].shape[0], dtype=bool)
+    """Stack ``score_block`` outputs, in row order, into a table of
+    defined rows filling only ``fields``."""
     columns = dict.fromkeys(ROWSPACE_FIELDS)
     for name in fields:
-        values = stacked[name]
-        if values is None or defined.all():
-            columns[name] = values
-        else:
-            columns[name] = np.full(defined.shape, np.nan)
-            columns[name][defined] = values
-    return ScoreTable(mode, defined, **columns)
-
-
-class OnlineRows:
-    """The rows of an online scorer, in stream order.
-
-    Defined rows arrive as single-row ``score_block`` outputs and are
-    stacked every ``STACK_ROWS`` of them, so a long stream holds its
-    scores as columns rather than one dict of one-element arrays per row.
-    """
-
-    STACK_ROWS = 512
-
-    def __init__(self):
-        self.blocks: list[dict] = []
-        self.pending: list[dict] = []
-        self.defined: list[bool] = []
-
-    def add(self, block: dict | None) -> None:
-        """Append one row: its ``score_block`` output, or None if undefined."""
-        self.defined.append(block is not None)
-        if block is not None:
-            self.pending.append(block)
-            if len(self.pending) == self.STACK_ROWS:
-                self.blocks.append(_stack(self.pending))
-                self.pending = []
-
-    def table(self, mode: str, fields: tuple[str, ...]) -> ScoreTable:
-        return score_table(
-            mode, self.blocks + self.pending, fields, np.array(self.defined, dtype=bool)
-        )
+        parts = [block[name] for block in blocks]
+        if not parts:
+            columns[name] = np.empty(0)
+        elif parts[0] is not None:
+            columns[name] = np.concatenate(parts)
+    n = columns["rank_k_leverage"].shape[0]
+    return ScoreTable(mode, np.ones(n, dtype=bool), **columns)
 
 
 def _warn_if_degenerate(sigma: np.ndarray, k: int) -> None:

@@ -5,8 +5,8 @@ Four sketches, all single-writer streaming accumulators:
 * ``FrequentDirections`` - deterministic row-space sketch with a doubled
   buffer: rows accumulate until the buffer holds 2*ell of them, then an
   SVD shrink subtracts the ell-th squared singular value from every
-  direction and keeps the surviving rows.  ``fd_ingest`` is the one way a
-  row stream is fed into it.
+  direction and keeps the surviving rows.  ``FrequentDirections.extend``
+  is its one ingest path.
 * ``SignProjector`` - pseudorandom +-1/sqrt(ell) projection whose entries
   come from a degree-(w-1) polynomial hash over GF(2**61 - 1); entry (i, j)
   is a pure function of (seed, i, j).
@@ -21,10 +21,9 @@ stream through ``row_blocks``, in validated blocks of ``_CHUNK`` rows.  A
 2-D array is validated once, with one vectorized finiteness check, and
 yields views of itself; any other iterable is validated row by row and
 restacked.  Both paths cut the stream at the same multiples of ``_CHUNK``,
-so every sketch is the same bytes either way.  ``fd_ingest`` copies each
-block into the Frequent Directions buffer as many rows at a time as fit
-before the next shrink; ``FrequentDirections.update`` adds one row, for the
-online pipeline.
+so every sketch is the same bytes either way.  ``fd_ingest`` hands each
+block to ``FrequentDirections.extend``; ``FrequentDirections.update``, for
+the online pipeline, validates one row and extends by it.
 
 Both samplers are block-merge weighted reservoirs (Chao 1982; Efraimidis
 & Spirakis, "Weighted random sampling with a reservoir", IPL 2006).  With
@@ -96,8 +95,10 @@ def row_blocks(rows, width: int | None = None):
 class FrequentDirections:
     """Frequent Directions with a 2*ell buffer and shrink-by-sigma_ell^2.
 
-    After any prefix of the stream, ``sketch()`` is a matrix with at most
-    2*ell - 1 rows whose Gram satisfies, for every k < ell,
+    Rows enter only through ``extend`` (``update`` is ``extend`` by one
+    validated row), which fills the buffer and runs every shrink.  After any
+    prefix of the stream, ``sketch()`` is a matrix with at most 2*ell - 1
+    rows whose Gram satisfies, for every k < ell,
 
         ||A^T A - S^T S|| <= ||A - A_k||_F^2 / (ell - k).
     """
@@ -114,16 +115,29 @@ class FrequentDirections:
         self.shrink_count = 0
 
     def update(self, row) -> np.ndarray:
-        """Append one row; shrink when the buffer reaches 2*ell rows.
+        """Append one row, validated by ``as_row``, through ``extend``.
 
-        Returns the row as validated by ``as_row``.
+        Returns the validated row.
         """
         a = as_row(row, self.dim)
-        self.buffer[self.fill] = a
-        self.fill += 1
-        if self.fill == 2 * self.ell:
-            self._shrink()
+        self.extend(a[None])
         return a
+
+    def extend(self, block: np.ndarray) -> None:
+        """Append a validated 2-D block of ``dim``-wide rows, in order.
+
+        Rows are copied into the buffer up to 2*ell - fill at a time, with a
+        shrink whenever the buffer fills, so the shrinks fall on the same
+        rows however the stream is cut into blocks.
+        """
+        start = 0
+        while start < block.shape[0]:
+            take = min(2 * self.ell - self.fill, block.shape[0] - start)
+            self.buffer[self.fill : self.fill + take] = block[start : start + take]
+            self.fill += take
+            start += take
+            if self.fill == 2 * self.ell:
+                self._shrink()
 
     def _shrink(self) -> None:
         # svd_thin(B^T) eigendecomposes the short-side Gram B B^T
@@ -152,25 +166,13 @@ class FrequentDirections:
 
 
 def fd_ingest(rows, ell: int) -> FrequentDirections:
-    """Frequent Directions state after ``update`` with every row in order.
-
-    Each block of ``row_blocks(rows)`` is copied into the buffer up to
-    2*ell - fill rows at a time, shrinking whenever the buffer fills: the
-    shrinks fall on the same rows as with one ``update`` per row, so the
-    state is the same bytes.
-    """
+    """Frequent Directions state after ``extend`` with every block of
+    ``row_blocks(rows)``: the same bytes as one ``update`` per row."""
     fd: FrequentDirections | None = None
     for block in row_blocks(rows):
         if fd is None:
             fd = FrequentDirections(ell, block.shape[1])
-        start = 0
-        while start < block.shape[0]:
-            take = min(2 * ell - fd.fill, block.shape[0] - start)
-            fd.buffer[fd.fill : fd.fill + take] = block[start : start + take]
-            fd.fill += take
-            start += take
-            if fd.fill == 2 * ell:
-                fd._shrink()
+        fd.extend(block)
     if fd is None:
         raise ShapeError("empty row stream")
     return fd
@@ -209,8 +211,13 @@ class SignProjector:
         self._scale = 1.0 / np.sqrt(ell)
 
     def _signs(self, positions: np.ndarray) -> np.ndarray:
-        bits = polyval61(self.coefficients, positions) & np.uint64(1)
-        return np.where(bits == 0, self._scale, -self._scale)
+        # Low bit b -> b * (-2 * scale) + scale, which is +-scale exactly.
+        bits = polyval61(self.coefficients, positions)
+        bits &= np.uint64(1)
+        signs = bits.astype(np.float64)
+        signs *= -2.0 * self._scale
+        signs += self._scale
+        return signs
 
     def matrix(self) -> np.ndarray:
         """The full dim x ell matrix."""
@@ -370,15 +377,3 @@ def column_sample_plan(rows, ell: int, seed: int) -> ColumnSamplePlan:
         running_mass=total,
         entries_seen=pos,
     )
-
-
-def apply_column_plan(plan: ColumnSamplePlan, rows) -> np.ndarray:
-    """Project a block of rows through the sampling plan.
-
-    ``out[:, t] = rows[:, S_t] * ||A||_F / (sqrt(ell) * ||column S_t||)``
-    using the column masses recorded in pass zero.
-    """
-    a = as_matrix(rows, "block")
-    if a.shape[1] != plan.dim:
-        raise ShapeError(f"block has width {a.shape[1]}, expected {plan.dim}")
-    return a[:, plan.indices] * plan.scales()

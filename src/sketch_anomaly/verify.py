@@ -121,7 +121,8 @@ def rproj_ell_for_mu(mu: float, stable_rank: float) -> int:
 
 
 def colsample_ell_for_mu(mu: float, stable_rank: float) -> int:
-    """Column-subsample count for target mu (unit-constant reading)."""
+    """Length-squared sample count, of columns or of rows, for target mu
+    (unit-constant reading)."""
     _check_mu(mu)
     sr = max(stable_rank, 2.0)
     return int(np.ceil(sr * np.log(sr / mu**2) / mu**2))

@@ -4,7 +4,13 @@ import numpy as np
 
 from sketch_anomaly.linalg import as_row, gram_basis, sym_eig
 from sketch_anomaly.rng import MERSENNE61, mod61
-from sketch_anomaly.scores import EXACT_FIELDS, OnlineRows, check_lambda, score_block
+from sketch_anomaly.scores import (
+    EXACT_FIELDS,
+    ROWSPACE_FIELDS,
+    ScoreTable,
+    check_lambda,
+    score_block,
+)
 
 MODE_EXACT_ONLINE = "exact-online"
 
@@ -20,7 +26,8 @@ def online_scores(row_stream, k: int, lam: float | None = None):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     check_lambda(lam)
-    rows = OnlineRows()
+    defined: list[bool] = []
+    scored: list[dict] = []
     cov: np.ndarray | None = None
     width: int | None = None
     for row in row_stream:
@@ -29,10 +36,9 @@ def online_scores(row_stream, k: int, lam: float | None = None):
             width = a.shape[0]
             cov = np.zeros((width, width))
         basis = gram_basis(sym_eig(cov))
-        if basis.rank_used < k:
-            rows.add(None)
-        else:
-            rows.add(score_block(
+        defined.append(basis.rank_used >= k)
+        if defined[-1]:
+            scored.append(score_block(
                 (basis.right_vectors.T @ a)[None, :],
                 np.array([a @ a]),
                 basis.values[: basis.rank_used],
@@ -40,7 +46,14 @@ def online_scores(row_stream, k: int, lam: float | None = None):
                 lam,
             ))
         cov += np.outer(a, a)
-    return rows.table(MODE_EXACT_ONLINE, EXACT_FIELDS)
+    mask = np.array(defined, dtype=bool)
+    columns = dict.fromkeys(ROWSPACE_FIELDS)
+    for name in EXACT_FIELDS:
+        if name == "ridge_leverage" and lam is None:
+            continue
+        columns[name] = np.full(mask.shape, np.nan)
+        columns[name][mask] = [row[name][0] for row in scored]
+    return ScoreTable(MODE_EXACT_ONLINE, mask, **columns)
 
 
 _LO32 = np.uint64(0xFFFFFFFF)

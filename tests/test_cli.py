@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 import sketch_anomaly
-from sketch_anomaly import linalg, pipelines, scores, sketches
+from sketch_anomaly import cli, linalg, pipelines, scores, sketches
 from sketch_anomaly.cli import run_cli
 from sketch_anomaly.io import save_snapshot
 from sketch_anomaly.pipelines import PipelineConfig, run_pipeline
 from sketch_anomaly.scores import batch_scores
+from sketch_anomaly.sketches import row_sample
 from sketch_anomaly.synth import planted_anomaly_dataset
+from sketch_anomaly.verify import colsample_ell_for_mu, measured_mu_rowspace
 
 SRC = str(Path(sketch_anomaly.__file__).resolve().parents[1])
 
@@ -274,6 +276,17 @@ def test_negative_seed_colsample_resume_equals_one_shot(capsys, tmp_path, data_p
     assert resumed == one_shot
     flags[-1] = str(2**64 - 1)
     assert run_json(capsys, score_argv(path, *flags)) == one_shot
+
+
+def test_rowsample_mu_sizes_ell_by_the_sampling_law():
+    # Length-squared row sampling is colsample's law on A^T; the Frequent
+    # Directions formula (ell 33 here) misses mu = 0.1 on most seeds.
+    argv = ["score", "--mode", "rowsample", "--k", "3", "--mu", "0.1", "--input", "-"]
+    ell = cli._resolve_ell(cli.build_parser().parse_args(argv), "rowsample")
+    assert ell == colsample_ell_for_mu(0.1, 3.0) == 1712
+    a, _ = planted_anomaly_dataset(4000, 60, 3, 0)
+    for seed in range(10):
+        assert measured_mu_rowspace(a, row_sample(a, ell, seed)) <= 0.1
 
 
 def test_unallocatable_sketch_is_one_line_error(capsys, data_path):

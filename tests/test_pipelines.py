@@ -217,24 +217,29 @@ class TestOnlinePipeline:
                 )
         assert records.mode == "sketched-online"
 
-    def test_stacked_rows_keep_stream_order(self, monkeypatch, table_columns):
-        # Rows stacked every 3 defined rows read as rows never stacked.
-        from sketch_anomaly.scores import OnlineRows
-
+    def test_online_columns_match_oracle(self):
+        # 2 * ell > n, so the sketch is every row so far, as in the oracle.
         rng = np.random.default_rng(71)
-        a = rng.standard_normal((20, 5))
+        n, k = 20, 2
+        a = rng.standard_normal((n, 5))
         for lam in (None, 0.5):
-            cfg = PipelineConfig(k=2, ell=4, lam=lam, mode="online-fd")
-            whole = run_online_pipeline(lambda: iter(a), cfg)
-            monkeypatch.setattr(OnlineRows, "STACK_ROWS", 3)
-            stacked = run_online_pipeline(lambda: iter(a), cfg)
-            exact_stacked = online_scores(iter(a), 2, lam=lam)
-            monkeypatch.undo()
-            exact = online_scores(iter(a), 2, lam=lam)
-            assert table_columns(stacked) == table_columns(whole)
-            assert table_columns(exact_stacked) == table_columns(exact)
-            assert whole.defined[2:].all()
-            assert (whole.ridge_leverage is None) == (lam is None)
+            cfg = PipelineConfig(k=k, ell=16, lam=lam, mode="online-fd")
+            table = run_online_pipeline(lambda: iter(a), cfg)
+            exact = online_scores(iter(a), k, lam=lam)
+            assert table.defined.tolist() == [i >= k for i in range(n)]
+            assert table.defined.tolist() == exact.defined.tolist()
+            assert (table.ridge_leverage is None) == (lam is None)
+            for name in ROWSPACE_FIELDS:
+                column = getattr(table, name)
+                if column is None:
+                    continue
+                assert column.dtype == np.float64 and column.shape == (n,)
+                assert np.isnan(column).tolist() == (~table.defined).tolist()
+                expected = getattr(exact, name)
+                if expected is not None:
+                    np.testing.assert_allclose(
+                        column[k:], expected[k:], rtol=1e-8, atol=1e-8
+                    )
 
     def test_early_rows_are_sentinels(self):
         rng = np.random.default_rng(67)

@@ -13,7 +13,6 @@ from sketch_anomaly.sketches import (
     ColumnSamplePlan,
     FrequentDirections,
     SignProjector,
-    apply_column_plan,
     column_sample_plan,
     fd_ingest,
     row_blocks,
@@ -126,6 +125,30 @@ class TestFrequentDirections:
         tol = 1e-10 * float(np.sum(b**2))
         assert np.abs(gram(fd) - expected.T @ expected).max() <= tol
         assert np.all(fd.buffer[fd.fill :] == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 7),
+        st.lists(st.integers(0, 40), max_size=10),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_extend_over_any_partition_equals_update_per_row(
+        self, ell, d, sizes, seed
+    ):
+        # Empty blocks and blocks longer than 2 * ell, crossing several
+        # shrinks, included.
+        a = gaussian_stream(sum(sizes), d, seed)
+        by_row = FrequentDirections(ell, d)
+        for row in a:
+            by_row.update(row)
+        by_block = FrequentDirections(ell, d)
+        for stop, size in zip(np.cumsum(sizes), sizes):
+            by_block.extend(a[stop - size : stop])
+        assert (by_block.fill, by_block.shrink_count) == (
+            by_row.fill, by_row.shrink_count,
+        )
+        assert by_block.buffer.tobytes() == by_row.buffer.tobytes()
 
     def test_width_mismatch(self):
         fd = FrequentDirections(4, 6)
@@ -439,11 +462,16 @@ class TestColumnSamplePlan:
             column_sample_plan(np.zeros((3, 3)), 2, seed=0)
 
 
+def project(plan: ColumnSamplePlan, a: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` through the plan, as the colsample pipeline projects them."""
+    return a[:, plan.indices] * plan.scales()
+
+
 class TestApplyColumnPlan:
     def test_single_column_ell_one_exact(self):
         a = np.array([[3.0], [4.0]])
         plan = column_sample_plan(a, 1, seed=5)
-        sketch = apply_column_plan(plan, a)
+        sketch = project(plan, a)
         assert np.abs(sketch @ sketch.T - a @ a.T).max() <= 1e-12
 
     def test_homogeneity(self):
@@ -452,8 +480,8 @@ class TestApplyColumnPlan:
         plan1 = column_sample_plan(a, 5, seed=2)
         plan2 = column_sample_plan(2.0 * a, 5, seed=2)
         assert np.array_equal(plan1.indices, plan2.indices)
-        out1 = apply_column_plan(plan1, a)
-        out2 = apply_column_plan(plan2, 2.0 * a)
+        out1 = project(plan1, a)
+        out2 = project(plan2, 2.0 * a)
         np.testing.assert_allclose(out2, 2.0 * out1, rtol=1e-12)
 
     def test_defensive_zero_mass_error(self):
@@ -467,7 +495,7 @@ class TestApplyColumnPlan:
             entries_seen=6,
         )
         with pytest.raises(ZeroMassError):
-            apply_column_plan(plan, np.ones((1, 3)))
+            project(plan, np.ones((1, 3)))
 
     def test_covariance_trials(self):
         # 200 x 50, ell = 2000 -> within 0.5 sigma_1^2 in >= 90/100 trials.
@@ -478,11 +506,7 @@ class TestApplyColumnPlan:
         sigma1_sq = svd_thin(a).values[0] ** 2
         hits = 0
         for seed in range(100):
-            plan = column_sample_plan(a, 2000, seed)
-            sketch = a[:, plan.indices] * plan.scales()
-            if seed == 0:
-                block_api = apply_column_plan(plan, a[:7])
-                np.testing.assert_allclose(block_api, sketch[:7], rtol=1e-12)
+            sketch = project(column_sample_plan(a, 2000, seed), a)
             if operator_norm(cov - sketch @ sketch.T) <= 0.5 * sigma1_sq:
                 hits += 1
         assert hits >= 90
