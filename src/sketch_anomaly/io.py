@@ -15,11 +15,16 @@ followed by a kind-specific payload of u64 counters and row-major float64
 data.  Snapshots let multi-pass CLI runs persist pass-0/pass-1 state and
 resume in a separate invocation; byte-for-byte round-trips are part of the
 contract.
+
+``load_snapshot`` reads every payload array of every kind through
+``_read``: a check that the file holds it, then one read straight from the
+file into a new array, then one finiteness check of float data.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
@@ -57,46 +62,32 @@ def _unpack_header(blob: bytes, path: str):
     return kind, ell, dim, seed
 
 
-def _check_finite(data: np.ndarray, path: str) -> np.ndarray:
-    if not np.isfinite(data).all():
-        raise DataFormatError(f"{path}: non-finite value in payload")
-    return data
-
-
-def _f64(blob: bytes, offset: int, count: int, path: str) -> tuple[np.ndarray, int]:
-    end = offset + 8 * count
-    if end > len(blob):
+def _read(handle, shape: tuple[int, ...], dtype: str, path: str) -> np.ndarray:
+    """The next ``shape`` array of ``dtype`` in the file, read straight from
+    the file into one new array; a float array is checked finite."""
+    data_type = np.dtype(dtype)
+    size = data_type.itemsize * math.prod(shape)
+    # Checked against the bytes left in the file before allocating, so a
+    # corrupt header reads as truncation rather than as an allocation failure.
+    start = handle.tell()
+    if handle.seek(0, 2) - start < size:
         raise DataFormatError(f"{path}: truncated payload")
-    data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).copy()
-    return _check_finite(data, path), end
-
-
-def _u64(blob: bytes, offset: int, count: int, path: str) -> tuple[np.ndarray, int]:
-    end = offset + 8 * count
-    if end > len(blob):
-        raise DataFormatError(f"{path}: truncated payload")
-    return np.frombuffer(blob, dtype="<u8", count=count, offset=offset).copy(), end
-
-
-def _read_matrix(handle, rows: int, cols: int, path: str) -> np.ndarray:
-    """The rows x cols float64 payload after the header, read straight from
-    the file into one new array."""
-    size = 8 * rows * cols
-    # Checked against the file size before allocating, so a corrupt header
-    # reads as truncation rather than as an allocation failure.
-    if handle.seek(0, 2) - _HEADER.size < size:
-        raise DataFormatError(f"{path}: truncated payload")
-    # With a zero dimension the payload is empty whatever the other one
-    # says; numpy refuses a dimension whose bytes overflow its index type.
-    if 8 * max(rows, cols) > np.iinfo(np.intp).max:
+    # With a zero dimension the payload is empty whatever the others say;
+    # numpy refuses a dimension whose bytes overflow its index type.  Only
+    # a matrix header can give a zero dimension: the sketch kinds reject
+    # ell or dim below 1 before reading.
+    if data_type.itemsize * max(shape) > np.iinfo(np.intp).max:
         raise DataFormatError(
-            f"{path}: matrix header dimension too large ({rows} x {cols})"
+            f"{path}: matrix header dimension too large "
+            f"({' x '.join(map(str, shape))})"
         )
-    handle.seek(_HEADER.size)
-    data = np.empty((rows, cols), dtype="<f8")
+    handle.seek(start)
+    data = np.empty(shape, dtype=data_type)
     if handle.readinto(data) != size:
         raise DataFormatError(f"{path}: truncated payload")
-    return _check_finite(data, path)
+    if data_type.kind == "f" and not np.isfinite(data).all():
+        raise DataFormatError(f"{path}: non-finite value in payload")
+    return data
 
 
 def save_snapshot(path, obj, seed: int = 0) -> None:
@@ -122,62 +113,52 @@ def save_snapshot(path, obj, seed: int = 0) -> None:
 
 
 def load_snapshot(path):
-    """Read back whatever ``save_snapshot`` wrote.
-
-    A matrix payload is read from the file into one new writable array,
-    which is checked for finiteness once; the smaller sketch kinds are read
-    whole and parsed.
-    """
+    """Read back whatever ``save_snapshot`` wrote."""
     path = Path(path)
     try:
         with path.open("rb") as handle:
-            blob = handle.read(_HEADER.size)
-            kind, ell, dim, seed = _unpack_header(blob, str(path))
-            if kind == KIND_MATRIX:
-                return _read_matrix(handle, ell, dim, str(path))
-            blob += handle.read()
+            return _read_snapshot(handle, str(path))
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    offset = _HEADER.size
-    if kind in (KIND_FD_STATE, KIND_COLUMN_PLAN) and (ell < 1 or dim < 1):
+
+
+def _read_snapshot(handle, path: str):
+    kind, ell, dim, seed = _unpack_header(handle.read(_HEADER.size), path)
+    if kind == KIND_MATRIX:
+        return _read(handle, (ell, dim), "<f8", path)
+    if kind not in (KIND_FD_STATE, KIND_COLUMN_PLAN):
+        raise DataFormatError(f"{path}: unknown snapshot kind {kind}")
+    if ell < 1 or dim < 1:
         raise DataFormatError(f"{path}: snapshot has ell {ell} and dim {dim}")
     if kind == KIND_FD_STATE:
-        if len(blob) < offset + 16:
-            raise DataFormatError(f"{path}: truncated payload")
-        fill, shrink_count = struct.unpack_from("<QQ", blob, offset)
+        fill, shrink_count = map(int, _read(handle, (2,), "<u8", path))
         if fill > 2 * ell - 1:
             raise DataFormatError(
                 f"{path}: fd state fill {fill} exceeds 2*ell-1 = {2 * ell - 1}"
             )
-        data, _ = _f64(blob, offset + 16, 2 * ell * dim, str(path))
+        buffer = _read(handle, (2 * ell, dim), "<f8", path)
         state = FrequentDirections(ell, dim)
-        state.buffer = data.reshape(2 * ell, dim)
-        state.fill = int(fill)
-        state.shrink_count = int(shrink_count)
+        state.buffer = buffer
+        state.fill = fill
+        state.shrink_count = shrink_count
         return state
-    if kind == KIND_COLUMN_PLAN:
-        if len(blob) < offset + 16:
-            raise DataFormatError(f"{path}: truncated payload")
-        entries_seen, running_mass = struct.unpack_from("<Qd", blob, offset)
-        if not np.isfinite(running_mass):
-            raise DataFormatError(f"{path}: non-finite value in payload")
-        indices, offset2 = _u64(blob, offset + 16, ell, str(path))
-        if np.any(indices >= dim):
-            raise DataFormatError(
-                f"{path}: column plan index {int(indices.max())} "
-                f"is not below dim {dim}"
-            )
-        masses, _ = _f64(blob, offset2, dim, str(path))
-        return ColumnSamplePlan(
-            ell=ell,
-            dim=dim,
-            seed=seed,
-            indices=indices.astype(np.int64),
-            column_masses=masses,
-            running_mass=float(running_mass),
-            entries_seen=int(entries_seen),
+    (entries_seen,) = _read(handle, (1,), "<u8", path)
+    (running_mass,) = _read(handle, (1,), "<f8", path)
+    indices = _read(handle, (ell,), "<u8", path)
+    if np.any(indices >= dim):
+        raise DataFormatError(
+            f"{path}: column plan index {int(indices.max())} "
+            f"is not below dim {dim}"
         )
-    raise DataFormatError(f"{path}: unknown snapshot kind {kind}")
+    return ColumnSamplePlan(
+        ell=ell,
+        dim=dim,
+        seed=seed,
+        indices=indices.astype(np.int64),
+        column_masses=_read(handle, (dim,), "<f8", path),
+        running_mass=float(running_mass),
+        entries_seen=int(entries_seen),
+    )
 
 
 def load_csv(path, header: bool = False) -> np.ndarray:

@@ -111,11 +111,17 @@ def _score_pass(
     lam: float | None,
     fields: tuple[str, ...],
 ) -> ScoreTable:
-    """One pass scoring every row, block by block, from its basis coordinates."""
+    """One pass scoring every row, block by block, from its basis coordinates.
+
+    A source that yields no rows here (say, one shared iterator that the
+    sketch pass used up) raises ``ShapeError``.
+    """
     blocks = [
         score_block(coords(block), np.einsum("ij,ij->i", block, block), sigma, k, lam)
         for block in row_blocks(row_source(), width)
     ]
+    if not blocks:
+        raise ShapeError("row source produced no rows")
     return score_table(MODE_SKETCHED_BATCH, blocks, fields)
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import RankDeficientError
 # ``as_row`` and ``sym_eig`` are not called here, but perfbench/tracing.py
 # counts and times their calls through this module's names for them.
-from .linalg import as_matrix, as_row, svd_thin, sym_eig  # noqa: F401
+from .linalg import as_matrix, as_row, spectral_stats, svd_thin, sym_eig  # noqa: F401
 
 MODE_EXACT_BATCH = "exact-batch"
 MODE_SKETCHED_BATCH = "sketched-batch"
@@ -191,14 +191,12 @@ class ScoreTable:
 def score_table(
     mode: str, blocks: list[dict], fields: tuple[str, ...]
 ) -> ScoreTable:
-    """Stack ``score_block`` outputs, in row order, into a table of
-    defined rows filling only ``fields``."""
+    """Stack ``score_block`` outputs of at least one block, in row order,
+    into a table of defined rows filling only ``fields``."""
     columns = dict.fromkeys(ROWSPACE_FIELDS)
     for name in fields:
         parts = [block[name] for block in blocks]
-        if not parts:
-            columns[name] = np.empty(0)
-        elif parts[0] is not None:
+        if parts[0] is not None:
             columns[name] = np.concatenate(parts)
     n = columns["rank_k_leverage"].shape[0]
     return ScoreTable(mode, np.ones(n, dtype=bool), **columns)
@@ -206,7 +204,7 @@ def score_table(
 
 def _warn_if_degenerate(sigma: np.ndarray, k: int) -> None:
     if sigma.size > k and sigma[0] > 0:
-        delta = float((sigma[k - 1] ** 2 - sigma[k] ** 2) / sigma[0] ** 2)
+        delta = spectral_stats(sigma, k).separation_delta
         if delta < SEPARATION_WARN_FLOOR:
             warnings.warn(
                 f"separation delta at k={k} is {delta:.3e}; the principal "

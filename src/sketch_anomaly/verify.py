@@ -5,10 +5,12 @@ stated right side from measured quantities, and returns a ``BoundReport``.
 The covariance error ``mu`` is always *measured* from the matrices at
 hand, never assumed from a sketch-size formula; a theorem whose
 precondition fails on the measured value is reported ``applicable=False``
-(the bound asserts nothing there) rather than failed.  Each matrix is
-decomposed once by ``linalg.svd_thin``, whose singular values
-``linalg.spectral_stats`` reads, and scores come from
-``scores.score_block``: the same kernels the pipelines use.
+(the bound asserts nothing there) rather than failed.  A's spectrum comes
+from ``linalg.svd_thin``, whose singular values ``linalg.spectral_stats``
+reads.  The sketched-score checks score with what ``score`` runs: the
+exact side is ``scores.batch_scores`` (``score --mode exact``), which
+decomposes A a second time, and a Frequent Directions sketch is scored by
+``pipelines.run_fd_pipeline`` (``score --mode fd``).
 
 Checkers are pure: identical inputs and seeds give identical reports.
 
@@ -33,7 +35,6 @@ import numpy as np
 
 from .errors import RankDeficientError, ShapeError
 from .linalg import (
-    SpectralDecomposition,
     SpectralStats,
     as_matrix,
     gram_basis,
@@ -42,7 +43,8 @@ from .linalg import (
     svd_thin,
     sym_eig,
 )
-from .scores import score_block
+from .pipelines import PipelineConfig, run_fd_pipeline
+from .scores import ScoreTable, batch_scores, score_block
 from .sketches import SignProjector, fd_ingest
 from .synth import additive_perturbation, separated_matrix
 
@@ -315,21 +317,6 @@ def check_diag_dominance(matrix, seed: int | None = None) -> BoundReport:
 # --- sketched-score guarantees -------------------------------------------
 
 
-def _rowspace_estimates(
-    a: np.ndarray, row_sq: np.ndarray, decomp: SpectralDecomposition, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(L^k, raw T^k) for every row of a against ``svd_thin`` of a basis."""
-    if decomp.rank_used < k:
-        raise RankDeficientError(
-            f"basis rank {decomp.rank_used} below k={k}; "
-            "a sketch needs a larger ell"
-        )
-    columns = score_block(
-        a @ decomp.right_vectors[:, :k], row_sq, decomp.values[:k], k
-    )
-    return columns["rank_k_leverage"], columns["projection_distance_raw"]
-
-
 # Sign-projection independence and ell doublings of the average checks.
 _AVERAGE_INDEPENDENCE = 8
 _AVERAGE_DOUBLINGS = 4
@@ -354,8 +341,7 @@ def check_average_guarantees(
     projected-space estimator the rproj pipeline computes.
     """
     a = as_matrix(a, "A")
-    exact = svd_thin(a)
-    stats = spectral_stats(exact.values, k)
+    stats = spectral_stats(svd_thin(a).values, k)
     delta, sr = stats.separation_delta, stats.stable_rank
     sigma1_sq = float(stats.sigma_sq[0])
     mu_l_target = mu_for_average_l(eps, delta)
@@ -371,7 +357,9 @@ def check_average_guarantees(
             break
 
     row_sq = np.einsum("ij,ij->i", a, a)
-    lev_exact, proj_exact = _rowspace_estimates(a, row_sq, exact, k)
+    exact_scores = batch_scores(a, k)
+    lev_exact = exact_scores.rank_k_leverage
+    proj_exact = exact_scores.projection_distance
     sketch = gram_basis(sym_eig(cov_sketch))
     rank_ok = sketch.rank_used >= k
     if rank_ok:
@@ -432,14 +420,15 @@ def check_pointwise_guarantees(
       ``|L^k(i) - ~L^k(i)| <= eps k |a_i|^2 / ||A||_F^2``.
 
     Each sketch starts at the ``fd_ell_for_mu`` size and doubles ell until
-    the measured mu meets the target or ell reaches the row count.  The
+    the measured mu meets the target or ell reaches the row count; it is
+    then scored by ``run_fd_pipeline`` against ``batch_scores``, as
+    ``score --mode fd`` and ``score --mode exact`` score A.  The
     leverage theorem's proof invokes a lower bound on mu where its
     statement needs an upper bound; the checker follows the statement and
     records ``mu_regime="upper-bound reading"`` in the inputs.
     """
     a = as_matrix(a, "A")
-    exact = svd_thin(a)
-    stats = spectral_stats(exact.values, k)
+    stats = spectral_stats(svd_thin(a).values, k)
     delta, kappa, sr = (
         stats.separation_delta,
         stats.condition_kappa_k,
@@ -449,16 +438,19 @@ def check_pointwise_guarantees(
     tail_sr = float(sq[k:].sum() / sq[0])
     row_sq = np.einsum("ij,ij->i", a, a)
     nonzero = row_sq > 0
-    lev_exact, proj_exact = _rowspace_estimates(a, row_sq, exact, k)
+    exact_scores = batch_scores(a, k)
 
-    def build(mu_target: float) -> tuple[np.ndarray, float, int]:
+    def build(mu_target: float) -> tuple[ScoreTable, float, int]:
+        """The scores of the first sketch in the doubling that meets
+        ``mu_target``, its measured mu and its ell."""
         ell0 = max(fd_ell_for_mu(mu_target, tail_sr, k), k + 1)
         for ell in (ell0 << t for t in range(_POINTWISE_DOUBLINGS + 1)):
-            sketch = fd_ingest(a, ell).sketch()
-            mu = measured_mu_rowspace(a, sketch)
+            fd = fd_ingest(a, ell)
+            mu = measured_mu_rowspace(a, fd.sketch())
             if mu <= mu_target or ell >= a.shape[0]:
                 break
-        return sketch, mu, ell
+        cfg = PipelineConfig(k=k, ell=ell)
+        return run_fd_pipeline(lambda: a, cfg, state=fd), mu, ell
 
     common = dict(
         n=a.shape[0],
@@ -470,11 +462,9 @@ def check_pointwise_guarantees(
     )
 
     mu_t_target = mu_for_pointwise_t(eps, delta)
-    sketch_t, mu_t, ell_t = build(mu_t_target)
-    _, proj_t = _rowspace_estimates(a, row_sq, svd_thin(sketch_t), k)
-    lhs_t = float(
-        np.max(np.abs(proj_exact[nonzero] - proj_t[nonzero]) / row_sq[nonzero])
-    )
+    scores_t, mu_t, ell_t = build(mu_t_target)
+    gap_t = np.abs(exact_scores.projection_distance - scores_t.projection_distance_raw)
+    lhs_t = float(np.max(gap_t[nonzero] / row_sq[nonzero]))
     report_t = _report(
         "pointwise-projection",
         lhs_t,
@@ -487,12 +477,10 @@ def check_pointwise_guarantees(
     )
 
     mu_l_target = mu_for_pointwise_l(eps, k, sr, kappa)
-    sketch_l, mu_l, ell_l = build(mu_l_target)
-    lev_l, _ = _rowspace_estimates(a, row_sq, svd_thin(sketch_l), k)
+    scores_l, mu_l, ell_l = build(mu_l_target)
     scale = float(sq.sum()) / k
-    lhs_l = float(
-        np.max(np.abs(lev_exact[nonzero] - lev_l[nonzero]) * scale / row_sq[nonzero])
-    )
+    gap_l = np.abs(exact_scores.rank_k_leverage - scores_l.rank_k_leverage)
+    lhs_l = float(np.max(gap_l[nonzero] * scale / row_sq[nonzero]))
     eps_window = eps <= min(kappa * delta, 1.0 / k) * sr * kappa
     report_l = _report(
         "pointwise-leverage",

@@ -5,16 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sketch_anomaly
 from sketch_anomaly import cli, linalg, pipelines, scores, sketches
 from sketch_anomaly.cli import run_cli
 from sketch_anomaly.io import save_snapshot
+from sketch_anomaly.linalg import spectral_stats, svd_thin
 from sketch_anomaly.pipelines import PipelineConfig, run_pipeline
 from sketch_anomaly.scores import batch_scores
 from sketch_anomaly.sketches import row_sample
-from sketch_anomaly.synth import planted_anomaly_dataset
+from sketch_anomaly.synth import planted_anomaly_dataset, separated_matrix
 from sketch_anomaly.verify import colsample_ell_for_mu, measured_mu_rowspace
 
 SRC = str(Path(sketch_anomaly.__file__).resolve().parents[1])
@@ -151,6 +153,43 @@ def test_sketch_in_flag_mismatch_is_data_error(
 
 def test_verify_has_no_mu_flag():
     assert run_cli(["verify", "--suite", "diag", "--seeds", "1", "--mu", "0.1"]) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_pointwise_reports_on_the_score_outputs(capsys, tmp_path, seed):
+    # Each pointwise lhs, recomputed from the JSON that ``score --mode exact``
+    # and ``score --mode fd --ell <report ell>`` write for the suite's
+    # instance, is the reported lhs to the bit.
+    argv = ["verify", "--suite", "pointwise", "--seeds", "1", "--seed", str(seed)]
+    assert run_cli(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reports = {r["bound_name"]: r for r in map(json.loads, lines)}
+    a = separated_matrix(200, 40, 3, seed, delta=0.3, kappa=1.15, tail_sr=5e-5)
+    path = tmp_path / "a.bin"
+    save_snapshot(path, a)
+
+    def column(key, *flags):
+        rows = run_json(capsys, score_argv(path, *flags))
+        return np.array([row[key] for row in rows])
+
+    def fd_column(key, report):
+        return column(key, "--mode", "fd", "--ell", str(report["inputs"]["ell"]))
+
+    row_sq = np.einsum("ij,ij->i", a, a)
+    nonzero = row_sq > 0
+    proj = reports["pointwise-projection"]
+    gap = np.abs(
+        column("projection_distance", "--mode", "exact")
+        - fd_column("projection_distance_raw", proj)
+    )
+    assert float(np.max(gap[nonzero] / row_sq[nonzero])) == proj["lhs"]
+    lev = reports["pointwise-leverage"]
+    scale = float(spectral_stats(svd_thin(a).values, 3).sigma_sq.sum()) / 3
+    gap = np.abs(
+        column("rank_k_leverage", "--mode", "exact")
+        - fd_column("rank_k_leverage", lev)
+    )
+    assert float(np.max(gap[nonzero] * scale / row_sq[nonzero])) == lev["lhs"]
 
 
 @pytest.mark.parametrize("module", ["sketch_anomaly", "sketch_anomaly.cli"])

@@ -182,20 +182,21 @@ def test_load_matrix_returns_a_fresh_writable_float64_array(tmp_path, fmt):
     assert load_matrix(path, fmt=fmt)[0, 0] == a[0, 0]
 
 
-def test_matrix_payload_is_read_in_one_copy(tmp_path, monkeypatch):
-    # The payload goes from the file into the returned array: neither a
-    # bytes object of the whole file nor a second array is made.
-    a = gaussian(10, 40, 6)
-    path = tmp_path / "m.bin"
-    save_snapshot(path, a)
+@pytest.mark.parametrize("kind", KINDS)
+def test_payload_is_read_in_one_copy(tmp_path, monkeypatch, kind):
+    # Every payload array goes from the file into the returned object:
+    # neither a bytes object of the whole file nor a second array is made.
+    blob = snapshot_blob(tmp_path, kind)
+    path = tmp_path / "snap.bin"
 
     def no_read_bytes(self):
         raise AssertionError("whole file read into bytes")
 
     monkeypatch.setattr(type(path), "read_bytes", no_read_bytes)
     monkeypatch.setattr(np, "frombuffer", None)
-    loaded = load_matrix(path, fmt="bin")
-    assert loaded.tobytes() == a.tobytes()
+    loaded = load_snapshot(path)
+    monkeypatch.undo()
+    assert resave(path, loaded, seed=8) == blob
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -209,7 +210,8 @@ def test_non_finite_matrix_payload_is_data_error(tmp_path, value):
             load(path)
 
 
-def test_huge_matrix_header_is_truncation_not_allocation(tmp_path):
-    blob = patched_header(snapshot_blob(tmp_path, KIND_MATRIX), ell=2**40, dim=2**20)
+@pytest.mark.parametrize("kind", KINDS)
+def test_huge_header_is_truncation_not_allocation(tmp_path, kind):
+    blob = patched_header(snapshot_blob(tmp_path, kind), ell=2**40, dim=2**20)
     with pytest.raises(DataFormatError, match="truncated payload"):
         load_blob(tmp_path, blob)

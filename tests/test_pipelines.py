@@ -75,6 +75,15 @@ class TestPassDiscipline:
         run_online_pipeline(src, PipelineConfig(k=2, ell=8, mode="online-fd"))
         assert src.passes == 1
 
+    @pytest.mark.parametrize("mode", ["fd", "rproj", "colsample", "rowsample"])
+    def test_shared_iterator_is_an_error_not_an_empty_table(self, mode):
+        # The first pass uses up the one iterator, so a later pass sees no
+        # rows at all.
+        rows = iter(self.matrix)
+        cfg = PipelineConfig(k=2, ell=12, seed=3, mode=mode)
+        with pytest.raises(ShapeError, match="row source produced no rows"):
+            run_pipeline(lambda: rows, cfg)
+
 
 class TestFdPipeline:
     def test_lossless_sketch_equals_exact(self):
