@@ -237,9 +237,7 @@ def cmd_score(args) -> int:
         )
         if args.sketch_out:
             if mode == "fd":
-                save_snapshot(
-                    args.sketch_out, fd_ingest(row_source(), ell), seed=args.seed
-                )
+                save_snapshot(args.sketch_out, fd_ingest(row_source(), ell))
             else:
                 plan = column_sample_plan(row_source(), ell, args.seed)
                 save_snapshot(args.sketch_out, plan)

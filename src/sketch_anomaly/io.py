@@ -90,11 +90,11 @@ def _read(handle, shape: tuple[int, ...], dtype: str, path: str) -> np.ndarray:
     return data
 
 
-def save_snapshot(path, obj, seed: int = 0) -> None:
+def save_snapshot(path, obj) -> None:
     """Write a matrix, FD state, or column plan to a snapshot file."""
     path = Path(path)
     if isinstance(obj, FrequentDirections):
-        head = _pack_header(KIND_FD_STATE, obj.ell, obj.dim, seed)
+        head = _pack_header(KIND_FD_STATE, obj.ell, obj.dim, 0)
         counters = struct.pack("<QQ", obj.fill, obj.shrink_count)
         body = obj.buffer.astype("<f8").tobytes()
         path.write_bytes(head + counters + body)
@@ -108,7 +108,7 @@ def save_snapshot(path, obj, seed: int = 0) -> None:
         path.write_bytes(head + counters + body)
     else:
         mat = as_matrix(obj)
-        head = _pack_header(KIND_MATRIX, mat.shape[0], mat.shape[1], seed)
+        head = _pack_header(KIND_MATRIX, mat.shape[0], mat.shape[1], 0)
         path.write_bytes(head + mat.astype("<f8").tobytes())
 
 
@@ -150,12 +150,15 @@ def _read_snapshot(handle, path: str):
             f"{path}: column plan index {int(indices.max())} "
             f"is not below dim {dim}"
         )
+    column_masses = _read(handle, (dim,), "<f8", path)
+    if running_mass < 0.0 or np.any(column_masses < 0.0):
+        raise DataFormatError(f"{path}: column plan has a negative mass")
     return ColumnSamplePlan(
         ell=ell,
         dim=dim,
         seed=seed,
         indices=indices.astype(np.int64),
-        column_masses=_read(handle, (dim,), "<f8", path),
+        column_masses=column_masses,
         running_mass=float(running_mass),
         entries_seen=int(entries_seen),
     )

@@ -2,11 +2,12 @@
 
 Every pipeline takes a ``row_source``: a zero-argument callable returning
 either a 2-D array or a fresh iterable of rows.  Each call is one pass over
-the data, so pass discipline is observable from outside.  The batch passes
-read an array as views of ``_CHUNK``-row blocks after one vectorized
-finiteness check, and validate any other iterable row by row
-(``sketches.row_blocks``); both give the same bytes.  The online pipeline
-reads every source row by row.  Passes per pipeline:
+the data, so pass discipline is observable from outside.  Every batch pass
+reads its source through ``sketches.row_blocks``, which validates the rows,
+fixes the width the pass allocates from, and raises
+``ShapeError("row source produced no rows")`` on an empty pass (say, a
+second pass over one shared iterator).  The online pipeline reads every
+source row by row.  Passes per pipeline:
 
 * ``run_fd_pipeline``        - 2 passes (sketch, then score)
 * ``run_rproj_pipeline``     - 2 passes (projected covariance, then score)
@@ -111,18 +112,13 @@ def _score_pass(
     lam: float | None,
     fields: tuple[str, ...],
 ) -> ScoreTable:
-    """One pass scoring every row, block by block, from its basis coordinates.
-
-    A source that yields no rows here (say, one shared iterator that the
-    sketch pass used up) raises ``ShapeError``.
-    """
-    blocks = [
+    """One pass scoring every row, block by block, from its basis coordinates."""
+    _, blocks = row_blocks(row_source(), width)
+    scored = [
         score_block(coords(block), np.einsum("ij,ij->i", block, block), sigma, k, lam)
-        for block in row_blocks(row_source(), width)
+        for block in blocks
     ]
-    if not blocks:
-        raise ShapeError("row source produced no rows")
-    return score_table(MODE_SKETCHED_BATCH, blocks, fields)
+    return score_table(MODE_SKETCHED_BATCH, scored, fields)
 
 
 def _rowspace_table(
@@ -147,8 +143,8 @@ def _projected_table(
     """Covariance pass, then score pass, in projected coordinates (rproj,
     colsample), where only L^k and T^k are defined.
 
-    ``projector(width)`` builds the block projection once the first block
-    fixes the width.  A covariance larger than physical memory raises
+    ``projector(width)`` builds the block projection for the width
+    ``row_blocks`` reports.  A covariance larger than physical memory raises
     ``MemoryError`` before it is allocated.
     """
     need = 8 * cfg.ell**2
@@ -158,16 +154,12 @@ def _projected_table(
             f"an ell x ell covariance with ell={cfg.ell} needs {need} bytes, "
             f"more than the {physical} bytes of physical memory"
         )
-    project: Callable[[np.ndarray], np.ndarray] | None = None
     cov = np.zeros((cfg.ell, cfg.ell))
-    for block in row_blocks(row_source(), width):
-        if project is None:
-            width = block.shape[1]
-            project = projector(width)
+    width, blocks = row_blocks(row_source(), width)
+    project = projector(width)
+    for block in blocks:
         projected = project(block)
         cov += projected.T @ projected
-    if project is None:
-        raise ShapeError("row source produced no rows")
     decomp = gram_basis(sym_eig(cov))
     _require_rank(decomp.rank_used, cfg)
     v_k = decomp.right_vectors[:, : cfg.k]

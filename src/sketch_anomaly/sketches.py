@@ -17,29 +17,32 @@ Four sketches, all single-writer streaming accumulators:
   masses needed to rescale on later passes.
 
 The samplers, ``fd_ingest`` and the batch pipelines' passes read their
-stream through ``row_blocks``, in validated blocks of ``_CHUNK`` rows.  A
-2-D array is validated once, with one vectorized finiteness check, and
-yields views of itself; any other iterable is validated row by row and
-restacked.  Both paths cut the stream at the same multiples of ``_CHUNK``,
-so every sketch is the same bytes either way.  ``fd_ingest`` hands each
-block to ``FrequentDirections.extend``; ``FrequentDirections.update``, for
-the online pipeline, validates one row and extends by it.
+stream through ``row_blocks``.  It alone validates the rows (a 2-D array
+once, yielding views of it; any other iterable row by row, restacked),
+fixes the width its consumer allocates from, and raises
+``ShapeError("row source produced no rows")`` on an empty stream.  Both
+paths cut the stream at the same multiples of ``_CHUNK``, so every sketch
+is the same bytes either way.  ``fd_ingest`` hands each block to
+``FrequentDirections.extend``; ``FrequentDirections.update``, for the
+online pipeline, validates one row and extends by it.
 
-Both samplers are block-merge weighted reservoirs (Chao 1982; Efraimidis
-& Spirakis, "Weighted random sampling with a reservoir", IPL 2006).  With
-running squared mass C0 before a block and C1 after it,
-each slot draws one uniform u per block and moves to the item whose
-cumulative-mass interval holds v = u * C1 when v >= C0, else keeps its
-pick.  So a slot keeps its pick with probability C0 / C1, and item i of
-the block wins with probability w_i / C1.  By induction over blocks, if
-the pick before the block is item j with probability w_j / C0, afterwards
-it is w_j / C0 * C0 / C1 = w_j / C1 for every item seen: the law of
-per-item coin flips, at ell uniforms per block instead of per item.
+Both samplers merge their blocks through one ``_Reservoir``, a block-merge
+weighted reservoir (Chao 1982; Efraimidis & Spirakis, "Weighted random
+sampling with a reservoir", IPL 2006).  With running squared mass C0
+before a block and C1 after it, each slot draws one uniform u per block
+and moves to the item whose cumulative-mass interval holds v = u * C1 when
+v >= C0, else keeps its pick.  So a slot keeps its pick with probability
+C0 / C1, and item i of the block wins with probability w_i / C1.  By
+induction over blocks, if the pick before the block is item j with
+probability w_j / C0, afterwards it is w_j / C0 * C0 / C1 = w_j / C1 for
+every item seen: the law of per-item coin flips, at ell uniforms per block
+instead of per item.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -63,23 +66,35 @@ _CHUNK = 512
 
 
 def row_blocks(rows, width: int | None = None):
-    """Validated 2-D float64 blocks of up to ``_CHUNK`` consecutive rows.
+    """``(width, blocks)``: the stream's width and an iterator over its
+    validated 2-D float64 blocks of up to ``_CHUNK`` consecutive rows.
 
-    ``rows`` is a 2-D array or any other iterable of rows.  An array passes
-    ``as_matrix`` once (nonempty and finite, converted to C-contiguous
-    float64 if it is not already) and the blocks are views of it, which
-    callers read but never write.  Any other iterable is validated row by
-    row with ``as_row`` and each block is a new array.  Either way every row
-    is finite and, when ``width`` is given, that wide; otherwise the first
-    row fixes the width.
+    This is the one place where a batch pass validates its rows and learns
+    their width.  ``rows`` is a 2-D array or any other iterable of rows.  An
+    array passes ``as_matrix`` once (nonempty and finite, converted to
+    C-contiguous float64 if it is not already) and the blocks are views of
+    it, which callers read but never write.  Any other iterable is validated
+    row by row with ``as_row`` and each block is a new array; its first block
+    is read at once, so that its first row fixes the width.  Either way
+    every row is finite and, when ``width`` is given, that wide.  A stream
+    with no rows raises ``ShapeError("row source produced no rows")``.
     """
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
         a = as_matrix(rows)
         if width is not None and a.shape[1] != width:
             raise ShapeError(f"row has width {a.shape[1]}, expected {width}")
-        for start in range(0, a.shape[0], _CHUNK):
-            yield a[start : start + _CHUNK]
-        return
+        starts = range(0, a.shape[0], _CHUNK)
+        return a.shape[1], (a[start : start + _CHUNK] for start in starts)
+    blocks = _stacked_blocks(rows, width)
+    first = next(blocks, None)
+    if first is None:
+        raise ShapeError("row source produced no rows")
+    return first.shape[1], chain([first], blocks)
+
+
+def _stacked_blocks(rows, width: int | None):
+    """Blocks of an iterable's rows, validated row by row; unless ``width``
+    is given, the first row fixes it."""
     block: list[np.ndarray] = []
     for row in rows:
         a = as_row(row, width)
@@ -168,13 +183,10 @@ class FrequentDirections:
 def fd_ingest(rows, ell: int) -> FrequentDirections:
     """Frequent Directions state after ``extend`` with every block of
     ``row_blocks(rows)``: the same bytes as one ``update`` per row."""
-    fd: FrequentDirections | None = None
-    for block in row_blocks(rows):
-        if fd is None:
-            fd = FrequentDirections(ell, block.shape[1])
+    width, blocks = row_blocks(rows)
+    fd = FrequentDirections(ell, width)
+    for block in blocks:
         fd.extend(block)
-    if fd is None:
-        raise ShapeError("empty row stream")
     return fd
 
 
@@ -243,64 +255,61 @@ class SignProjector:
         return g
 
 
-def _reservoir_moves(
-    seed: int,
-    lane: int,
-    slots: np.ndarray,
-    pos: int,
-    cumulative: np.ndarray,
-    before: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One block-merge step for every slot: (slots that move, new item).
+class _Reservoir:
+    """``ell`` single-slot block-merge reservoirs over one stream of items:
+    the seed, the slots, the running mass so far and the stream position of
+    the next item.  Each sampler keeps only what it stores per pick."""
 
-    ``cumulative`` is the running mass after each item of the block and
-    ``before`` the mass before it.  Each slot draws one uniform keyed by
-    the block's first stream position and moves only when
-    ``before <= v < cumulative[-1]``, which also skips all-zero prefixes.
-    """
-    after = cumulative[-1]
-    v = uniform01(seed, lane, slots, np.uint64(pos)) * after
-    move = (v >= before) & (v < after)
-    return move, np.searchsorted(cumulative, v[move], side="right")
+    def __init__(self, seed: int, lane: int, ell: int):
+        if ell < 1:
+            raise ValueError(f"ell must be >= 1, got {ell}")
+        self.seed = seed64(seed)
+        self.lane = lane
+        self.slots = np.arange(ell, dtype=np.uint64)
+        self.mass = 0.0
+        self.position = 0
+
+    def merge(self, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Merge the next block's item masses (row-major): the slots that
+        move and the index of the item each moves to.
+
+        Each slot draws one uniform keyed by the block's first stream
+        position and moves only when ``before <= v < after``, which also
+        skips all-zero prefixes.
+        """
+        before = self.mass
+        cumulative = before + np.cumsum(mass)
+        after = cumulative[-1]
+        position = np.uint64(self.position)
+        v = uniform01(self.seed, self.lane, self.slots, position) * after
+        move = (v >= before) & (v < after)
+        self.mass = float(after)
+        self.position += mass.size
+        return move, np.searchsorted(cumulative, v[move], side="right")
 
 
 def row_sample(rows, ell: int, seed: int) -> np.ndarray:
     """Sample ell rows proportional to squared length, rescaled.
 
-    Each of the ell output slots runs an independent single-slot reservoir
-    (sampling with replacement), merged one block of rows at a time: with
-    squared mass C0 before the block and C1 after it, one uniform per slot
-    keeps the pick with probability C0 / C1 or moves it to row i of the
-    block with probability ||row_i||^2 / C1, so row i ends in a slot with
-    probability ||row_i||^2 / ||A||_F^2 (see the module docstring).  A kept
-    row is rescaled by ``||A||_F / (sqrt(ell) * ||row||)`` so the sketch
-    covariance is an unbiased estimate of A^T A.
+    Each of the ell output slots is an independent single-slot reservoir
+    (sampling with replacement) over the rows, weighted by squared length,
+    so row i ends in a slot with probability ||row_i||^2 / ||A||_F^2 (see
+    the module docstring).  A kept row is rescaled by
+    ``||A||_F / (sqrt(ell) * ||row||)`` so the sketch covariance is an
+    unbiased estimate of A^T A.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    seed = seed64(seed)
-    slots = np.arange(ell, dtype=np.uint64)
-    chosen: np.ndarray | None = None
+    reservoir = _Reservoir(seed, _LANE_ROW_SAMPLER, ell)
+    width, blocks = row_blocks(rows)
+    chosen = np.zeros((ell, width))
     chosen_mass = np.zeros(ell)
-    total = 0.0
-    pos = 0
-    for block in row_blocks(rows):
-        if chosen is None:
-            chosen = np.zeros((ell, block.shape[1]))
+    for block in blocks:
         w = np.einsum("ij,ij->i", block, block)
-        cumulative = total + np.cumsum(w)
-        move, picks = _reservoir_moves(
-            seed, _LANE_ROW_SAMPLER, slots, pos, cumulative, total
-        )
+        move, picks = reservoir.merge(w)
         chosen[move] = block[picks]
         chosen_mass[move] = w[picks]
-        total = float(cumulative[-1])
-        pos += block.shape[0]
-    if chosen is None:
-        raise ShapeError("empty row stream")
-    if total == 0.0:
+    if reservoir.mass == 0.0:
         raise ZeroMassError("all rows have zero length; nothing to sample")
-    scale = np.sqrt(total) / (np.sqrt(ell) * np.sqrt(chosen_mass))
+    scale = np.sqrt(reservoir.mass) / (np.sqrt(ell) * np.sqrt(chosen_mass))
     return chosen * scale[:, None]
 
 
@@ -334,46 +343,28 @@ class ColumnSamplePlan:
 def column_sample_plan(rows, ell: int, seed: int) -> ColumnSamplePlan:
     """Zero-th pass: reservoir-sample ell column indices by squared entry.
 
-    Entries are consumed in row-major order, one block of rows at a time.
-    With squared mass C0 before the block and C1 after it, each slot draws
-    one uniform v in [0, C1): it keeps its column when v < C0 (probability
-    C0 / C1), else it moves to the column of the block entry whose
-    cumulative-mass interval holds v (probability a^2 / C1 for an entry a).
-    Column j therefore ends in a slot with probability
+    Entries are merged into the reservoirs in row-major order, one block of
+    rows at a time, so column j ends in a slot with probability
     ||column j||^2 / ||A||_F^2, as with per-entry coin flips (see the module
     docstring).
     """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    seed = seed64(seed)
-    slots = np.arange(ell, dtype=np.uint64)
+    reservoir = _Reservoir(seed, _LANE_COL_SAMPLER, ell)
+    width, blocks = row_blocks(rows)
     indices = np.zeros(ell, dtype=np.int64)
-    col_masses: np.ndarray | None = None
-    total = 0.0
-    pos = 0
-    for block in row_blocks(rows):
-        width = block.shape[1]
-        if col_masses is None:
-            col_masses = np.zeros(width)
+    col_masses = np.zeros(width)
+    for block in blocks:
         sq = block**2
         col_masses += sq.sum(axis=0)
-        cumulative = total + np.cumsum(sq)
-        move, picks = _reservoir_moves(
-            seed, _LANE_COL_SAMPLER, slots, pos, cumulative, total
-        )
+        move, picks = reservoir.merge(sq)
         indices[move] = picks % width
-        total = float(cumulative[-1])
-        pos += sq.size
-    if col_masses is None:
-        raise ShapeError("empty entry stream")
-    if total == 0.0:
+    if reservoir.mass == 0.0:
         raise ZeroMassError("zero total mass; cannot sample columns")
     return ColumnSamplePlan(
         ell=ell,
         dim=width,
-        seed=seed,
+        seed=reservoir.seed,
         indices=indices,
         column_masses=col_masses,
-        running_mass=total,
-        entries_seen=pos,
+        running_mass=reservoir.mass,
+        entries_seen=reservoir.position,
     )

@@ -1,9 +1,11 @@
 """Reference scorers and sign hashes the tests compare the package against."""
 
+import math
+
 import numpy as np
 
 from sketch_anomaly.linalg import as_row, gram_basis, sym_eig
-from sketch_anomaly.rng import MERSENNE61, mod61
+from sketch_anomaly.rng import MERSENNE61, mod61, seed64, uniform01
 from sketch_anomaly.scores import (
     EXACT_FIELDS,
     ROWSPACE_FIELDS,
@@ -54,6 +56,74 @@ def online_scores(row_stream, k: int, lam: float | None = None):
         columns[name] = np.full(mask.shape, np.nan)
         columns[name][mask] = [row[name][0] for row in scored]
     return ScoreTable(MODE_EXACT_ONLINE, mask, **columns)
+
+
+def block_reservoirs(blocks, ell: int, seed: int, lane: int):
+    """Plain-Python weighted reservoirs, merged one block of items at a time.
+
+    ``blocks`` is the stream's item masses cut into lists.  Before a block
+    the running mass is C0 and after it C1; each of the ``ell`` slots draws
+    one uniform u keyed by (seed, lane, slot, stream index of the block's
+    first item) and, when v = u * C1 is at least C0, moves to the first item
+    whose running mass exceeds v.  Returns the stream index each slot ends
+    on (None for a slot that never moved) and the total mass.
+    """
+    seed = seed64(seed)
+    picks = [None] * ell
+    total = 0.0
+    start = 0
+    for block in blocks:
+        before = total
+        prefix = 0.0
+        cumulative = []
+        for mass in block:
+            prefix += mass
+            cumulative.append(before + prefix)
+        total = cumulative[-1]
+        for slot in range(ell):
+            u = float(uniform01(seed, lane, np.uint64(slot), np.uint64(start)))
+            v = u * total
+            if before <= v < total:
+                picks[slot] = start + next(
+                    i for i, c in enumerate(cumulative) if c > v
+                )
+        start += len(block)
+    return picks, total
+
+
+def _sum_of_squares(values) -> float:
+    out = 0.0
+    for x in values:
+        out += x * x
+    return out
+
+
+def row_sample(a: np.ndarray, ell: int, seed: int, chunk: int, lane: int):
+    """Length-squared row sample from ``block_reservoirs`` over ``chunk``-row
+    blocks, each pick rescaled by ||A||_F / (sqrt(ell) * ||row||)."""
+    rows = a.tolist()
+    masses = [_sum_of_squares(row) for row in rows]
+    blocks = [masses[s : s + chunk] for s in range(0, len(rows), chunk)]
+    picks, total = block_reservoirs(blocks, ell, seed, lane)
+    return np.array([
+        [x * (math.sqrt(total) / (math.sqrt(ell) * math.sqrt(masses[p]))) for x in rows[p]]
+        for p in picks
+    ])
+
+
+def column_sample_plan(a: np.ndarray, ell: int, seed: int, chunk: int, lane: int):
+    """(column indices, column masses, total mass, entries seen) from
+    ``block_reservoirs`` over the squared entries in row-major order, cut
+    into blocks of ``chunk`` rows."""
+    rows = a.tolist()
+    blocks = [
+        [x * x for row in rows[s : s + chunk] for x in row]
+        for s in range(0, len(rows), chunk)
+    ]
+    picks, total = block_reservoirs(blocks, ell, seed, lane)
+    width = len(rows[0])
+    column_masses = [_sum_of_squares(column) for column in zip(*rows)]
+    return [p % width for p in picks], column_masses, total, len(rows) * width
 
 
 _LO32 = np.uint64(0xFFFFFFFF)

@@ -128,6 +128,28 @@ def test_non_finite_snapshot_payload_is_data_error(capsys, tmp_path, data_path, 
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["running mass", "unsampled column mass"])
+def test_negative_column_plan_mass_is_data_error(capsys, tmp_path, data_path, where):
+    snap = write_snapshot(tmp_path, data_path, "colsample")
+    blob = bytearray(snap.read_bytes())
+    # Plan payload: entries seen (u64), running mass (f64), 8 indices (u64),
+    # then the 30 column masses (f64).
+    if where == "running mass":
+        struct.pack_into("<d", blob, HEADER_BYTES + 8, -5.0)
+    else:
+        indices = struct.unpack_from("<8Q", blob, HEADER_BYTES + 16)
+        column = min(set(range(30)) - set(indices))
+        struct.pack_into("<d", blob, HEADER_BYTES + 16 + 8 * 8 + 8 * column, -1.0)
+    snap.write_bytes(bytes(blob))
+    argv = score_argv(
+        data_path[0], "--mode", "colsample", "--ell", "8", "--seed", "7",
+        "--sketch-in", str(snap),
+    )
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert str(snap) in err and "negative mass" in err
+
+
 @pytest.mark.parametrize(
     "mode, flag, value",
     [

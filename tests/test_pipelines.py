@@ -81,7 +81,7 @@ class TestPassDiscipline:
         # rows at all.
         rows = iter(self.matrix)
         cfg = PipelineConfig(k=2, ell=12, seed=3, mode=mode)
-        with pytest.raises(ShapeError, match="row source produced no rows"):
+        with pytest.raises(ShapeError, match="^row source produced no rows$"):
             run_pipeline(lambda: rows, cfg)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import sign_gram, sign_matrix
 from sketch_anomaly import sketches
 from sketch_anomaly.errors import ShapeError, ZeroMassError
@@ -273,13 +274,21 @@ def gaussian_stream(n: int, d: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((n, d))
 
 
+def drain(rows, width=None):
+    """``row_blocks`` with its blocks read into a list."""
+    width, blocks = row_blocks(rows, width)
+    return width, list(blocks)
+
+
 class TestRowBlocks:
     @settings(max_examples=30, deadline=None)
     @given(*stream_shapes)
     def test_array_and_iterator_give_same_blocks(self, n, d, seed):
         a = gaussian_stream(n, d, seed)
-        from_array = list(row_blocks(a))
-        from_rows = list(row_blocks(iter(a), width=d))
+        width_array, from_array = drain(a)
+        width_rows, from_rows = drain(iter(a), width=d)
+        # Without a given width, the first row fixes it.
+        assert width_array == width_rows == drain(iter(a))[0] == d
         sizes = [b.shape[0] for b in from_array]
         assert sizes[:-1] == [sketches._CHUNK] * (len(sizes) - 1) and sum(sizes) == n
         assert [b.shape for b in from_array] == [b.shape for b in from_rows]
@@ -309,21 +318,26 @@ class TestRowBlocks:
 
     def test_validation(self):
         with pytest.raises(ShapeError):
-            list(row_blocks(iter([np.ones(3), np.ones(4)])))
+            drain(iter([np.ones(3), np.ones(4)]))
+        # A row past the first block is checked against the width it fixed.
         with pytest.raises(ShapeError):
-            list(row_blocks(np.ones((4, 3)), width=5))
+            drain(iter([np.ones(3)] * sketches._CHUNK + [np.ones(4)]))
         with pytest.raises(ShapeError):
-            list(row_blocks(iter([np.ones((2, 2))])))
+            drain(np.ones((4, 3)), width=5)
+        with pytest.raises(ShapeError):
+            drain(iter([np.ones((2, 2))]))
         with pytest.raises(ValueError):
-            list(row_blocks(iter([np.array([1.0, np.nan])])))
+            drain(iter([np.array([1.0, np.nan])]))
         with pytest.raises(ValueError):
-            list(row_blocks(np.array([[1.0, np.inf]])))
-        assert list(row_blocks(iter([]))) == []
+            drain(np.array([[1.0, np.inf]]))
+        with pytest.raises(ShapeError, match="^row source produced no rows$"):
+            row_blocks(iter([]))
         with pytest.raises(ShapeError):
-            list(row_blocks(np.ones((0, 3))))
+            drain(np.ones((0, 3)))
         # An array of another dtype or layout is converted once.
         a = np.arange(1200, dtype=np.int64).reshape(600, 2)
-        blocks = list(row_blocks(np.asfortranarray(a)))
+        width, blocks = drain(np.asfortranarray(a))
+        assert width == 2
         assert all(b.dtype == np.float64 and b.flags.c_contiguous for b in blocks)
         assert np.vstack(blocks).tobytes() == a.astype(np.float64).tobytes()
 
@@ -335,9 +349,18 @@ class TestRowBlocks:
         a[rng.integers(n), rng.integers(d)] = bad
         for rows in (a, iter(a)):
             with pytest.raises(ValueError, match="non-finite"):
-                list(row_blocks(rows))
+                drain(rows)
         with pytest.raises(ValueError, match="non-finite"):
             fd_ingest(a, 2)
+
+    @pytest.mark.parametrize(
+        "ingest, args",
+        [(fd_ingest, (3,)), (row_sample, (3, 0)), (column_sample_plan, (3, 0))],
+        ids=["fd_ingest", "row_sample", "column_sample_plan"],
+    )
+    def test_empty_stream_is_the_one_row_blocks_error(self, ingest, args):
+        with pytest.raises(ShapeError, match="^row source produced no rows$"):
+            ingest(iter([]), *args)
 
 
 class TestBlockReservoirs:
@@ -364,6 +387,33 @@ class TestBlockReservoirs:
         assert np.abs(col_counts / runs - sq.sum(axis=0) / sq.sum()).max() <= 0.01
         assert row_counts[[0, 1, 2, 3, 11, 17]].sum() == 0
         assert col_counts[5] == 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(*stream_shapes, st.integers(1, 12), st.floats(0.0, 1.0))
+    @example(3 * sketches._CHUNK + 1, 9, 5, 12, 0.0)
+    @example(3 * sketches._CHUNK + 1, 2, 6, 7, 0.5)
+    def test_picks_match_plain_python_reservoir(self, n, d, seed, ell, zero_share):
+        # Small integers keep every square and partial sum exact in float64,
+        # so the bytes pin the reservoir's picks, not numpy's summation order.
+        # A zero prefix exercises blocks that add no mass.
+        a = np.random.default_rng(seed).integers(-3, 4, (n, d)).astype(np.float64)
+        a[: int(zero_share * n)] = 0.0
+        if not a.any():
+            with pytest.raises(ZeroMassError):
+                row_sample(a, ell, seed)
+            with pytest.raises(ZeroMassError):
+                column_sample_plan(a, ell, seed)
+            return
+        chunk = sketches._CHUNK
+        expected = oracles.row_sample(a, ell, seed, chunk, sketches._LANE_ROW_SAMPLER)
+        assert row_sample(a, ell, seed).tobytes() == expected.tobytes()
+        indices, masses, total, seen = oracles.column_sample_plan(
+            a, ell, seed, chunk, sketches._LANE_COL_SAMPLER
+        )
+        plan = column_sample_plan(a, ell, seed)
+        assert plan.indices.tolist() == indices
+        assert plan.column_masses.tobytes() == np.array(masses).tobytes()
+        assert (plan.running_mass, plan.entries_seen) == (total, seen)
 
     def test_one_draw_per_slot_per_block(self, monkeypatch):
         draws = []
