@@ -43,6 +43,7 @@ KIND_FD_STATE = 1
 KIND_COLUMN_PLAN = 2
 
 _HEADER = struct.Struct("<4sHBBQQQ")
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _pack_header(kind: int, ell: int, dim: int, seed: int) -> bytes:
@@ -153,14 +154,24 @@ def _read_snapshot(handle, path: str):
     column_masses = _read(handle, (dim,), "<f8", path)
     if running_mass < 0.0 or np.any(column_masses < 0.0):
         raise DataFormatError(f"{path}: column plan has a negative mass")
+    # The two totals are summed in different orders, so they may differ by
+    # rounding, about eps per entry seen; an overflowing sum is corrupt.
+    running_mass, entries_seen = float(running_mass), int(entries_seen)
+    with np.errstate(over="ignore"):
+        column_total = float(column_masses.sum())
+    if abs(column_total - running_mass) > entries_seen * _EPS * running_mass:
+        raise DataFormatError(
+            f"{path}: column plan running mass {running_mass!r} disagrees "
+            f"with the sum of its column masses, {column_total!r}"
+        )
     return ColumnSamplePlan(
         ell=ell,
         dim=dim,
         seed=seed,
         indices=indices.astype(np.int64),
         column_masses=column_masses,
-        running_mass=float(running_mass),
-        entries_seen=int(entries_seen),
+        running_mass=running_mass,
+        entries_seen=entries_seen,
     )
 
 

@@ -28,6 +28,9 @@ from .errors import ConvergenceError, DegenerateSpectrumError, ShapeError
 RANK_FLOOR = 1e-12
 EIG_TOL = 1e-13
 _SYMMETRY_RTOL = 1e-12
+# ||M||_F range in which no norm ``sym_eig`` takes, of M, M - M^T or a
+# residual down to EIG_TOL * ||M||_F, can overflow or underflow.
+_NORM_RANGE = (1e-100, 1e100)
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -104,17 +107,25 @@ def sym_eig(matrix) -> SpectralDecomposition:
     Backed by LAPACK's symmetric solver on the explicitly symmetrized
     input.  The reconstruction residual is verified against
     ``EIG_TOL * ||M||_F`` so a silently inaccurate factorization raises
-    ``ConvergenceError`` instead of propagating.
+    ``ConvergenceError`` instead of propagating.  Where the squares of M's
+    entries would overflow or underflow, so that a check against ||M||_F
+    could pass whatever the residual, every norm is taken of M / max|M|.
     """
     m = as_matrix(matrix, "symmetric matrix")
     n, d = m.shape
     if n != d:
         raise ShapeError(f"expected square matrix, got {n}x{d}")
-    norm_f = float(np.linalg.norm(m))
-    asym = float(np.linalg.norm(m - m.T))
-    if asym > _SYMMETRY_RTOL * max(norm_f, 1e-300):
+    with np.errstate(over="ignore"):
+        norm_f = float(np.linalg.norm(m))
+    scale, unit = 1.0, m
+    if not _NORM_RANGE[0] <= norm_f <= _NORM_RANGE[1]:
+        scale = float(np.abs(m).max()) or 1.0
+        unit = m / scale
+        norm_f = float(np.linalg.norm(unit))
+    asym = float(np.linalg.norm(unit - unit.T))
+    if asym > _SYMMETRY_RTOL * norm_f:
         raise ShapeError(
-            f"matrix is not symmetric: ||M - M^T||_F = {asym:.3e} "
+            f"matrix is not symmetric: ||M - M^T||_F = {asym * scale:.3e} "
             f"exceeds {_SYMMETRY_RTOL:.0e} * ||M||_F"
         )
     sym = 0.5 * (m + m.T)
@@ -123,12 +134,14 @@ def sym_eig(matrix) -> SpectralDecomposition:
     eigvals = np.ascontiguousarray(eigvals[order])
     eigvecs = np.ascontiguousarray(_fix_signs(eigvecs[:, order]))
 
-    residual = float(np.linalg.norm((eigvecs * eigvals) @ eigvecs.T - m))
-    if residual > EIG_TOL * max(norm_f, 1e-300):
+    residual = float(
+        np.linalg.norm((eigvecs * (eigvals / scale)) @ eigvecs.T - unit)
+    )
+    if residual > EIG_TOL * norm_f:
         raise ConvergenceError(
-            f"eigendecomposition residual {residual:.3e} exceeds "
-            f"{EIG_TOL:.1e} * ||M||_F = {EIG_TOL * norm_f:.3e}",
-            residual=residual,
+            f"eigendecomposition residual {residual * scale:.3e} exceeds "
+            f"{EIG_TOL:.1e} * ||M||_F = {EIG_TOL * norm_f * scale:.3e}",
+            residual=residual * scale,
         )
     return SpectralDecomposition(
         values=eigvals, right_vectors=eigvecs, rank_used=d

@@ -27,10 +27,12 @@ order.  The online pipeline appends each row's scores to one float64
 column per field, NaN where the row is undefined, and builds the table
 once at the end.  Neither builds per-row objects.
 
-Row-space sketches take one route, ``svd_thin(S)``: rows are scored through
-its right vectors and usable sigma.  For a sketch with fewer rows than
-columns these come from the short-side Gram S S^T that the Frequent
-Directions shrink also uses, as W = S^T U Sigma^-1.
+The batch row-space passes score through ``svd_thin(S)``: its right vectors
+and usable sigma.  For a sketch with fewer rows than columns these come
+from the short-side Gram S S^T that the Frequent Directions shrink also
+uses, as W = S^T U Sigma^-1.  The online pass never forms W: it carries
+S S^T from row to row and scores each row a from S a and the Gram's
+eigenvectors, since a . (S^T u_j / sigma_j) = (S a) . u_j / sigma_j.
 """
 
 from __future__ import annotations
@@ -44,10 +46,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import RankDeficientError, ShapeError
-# ``as_row`` is not called here (``FrequentDirections.update`` validates
-# online rows), but perfbench/tracing.py counts its calls through this
-# module's name for it.
-from .linalg import as_row, gram_basis, svd_thin, sym_eig  # noqa: F401
+from .linalg import SpectralDecomposition, as_row, gram_basis, svd_thin, sym_eig
 from .scores import (
     MODE_SKETCHED_BATCH,
     MODE_SKETCHED_ONLINE,
@@ -231,6 +230,15 @@ def run_online_pipeline(
 
     Score-then-update ordering: row i never sees itself.  While the sketch
     still has rank < k the row is undefined.
+
+    The pass carries G = S S^T of the Frequent Directions buffer S.  Each
+    row a is validated once and read through z = S a: the sketch's sigma
+    and left vectors u_j come from ``sym_eig`` of the fill x fill G, and
+    the row's coordinate on right vector j is (z . u_j) / sigma_j.  The row
+    is then folded in with ``extend`` and G bordered with z and a . a;
+    after a shrink G is formed again from the shrunk rows.  So a row costs
+    one fill x fill eigendecomposition plus O(ell * d), and the batch
+    passes' d-wide basis is never built.
     """
     columns = {name: array("d") for name in ROWSPACE_FIELDS}
     if cfg.lam is None:
@@ -239,25 +247,42 @@ def run_online_pipeline(
     fd: FrequentDirections | None = None
     for row in row_source():
         if fd is None:
-            # The first row's size fixes dim; ``update`` validates every
-            # row, this one included.
+            # The first row's size fixes dim.
             fd = FrequentDirections(cfg.ell, np.size(row))
+            gram = np.zeros((2 * cfg.ell, 2 * cfg.ell))
+        a = as_row(row, fd.dim)
+        fill, shrinks = fd.fill, fd.shrink_count
+        z = fd.buffer[:fill] @ a
+        row_sq = a @ a
         rank = 0
-        if fd.fill:
-            basis = svd_thin(fd.buffer[: fd.fill])
+        if fill:
+            eig = sym_eig(gram[:fill, :fill])
+            if fill > fd.dim:
+                # A sketch with more rows than columns has dim singular
+                # values, as ``svd_thin`` gives them to ``effective_rank``.
+                eig = SpectralDecomposition(
+                    eig.values[: fd.dim], eig.right_vectors[:, : fd.dim], fd.dim
+                )
+            basis = gram_basis(eig)
             rank = basis.rank_used
-        # The basis above is the sketch of the rows before this one, so the
-        # row can be validated and folded in before it is scored.
-        a = fd.update(row)
+        fd.extend(a[None])
+        if fd.shrink_count != shrinks:
+            shrunk = fd.buffer[: fd.fill]
+            gram[: fd.fill, : fd.fill] = shrunk @ shrunk.T
+        else:
+            gram[fill, :fill] = z
+            gram[:fill, fill] = z
+            gram[fill, fill] = row_sq
         defined.append(rank >= cfg.k)
         if rank < cfg.k:
             for column in columns.values():
                 column.append(math.nan)
             continue
+        sigma = basis.values[:rank]
         scored = score_block(
-            (a @ basis.right_vectors)[None, :],
-            np.array([a @ a]),
-            basis.values[:rank],
+            ((z @ basis.right_vectors) / sigma)[None, :],
+            np.array([row_sq]),
+            sigma,
             cfg.k,
             cfg.lam,
         )

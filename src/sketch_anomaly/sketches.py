@@ -23,8 +23,9 @@ fixes the width its consumer allocates from, and raises
 ``ShapeError("row source produced no rows")`` on an empty stream.  Both
 paths cut the stream at the same multiples of ``_CHUNK``, so every sketch
 is the same bytes either way.  ``fd_ingest`` hands each block to
-``FrequentDirections.extend``; ``FrequentDirections.update``, for the
-online pipeline, validates one row and extends by it.
+``FrequentDirections.extend``, and so does the online pipeline, one row
+at a time after its own ``as_row``; ``FrequentDirections.update``
+validates one row and extends by it.
 
 Both samplers merge their blocks through one ``_Reservoir``, a block-merge
 weighted reservoir (Chao 1982; Efraimidis & Spirakis, "Weighted random

@@ -72,7 +72,7 @@ def test_traced_score_job_counts_every_row(perfbench, tmp_path, mode):
         assert run_cli(argv) == 0
     assert tracer.counts["scores.records"] == rows
     if mode == "online":
-        # One pass, and each row validated once (by FrequentDirections.update).
+        # One pass, and each row validated once (by the pipeline's as_row).
         assert tracer.counts["pipelines.passes"] == 1
         assert tracer.counts["linalg.as_row_calls"] == rows
 

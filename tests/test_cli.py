@@ -150,6 +150,25 @@ def test_negative_column_plan_mass_is_data_error(capsys, tmp_path, data_path, wh
     assert str(snap) in err and "negative mass" in err
 
 
+@pytest.mark.parametrize("mass", [1e308, 0.0])
+def test_column_plan_running_mass_off_its_column_sum_is_data_error(
+    capsys, tmp_path, data_path, mass
+):
+    # Resumed, a running mass of 1e308 scored every projection distance 0
+    # with exit 0, and a running mass of 0 advised raising ell.
+    snap = write_snapshot(tmp_path, data_path, "colsample")
+    blob = bytearray(snap.read_bytes())
+    struct.pack_into("<d", blob, HEADER_BYTES + 8, mass)
+    snap.write_bytes(bytes(blob))
+    argv = score_argv(
+        data_path[0], "--mode", "colsample", "--ell", "8", "--seed", "7",
+        "--sketch-in", str(snap),
+    )
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert str(snap) in err and "disagrees with the sum of its column masses" in err
+
+
 @pytest.mark.parametrize(
     "mode, flag, value",
     [

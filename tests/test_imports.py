@@ -12,7 +12,6 @@ PACKAGE = Path(sketch_anomaly.__file__).resolve().parent
 # Imported but not called: perfbench/tracing.py counts and times calls
 # through these modules' names for them (``# noqa: F401`` at the import).
 PATCHED_BY_PERFBENCH = {
-    ("pipelines", "as_row"),
     ("scores", "as_row"),
     ("scores", "sym_eig"),
 }

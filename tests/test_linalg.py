@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,26 @@ class TestSymEig:
         with pytest.raises(ConvergenceError) as err:
             sym_eig(g + g.T)
         assert err.value.residual > 0
+
+    @pytest.mark.parametrize(
+        "scale", [1.0, 2.0**520, 2.0**-560], ids=["1", "2^520", "2^-560"]
+    )
+    def test_corrupted_vectors_raise_at_any_scale(self, monkeypatch, scale):
+        # Past ~1e154 an unscaled ||M||_F overflows and every check against
+        # it passes; far below ~1e-154 the squares underflow to zero.
+        eigh = np.linalg.eigh
+
+        def corrupt(m):
+            values, vectors = eigh(m)
+            vectors[:, 0] = vectors[:, 1]
+            return values, vectors
+
+        a = np.random.default_rng(9).standard_normal((30, 10))
+        monkeypatch.setattr(np.linalg, "eigh", corrupt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                sym_eig((a.T @ a) * scale)
 
 
 def assert_reconstructs(a: np.ndarray, dec) -> None:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sketch_anomaly import sketches
+from sketch_anomaly import pipelines, sketches
 from sketch_anomaly.errors import RankDeficientError, ShapeError
-from sketch_anomaly.linalg import operator_norm, svd_thin
+from sketch_anomaly.linalg import operator_norm, svd_thin, sym_eig
 from sketch_anomaly.pipelines import (
     PIPELINE_MODES,
     PipelineConfig,
@@ -345,6 +345,82 @@ class TestShortSideBasis:
                 )
             fd.update(a[i])
         assert sum(r.defined for r in records) == n - self.K
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 10),
+        st.integers(2, 30),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.sampled_from([None, 0.5]),
+    )
+    @example(seed=1, ell=8, d=5, k=2, shrinks=3, lam=0.5)
+    @example(seed=2, ell=5, d=30, k=3, shrinks=4, lam=None)
+    def test_online_matches_lapack_svd_of_each_fd_prefix(
+        self, seed, ell, d, k, shrinks, lam
+    ):
+        # Each row is scored from the Gram S S^T the pass carries; the
+        # reference is np.linalg.svd of the same FD prefix S.  Rows are
+        # compared where the prefix separates sigma_k from sigma_(k+1).
+        k = min(k, d - 1, ell - 1)
+        a = np.random.default_rng(seed).standard_normal((2 * ell * (shrinks + 1), d))
+        a *= np.geomspace(4.0, 0.1, d)
+        cfg = PipelineConfig(k=k, ell=ell, lam=lam, mode="online-fd")
+        table = run_online_pipeline(lambda: iter(a), cfg)
+        fd = FrequentDirections(ell, d)
+        compared = 0
+        for i, row in enumerate(a):
+            sketch = fd.sketch()
+            rank = svd_thin(sketch).rank_used if fd.fill else 0
+            assert table.defined[i] == (rank >= k)
+            fd.update(row)
+            if not table.defined[i]:
+                continue
+            _, sigma, vt = np.linalg.svd(sketch, full_matrices=False)
+            sq = np.append(sigma**2, 0.0)
+            if sq[k - 1] - sq[k] < 1e-3 * sq[0]:
+                continue
+            alpha_sq = (vt[:rank] @ row) ** 2
+            row_sq = row @ row
+            assert table.rank_k_leverage[i] == pytest.approx(
+                (alpha_sq[:k] / sq[:k]).sum(), rel=1e-9
+            )
+            # ||a||^2 - sum alpha^2 cancels: both sides err at ~eps * ||a||^2.
+            assert table.projection_distance_raw[i] == pytest.approx(
+                row_sq - alpha_sq[:k].sum(), rel=1e-9, abs=1e-11 * row_sq
+            )
+            if lam is not None:
+                # Near-floor directions of a sketch with at least as many
+                # rows as columns lose digits through the short-side Gram.
+                ridge = (alpha_sq / (sq[:rank] + lam)).sum()
+                ridge += max(row_sq - alpha_sq.sum(), 0.0) / lam
+                assert table.ridge_leverage[i] == pytest.approx(ridge, rel=1e-7)
+            compared += 1
+        assert fd.shrink_count >= shrinks and compared > 0
+
+    def test_online_reads_one_gram_eigendecomposition_per_row(self, monkeypatch):
+        def no_svd_thin(*args, **kwargs):
+            raise AssertionError("svd_thin called")
+
+        calls = []
+
+        def counting_sym_eig(matrix):
+            calls.append(matrix.shape)
+            return sym_eig(matrix)
+
+        a = self.stream(150, 60)
+        monkeypatch.setattr(pipelines, "svd_thin", no_svd_thin)
+        monkeypatch.setattr(pipelines, "sym_eig", counting_sym_eig)
+        cfg = PipelineConfig(k=self.K, ell=8, mode="online-fd")
+        assert len(run_online_pipeline(lambda: iter(a), cfg)) == 150
+        fd = FrequentDirections(8, 60)
+        fills = []
+        for row in a:
+            if fd.fill:
+                fills.append((fd.fill, fd.fill))
+            fd.update(row)
+        assert fd.shrink_count > 0 and calls == fills
 
     def test_online_defined_iff_prefix_rank_reaches_k(self):
         # Zero rows, then one direction, then two, then full-rank rows: the
