@@ -7,7 +7,7 @@ decisions bit for bit, which is what multi-pass pipelines need, and
 distinct lanes never share state so they can be evaluated in any order.
 
 Also hosts arithmetic over the Mersenne prime p = 2**61 - 1 for the
-limited-independence polynomial hash behind the sign projector: ``mod61``
+k-wise independent polynomial hash behind the sign projector: ``mod61``
 reduces words, and ``polyval61`` evaluates a polynomial at many positions
 by Horner's rule.  The kernel splits each reduced position once,
 x = x1 * 2**31 + x0, and keeps 2 * x1, which absorbs 2**62 = 2 (mod p).

@@ -8,8 +8,9 @@ Four sketches, all single-writer streaming accumulators:
   direction and keeps the surviving rows.  ``FrequentDirections.extend``
   is its one ingest path.
 * ``SignProjector`` - pseudorandom +-1/sqrt(ell) projection whose entries
-  come from a degree-(w-1) polynomial hash over GF(2**61 - 1); entry (i, j)
-  is a pure function of (seed, i, j).
+  come from a polynomial hash over GF(2**61 - 1) of degree
+  ``SIGN_INDEPENDENCE - 1``; entry (i, j) is a pure function of
+  (seed, i, j).
 * ``row_sample`` - length-squared row sampling via ell independent
   single-slot reservoirs, rescaled so the sketch covariance is unbiased.
 * ``ColumnSamplePlan`` - the zero-th pass of column subsampling: reservoir
@@ -55,8 +56,12 @@ _LANE_ROW_SAMPLER = 0x521AF00D
 _LANE_COL_SAMPLER = 0x0C01F00D
 _LANE_SIGN_COEFF = 0x516EC0EF
 
-DEFAULT_INDEPENDENCE = 32
 GRAM_BLOCK_COLS = 65536
+
+# Coefficients of the sign hash: O(log 1/delta)-wise independent signs give
+# the JL moment property behind approximate matrix products (Clarkson &
+# Woodruff, STOC 2009; Kane & Nelson, J. ACM 2014).
+SIGN_INDEPENDENCE = 8
 
 # Rows per block of ``row_blocks``.  The reservoir uniforms are keyed by
 # each block's first stream position, so this size is part of the output
@@ -192,35 +197,25 @@ def fd_ingest(rows, ell: int) -> FrequentDirections:
 
 
 class SignProjector:
-    """Limited-independence pseudorandom sign matrix R in R^{dim x ell}.
+    """Pseudorandom sign matrix R in R^{dim x ell}, 8-wise independent.
 
     Entry (i, j) is ``+-1/sqrt(ell)``, the sign being the low bit of a
-    degree-(w-1) polynomial over GF(2**61 - 1) evaluated at the entry's
-    global position ``j * dim + i``.  State is the seed plus w field
-    coefficients, so the projector itself costs O(w) words.  ``matrix()``
-    materializes all dim * ell entries for fast dense products, hashing
-    them afresh on every call; ``gram()`` never holds more than
+    polynomial over GF(2**61 - 1) with ``SIGN_INDEPENDENCE`` coefficients,
+    evaluated at the entry's global position ``j * dim + i``.  State is the
+    seed plus those coefficients, so the projector itself costs O(1) words.
+    ``matrix()`` materializes all dim * ell entries for fast dense products,
+    hashing them afresh on every call; ``gram()`` never holds more than
     ``GRAM_BLOCK_COLS`` columns.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        ell: int,
-        dim: int,
-        independence_w: int = DEFAULT_INDEPENDENCE,
-    ):
+    def __init__(self, seed: int, ell: int, dim: int):
         if ell < 1 or dim < 1:
             raise ValueError("ell and dim must be >= 1")
-        if independence_w < 2:
-            raise ValueError("independence_w must be >= 2")
         self.seed = seed64(seed)
         self.ell = ell
         self.dim = dim
-        self.independence_w = independence_w
-        self.coefficients = mod61(
-            mix64(self.seed, _LANE_SIGN_COEFF, np.arange(independence_w, dtype=np.uint64))
-        )
+        terms = np.arange(SIGN_INDEPENDENCE, dtype=np.uint64)
+        self.coefficients = mod61(mix64(self.seed, _LANE_SIGN_COEFF, terms))
         self._scale = 1.0 / np.sqrt(ell)
 
     def _signs(self, positions: np.ndarray) -> np.ndarray:

@@ -101,15 +101,21 @@ def _report(name: str, lhs: float, rhs: float, applicable: bool, **inputs) -> Bo
 # and bounds are always gated on the *measured* mu, never on these formulas.
 
 
-def _check_mu(mu: float) -> None:
+def _sketch_size(mu: float, size: Callable[[np.float64], np.float64]) -> int:
+    """``ceil(size(mu))`` for a positive, finite mu, taken as a float64; a
+    size that is not finite or does not fit ``np.intp`` is a ValueError."""
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be positive and finite, got {mu}")
+    with np.errstate(divide="ignore", over="ignore"):
+        ell = np.ceil(size(np.float64(mu)))
+    if not ell < np.iinfo(np.intp).max:
+        raise ValueError(f"mu {mu} needs a sketch size of {ell}, more than np.intp holds")
+    return int(ell)
 
 
 def fd_ell_for_mu(mu: float, tail_stable_rank: float, k: int) -> int:
     """Frequent Directions size for target mu, given sum_{i>k} s_i^2/s_1^2."""
-    _check_mu(mu)
-    return int(np.ceil(k + tail_stable_rank / mu))
+    return _sketch_size(mu, lambda mu: k + tail_stable_rank / mu)
 
 
 # Failure probability the sign-projection width is sized for.
@@ -118,16 +124,15 @@ RPROJ_FAIL_PROB = 0.05
 
 def rproj_ell_for_mu(mu: float, stable_rank: float) -> int:
     """Sign-projection width for target mu (unit-constant reading)."""
-    _check_mu(mu)
-    return int(np.ceil((stable_rank + np.log(1.0 / RPROJ_FAIL_PROB)) / mu**2))
+    log_fail = np.log(1.0 / RPROJ_FAIL_PROB)
+    return _sketch_size(mu, lambda mu: (stable_rank + log_fail) / mu**2)
 
 
 def colsample_ell_for_mu(mu: float, stable_rank: float) -> int:
     """Length-squared sample count, of columns or of rows, for target mu
     (unit-constant reading)."""
-    _check_mu(mu)
     sr = max(stable_rank, 2.0)
-    return int(np.ceil(sr * np.log(sr / mu**2) / mu**2))
+    return _sketch_size(mu, lambda mu: sr * np.log(sr / mu**2) / mu**2)
 
 
 def mu_for_pointwise_t(eps: float, delta: float) -> float:
@@ -317,8 +322,7 @@ def check_diag_dominance(matrix, seed: int | None = None) -> BoundReport:
 # --- sketched-score guarantees -------------------------------------------
 
 
-# Sign-projection independence and ell doublings of the average checks.
-_AVERAGE_INDEPENDENCE = 8
+# ell doublings of the average checks.
 _AVERAGE_DOUBLINGS = 4
 
 
@@ -327,9 +331,10 @@ def check_average_guarantees(
 ) -> tuple[BoundReport, BoundReport]:
     """Average-case bounds for rank-k leverage and projection distance.
 
-    Builds a sign-projection column-space sketch At = A R with error
-    targeted at the leverage lemma's prescription ``mu = eps^2 * Delta / 16``
-    (doubling ell until the measured error meets it), then reports:
+    Builds a column-space sketch At = A R, R = ``SignProjector(seed, ell,
+    d)`` as ``score --mode rproj`` builds it, with error targeted at the
+    leverage lemma's prescription ``mu = eps^2 * Delta / 16`` (doubling ell
+    until the measured error meets it), then reports:
 
     * ``sum_i |L^k - ~L^k| <= eps * k``
     * ``sum_i |T^k - ~T^k| <= eps * ||A||_F^2``
@@ -350,7 +355,7 @@ def check_average_guarantees(
     cov_exact = a @ a.T
     ell0 = rproj_ell_for_mu(mu_l_target, sr)
     for ell in (ell0 << t for t in range(_AVERAGE_DOUBLINGS + 1)):
-        gram = SignProjector(seed, ell, a.shape[1], _AVERAGE_INDEPENDENCE).gram()
+        gram = SignProjector(seed, ell, a.shape[1]).gram()
         cov_sketch = a @ gram @ a.T
         mu = operator_norm(cov_exact - cov_sketch) / sigma1_sq
         if mu <= mu_l_target:

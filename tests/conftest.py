@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sketch_anomaly.scores import ROWSPACE_FIELDS
+
+# Every property test draws the same examples on every run, with no
+# per-example time limit: a tier-1 failure reproduces, and a slow runner
+# does not fail a test.
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 class CountingSource:

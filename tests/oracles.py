@@ -161,7 +161,7 @@ def sign_hash(projector, positions: np.ndarray) -> np.ndarray:
     coeffs = projector.coefficients
     acc = np.broadcast_to(coeffs[-1], x.shape).copy()
     with np.errstate(over="ignore"):
-        for t in range(projector.independence_w - 2, -1, -1):
+        for t in range(len(coeffs) - 2, -1, -1):
             acc = mod61(mulmod61(acc, x) + coeffs[t])
     return acc
 

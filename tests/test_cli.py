@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import struct
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sketch_anomaly
 from sketch_anomaly import cli, linalg, pipelines, scores, sketches
@@ -327,6 +331,41 @@ def test_mu_of_one_or_more_is_usage_error(capsys, data_path, command, mode, valu
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sketch-anomaly: mu must be below 1, got {float(value)}\n"
+
+
+SKETCHED_MODES = ("fd", "rowsample", "colsample", "rproj", "online")
+
+
+# At 1e-20 and below, every mode's ell overflows np.intp, so each draw is
+# refused before any allocation is sized.
+@settings(max_examples=40)
+@given(
+    value=st.floats(-300.0, -20.0).map(lambda e: 10.0**e),
+    command=st.sampled_from(
+        [("score", mode) for mode in SKETCHED_MODES]
+        + [("eval", mode) for mode in SKETCHED_MODES]
+        + [("verify", suite) for suite in ("pointwise", "average")]
+    ),
+)
+def test_tiny_mu_or_epsilon_is_one_line_error(data_path, value, command):
+    name, choice = command
+    if name == "verify":
+        argv = [name, "--suite", choice, "--seeds", "1", "--epsilon", repr(value)]
+    else:
+        argv = [
+            name, "--mode", choice, "--k", "3", "--mu", repr(value),
+            "--input", str(data_path[0]), "--format", "bin",
+        ]
+        if name == "eval":
+            argv += ["--eta", "0.05"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+    assert "mu" in err.getvalue()
 
 
 @pytest.mark.parametrize(

@@ -51,7 +51,7 @@ def scored_rows(draw):
     return scores, labels, tuple(grid)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(scored_rows())
 def test_f1_sweep_matches_per_fraction_masks(case):
     scores, labels, grid = case

@@ -50,7 +50,7 @@ def header_seed(path) -> int:
     return HEADER.unpack_from(path.read_bytes())[-1]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(matrices())
 def test_matrix_snapshot_round_trip(tmp_path_factory, matrix):
     path = tmp_path_factory.mktemp("io") / "m.bin"
@@ -61,7 +61,7 @@ def test_matrix_snapshot_round_trip(tmp_path_factory, matrix):
     assert resave(path, loaded) == path.read_bytes()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 6),
        st.integers(1, 5))
 def test_fd_snapshot_round_trip(tmp_path_factory, data_seed, n, d, ell):
@@ -78,7 +78,7 @@ def test_fd_snapshot_round_trip(tmp_path_factory, data_seed, n, d, ell):
     assert resave(path, loaded) == path.read_bytes()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6),
        st.integers(1, 9), seeds)
 def test_column_plan_snapshot_round_trip(tmp_path_factory, data_seed, n, d, ell, seed):
@@ -95,7 +95,7 @@ def test_column_plan_snapshot_round_trip(tmp_path_factory, data_seed, n, d, ell,
     assert resave(path, loaded) == path.read_bytes()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(matrices())
 def test_csv_round_trip(tmp_path_factory, matrix):
     path = tmp_path_factory.mktemp("io") / "m.csv"

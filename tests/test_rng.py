@@ -12,7 +12,7 @@ EDGES = [0, 1, P - 1, P, P + 1, 2**61, 2**64 - 1]
 CHUNK = rng._POLY_CHUNK
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(words, words, st.lists(words, min_size=1, max_size=20))
 def test_mix64_is_a_pure_broadcasting_function(seed, lane, positions):
     pos = np.array(positions, dtype=np.uint64)
@@ -30,7 +30,7 @@ def test_lanes_and_positions_give_distinct_streams():
     assert not np.any(a == b) and not np.any(a == c)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(words, words, st.lists(words, min_size=1, max_size=20))
 def test_uniform01_in_unit_interval(seed, lane, positions):
     u = uniform01(seed, lane, np.array(positions, dtype=np.uint64))
@@ -58,7 +58,7 @@ def horner(coefficients, x: int) -> int:
     return acc
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(field, field, words)
 def test_field_arithmetic_matches_python_ints(a, b, x):
     assert int(polyval61([0, a], np.uint64(b))) == a * b % P
@@ -72,7 +72,7 @@ def test_field_arithmetic_edges():
     assert int(polyval61([0, P - 1], top)) == (P - 1) ** 2 % P
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     coefficients=st.one_of(
         st.lists(field, min_size=2, max_size=32),

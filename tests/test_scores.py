@@ -297,7 +297,7 @@ class TestOnlineScores:
 
 
 class TestScoreBlock:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(2, 9),
@@ -389,12 +389,12 @@ def score_tables(draw):
 
 
 class TestScoreTable:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(score_tables())
     def test_json_matches_json_dumps(self, table):
         assert table.to_json() == reference_json(table)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(score_tables())
     def test_rows_read_the_columns(self, table):
         # json.dumps compares NaN cells that ``==`` would not.

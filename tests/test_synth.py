@@ -40,7 +40,7 @@ def test_spectral_matrix_rejects_bad_spectra():
         spectral_matrix(4, 3, np.ones(4), 0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(3, 60),
     st.data(),

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from sketch_anomaly.linalg import operator_norm
 from sketch_anomaly.sketches import SignProjector
-from sketch_anomaly.synth import separated_matrix
+from sketch_anomaly.synth import additive_perturbation, separated_matrix
 from sketch_anomaly.verify import (
     SUITES,
     check_average_guarantees,
     check_diag_dominance,
     check_projector,
+    check_sigma_weighted,
     check_weyl,
     measured_mu_rowspace,
     run_suite,
@@ -101,7 +102,7 @@ def test_run_suite_rejects_bad_seed_count_and_name():
 # a zero singular value of C must read as zero, not as a rounding floor.
 # The pinned example is a rank-2 C with ||N|| = 2.1e-8, below the ~1e-7
 # at which a Gram route resolves a zero singular value.
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     n=st.integers(2, 30),
     d=st.integers(2, 30),
@@ -119,7 +120,7 @@ def test_weyl_holds_on_random_inputs(n, d, rank, log_scale, seed):
     assert report.applicable and report.passed
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     n=st.integers(1, 30),
     kind=st.sampled_from(["indefinite", "low-rank", "rank-one"]),
@@ -148,6 +149,24 @@ def test_projector_of_identical_matrices_is_zero():
     assert report.applicable and report.passed
 
 
+def test_sigma_weighted_lhs_matches_svd_reference():
+    # ||U_k W U_k^T - ~U_k W ~U_k^T||_2, with W from the true top-k spectrum
+    # of A in both terms.
+    k = 2
+    a = separated_matrix(120, 40, k, 5, delta=0.5, kappa=1.3, tail_sr=0.05)
+    at = additive_perturbation(a, 1e-3, 6)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    ut = np.linalg.svd(at, full_matrices=False)[0]
+    for mode, w in (("squared", s[:k] ** 2), ("inverse-squared", s[:k] ** -2.0)):
+        report = check_sigma_weighted(a, at, k, mode, seed=5)
+        gap = (u[:, :k] * w) @ u[:, :k].T - (ut[:, :k] * w) @ ut[:, :k].T
+        assert report.bound_name == f"sigma-weighted-{mode}"
+        assert report.lhs == pytest.approx(np.linalg.norm(gap, 2), rel=1e-9)
+        assert report.applicable and report.passed
+    with pytest.raises(ValueError, match="mode must be"):
+        check_sigma_weighted(a, at, k, "cubed")
+
+
 def test_average_lhs_matches_column_space_form():
     k, eps, seed = 2, 0.9, 3
     a = separated_matrix(60, 12, k, 0, delta=0.7, kappa=1.05, tail_sr=0.05)
@@ -161,7 +180,7 @@ def test_average_lhs_matches_column_space_form():
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     lev = (u[:, :k] ** 2).sum(axis=1)
     proj = row_sq - ((u[:, :k] * s[:k]) ** 2).sum(axis=1)
-    cov = a @ SignProjector(seed, rep_l.inputs["ell"], a.shape[1], 8).gram() @ a.T
+    cov = a @ SignProjector(seed, rep_l.inputs["ell"], a.shape[1]).gram() @ a.T
     lam, vecs = np.linalg.eigh(cov)
     top = np.argsort(lam)[::-1][:k]
     ut, sig = vecs[:, top], np.sqrt(np.clip(lam[top], 0.0, None))
