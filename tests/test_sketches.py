@@ -188,10 +188,19 @@ class TestSignProjector:
         # Every rproj score depends on the hash's degree: one projector, w = 8.
         assert len(p.coefficients) == sketches.SIGN_INDEPENDENCE == 8
 
-    @pytest.mark.parametrize("ell, dim", [(40, 400), (40, 800)])
-    def test_matrix_is_the_mulmod61_oracle_bytes(self, ell, dim):
+    @pytest.mark.parametrize(
+        "ell, dim, w", [(40, 400, 32), (40, 800, 32), (40, 800, 8), (40, 400, 8)]
+    )
+    def test_matrix_is_the_mulmod61_oracle_bytes(self, ell, dim, w):
+        # w = 8 is the projector as built; w = 32 extends its polynomial so
+        # the lazily reduced Horner chain runs four times as long.
         for seed in (0, 901):
             p = SignProjector(seed, ell, dim)
+            extra = np.random.default_rng(seed).integers(
+                0, MERSENNE61, w - sketches.SIGN_INDEPENDENCE, dtype=np.uint64
+            )
+            p.coefficients = np.concatenate([p.coefficients, extra])
+            assert len(p.coefficients) == w
             assert p.matrix().tobytes() == sign_matrix(p).tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
