@@ -12,6 +12,7 @@ from .errors import (
     DegenerateSpectrumError,
     RankDeficientError,
     ShapeError,
+    SketchSizeError,
     ZeroMassError,
 )
 from .evaluate import (

@@ -33,3 +33,7 @@ class ZeroMassError(ValueError):
 
 class DataFormatError(ValueError):
     """Malformed input file (CSV cell, ragged row, bad snapshot header)."""
+
+
+class SketchSizeError(ValueError):
+    """A covariance error target mu gives no sketch size numpy can hold."""

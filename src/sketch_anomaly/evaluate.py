@@ -1,10 +1,13 @@
 """Ground-truth labeling and F1 evaluation of approximate anomaly scores.
 
 Methodology: exact scores (full SVD) define the ground truth by labeling
-the top eta fraction of rows anomalous.  An approximate scorer is then
-judged by thresholding its scores at the top eta' fraction, sweeping eta'
-over a grid and reporting the best F1 (harmonic mean of precision and
-recall).  Randomized sketches are averaged over several seeds.
+the top eta fraction of rows anomalous.  The ground truth forms only its
+score kind's coordinates, block by block: leverage-k and projection-k the
+top-k coordinates X V_k, the other kinds all of X V.  An approximate
+scorer is then judged by thresholding its scores at the top eta' fraction,
+sweeping eta' over a grid and reporting the best F1 (harmonic mean of
+precision and recall).  Randomized sketches are averaged over several
+seeds.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ import numpy as np
 
 from .linalg import as_matrix
 from .pipelines import PipelineConfig, run_pipeline
-from .scores import PROJECTED_FIELDS, ScoreTable, batch_scores, check_lambda
+from .scores import (
+    EXACT_FIELDS,
+    PROJECTED_FIELDS,
+    ScoreTable,
+    batch_scores,
+    check_lambda,
+)
 
 SCORE_KINDS = ("leverage-k", "projection-k", "ridge", "tail", "full")
 
@@ -120,7 +129,12 @@ def top_fraction_mask(scores: np.ndarray, fraction: float) -> np.ndarray:
 
 def _exact_scores(matrix, cfg: EvalConfig) -> np.ndarray:
     """Exact scores of the configured kind, one per row."""
-    return _kind_column(batch_scores(matrix, cfg.k, lam=cfg.lam), cfg.score_kind)
+    projected = _KIND_TO_FIELD[cfg.score_kind] in PROJECTED_FIELDS
+    table = batch_scores(
+        matrix, cfg.k, lam=cfg.lam,
+        fields=PROJECTED_FIELDS if projected else EXACT_FIELDS,
+    )
+    return _kind_column(table, cfg.score_kind)
 
 
 def ground_truth(matrix, cfg: EvalConfig) -> np.ndarray:

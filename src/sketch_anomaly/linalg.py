@@ -91,21 +91,25 @@ class SpectralStats:
     numeric_rank_p: float
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's largest-magnitude entry is nonnegative."""
-    if vectors.shape[1] == 0:
-        return vectors
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Flip columns in place so each one's largest-magnitude entry is
+    nonnegative."""
     lead = np.abs(vectors).argmax(axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    vectors *= signs
 
 
 def sym_eig(matrix) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    Backed by LAPACK's symmetric solver on the explicitly symmetrized
-    input.  The reconstruction residual is verified against
+    Backed by LAPACK's symmetric solver.  M must pass a symmetry test,
+    ``||M - M^T||_F <= 1e-12 * ||M||_F``; it is symmetrized as
+    ``(M + M^T) / 2`` only where that norm is not exactly 0, so an exactly
+    symmetric M (every Gram the package forms) is decomposed without a
+    copy, and to the same bytes.  The eigenvectors are gathered into
+    descending order in one C-contiguous copy whose signs are fixed in
+    place.  The reconstruction residual is verified against
     ``EIG_TOL * ||M||_F`` so a silently inaccurate factorization raises
     ``ConvergenceError`` instead of propagating.  Where the squares of M's
     entries would overflow or underflow, so that a check against ||M||_F
@@ -128,15 +132,18 @@ def sym_eig(matrix) -> SpectralDecomposition:
             f"matrix is not symmetric: ||M - M^T||_F = {asym * scale:.3e} "
             f"exceeds {_SYMMETRY_RTOL:.0e} * ||M||_F"
         )
-    sym = 0.5 * (m + m.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    # Unscaled, a zero asymmetry means M == M^T entry for entry, and then
+    # (M + M^T) / 2 would be M's bytes again.
+    symmetric = asym == 0.0 and unit is m
+    eigvals, eigvecs = np.linalg.eigh(m if symmetric else 0.5 * (m + m.T))
     order = np.argsort(-eigvals, kind="stable")
-    eigvals = np.ascontiguousarray(eigvals[order])
-    eigvecs = np.ascontiguousarray(_fix_signs(eigvecs[:, order]))
+    eigvals = eigvals[order]
+    eigvecs = np.take(eigvecs, order, axis=1)
+    _fix_signs(eigvecs)
 
-    residual = float(
-        np.linalg.norm((eigvecs * (eigvals / scale)) @ eigvecs.T - unit)
-    )
+    recon = (eigvecs * (eigvals / scale)) @ eigvecs.T
+    recon -= unit
+    residual = float(np.linalg.norm(recon))
     if residual > EIG_TOL * norm_f:
         raise ConvergenceError(
             f"eigendecomposition residual {residual * scale:.3e} exceeds "

@@ -32,7 +32,9 @@ and usable sigma.  For a sketch with fewer rows than columns these come
 from the short-side Gram S S^T that the Frequent Directions shrink also
 uses, as W = S^T U Sigma^-1.  The online pass never forms W: it carries
 S S^T from row to row and scores each row a from S a and the Gram's
-eigenvectors, since a . (S^T u_j / sigma_j) = (S a) . u_j / sigma_j.
+eigenvectors, since a . (S^T u_j / sigma_j) = (S a) . u_j / sigma_j.  It
+reads a sketch with at least as many rows as columns through
+``svd_thin(S)``, as the batch passes do.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import RankDeficientError, ShapeError
-from .linalg import SpectralDecomposition, as_row, gram_basis, svd_thin, sym_eig
+from .linalg import as_row, gram_basis, svd_thin, sym_eig
 from .scores import (
     MODE_SKETCHED_BATCH,
     MODE_SKETCHED_ONLINE,
@@ -238,7 +240,10 @@ def run_online_pipeline(
     is then folded in with ``extend`` and G bordered with z and a . a;
     after a shrink G is formed again from the shrunk rows.  So a row costs
     one fill x fill eigendecomposition plus O(ell * d), and the batch
-    passes' d-wide basis is never built.
+    passes' d-wide basis is never built.  Only a sketch with at least as
+    many rows as columns (fill >= d, possible when d < 2 ell) is read
+    through ``svd_thin(S)``, which decomposes the smaller d x d S^T S, and
+    its right vectors v_j as a . v_j.
     """
     columns = {name: array("d") for name in ROWSPACE_FIELDS}
     if cfg.lam is None:
@@ -255,16 +260,17 @@ def run_online_pipeline(
         z = fd.buffer[:fill] @ a
         row_sq = a @ a
         rank = 0
-        if fill:
-            eig = sym_eig(gram[:fill, :fill])
-            if fill > fd.dim:
-                # A sketch with more rows than columns has dim singular
-                # values, as ``svd_thin`` gives them to ``effective_rank``.
-                eig = SpectralDecomposition(
-                    eig.values[: fd.dim], eig.right_vectors[:, : fd.dim], fd.dim
-                )
-            basis = gram_basis(eig)
+        if fill >= fd.dim:
+            # At least as many rows as columns: the dim x dim S^T S is the
+            # smaller Gram, and it resolves near-floor directions that the
+            # fill x fill S S^T loses.
+            basis = svd_thin(fd.buffer[:fill])
             rank = basis.rank_used
+            alpha = a @ basis.right_vectors
+        elif fill:
+            basis = gram_basis(sym_eig(gram[:fill, :fill]))
+            rank = basis.rank_used
+            alpha = (z @ basis.right_vectors) / basis.values[:rank]
         fd.extend(a[None])
         if fd.shrink_count != shrinks:
             shrunk = fd.buffer[: fd.fill]
@@ -278,13 +284,8 @@ def run_online_pipeline(
             for column in columns.values():
                 column.append(math.nan)
             continue
-        sigma = basis.values[:rank]
         scored = score_block(
-            ((z @ basis.right_vectors) / sigma)[None, :],
-            np.array([row_sq]),
-            sigma,
-            cfg.k,
-            cfg.lam,
+            alpha[None, :], np.array([row_sq]), basis.values[:rank], cfg.k, cfg.lam
         )
         for name, column in columns.items():
             column.append(scored[name][0])

@@ -1,8 +1,9 @@
 """Subspace anomaly scores: the score kernel and exact batch scores.
 
-Exact scores are computed against the SVD of the whole matrix.  Score
-definitions, for a row ``a`` with spectrum ``sigma`` and right singular
-vectors ``v_j``:
+Exact scores are computed against the SVD of the whole matrix, one block
+of ``_CHUNK`` rows at a time, so that besides the matrix they take
+O(block * d + d^2) working memory.  Score definitions, for a row ``a``
+with spectrum ``sigma`` and right singular vectors ``v_j``:
 
 * full leverage        ``L    = sum_j (a.v_j)^2 / sigma_j^2``
 * rank-k leverage      ``L^k  = sum_{j<=k} (a.v_j)^2 / sigma_j^2``
@@ -41,6 +42,7 @@ from .errors import RankDeficientError
 # ``as_row`` and ``sym_eig`` are not called here, but perfbench/tracing.py
 # counts and times their calls through this module's names for them.
 from .linalg import as_matrix, as_row, spectral_stats, svd_thin, sym_eig  # noqa: F401
+from .sketches import _CHUNK
 
 MODE_EXACT_BATCH = "exact-batch"
 MODE_SKETCHED_BATCH = "sketched-batch"
@@ -215,8 +217,24 @@ def _warn_if_degenerate(sigma: np.ndarray, k: int) -> None:
             )
 
 
-def batch_scores(matrix, k: int, lam: float | None = None) -> ScoreTable:
-    """Exact scores for every row of the matrix against its own SVD."""
+def batch_scores(
+    matrix, k: int, lam: float | None = None, fields: tuple[str, ...] = EXACT_FIELDS
+) -> ScoreTable:
+    """Exact scores for every row of the matrix against its own SVD.
+
+    The rows are scored in the ``_CHUNK``-row blocks that ``row_blocks``
+    cuts: each block's coordinates X_b V (for a wide A, its rows of U Sigma)
+    go through ``score_block``, and ``score_table`` stacks the blocks'
+    columns.  So besides the matrix, the working memory is
+    O(block * d + d^2): the Gram, its eigenvectors and one block's
+    coordinates, never the whole of X V or (X V)^2.
+
+    ``fields`` names the columns to fill.  With ``PROJECTED_FIELDS`` only
+    the top-k coordinates X V_k are formed, and L^k, T^k and raw T^k are
+    filled, as in the projected sketches' tables; lambda is then checked but
+    unused.  The rank check and the degenerate-spectrum warning read the
+    full spectrum either way.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     check_lambda(lam)
@@ -229,12 +247,18 @@ def batch_scores(matrix, k: int, lam: float | None = None) -> ScoreTable:
     if rank < k:
         raise RankDeficientError(f"basis rank {rank} is below requested k={k}")
     _warn_if_degenerate(basis.values, k)
+    if fields == PROJECTED_FIELDS:
+        rank, lam = k, None
     sigma = basis.values[:rank]
-    columns = score_block(
-        a @ basis.right_vectors if tall else basis.right_vectors * sigma,
-        np.einsum("ij,ij->i", a, a),
-        sigma,
-        k,
-        lam,
-    )
-    return score_table(MODE_EXACT_BATCH, [columns], EXACT_FIELDS)
+    vectors = basis.right_vectors[:, :rank]
+    blocks = []
+    for start in range(0, a.shape[0], _CHUNK):
+        block = a[start : start + _CHUNK]
+        if tall:
+            alpha = block @ vectors
+        else:
+            alpha = vectors[start : start + _CHUNK] * sigma
+        blocks.append(
+            score_block(alpha, np.einsum("ij,ij->i", block, block), sigma, k, lam)
+        )
+    return score_table(MODE_EXACT_BATCH, blocks, fields)

@@ -176,8 +176,9 @@ class FrequentDirections:
             (kept[nonzero] / sigma[nonzero])[:, None]
             * decomp.right_vectors[:, nonzero].T
         ) @ self.buffer
-        self.buffer[:] = 0.0
+        # Rows at or past fill are zero already.
         self.buffer[:count] = rows
+        self.buffer[count : self.fill] = 0.0
         self.fill = count
         self.shrink_count += 1
 

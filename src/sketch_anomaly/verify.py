@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import RankDeficientError, ShapeError
+from .errors import RankDeficientError, ShapeError, SketchSizeError
 from .linalg import (
     SpectralStats,
     as_matrix,
@@ -102,14 +102,17 @@ def _report(name: str, lhs: float, rhs: float, applicable: bool, **inputs) -> Bo
 
 
 def _sketch_size(mu: float, size: Callable[[np.float64], np.float64]) -> int:
-    """``ceil(size(mu))`` for a positive, finite mu, taken as a float64; a
-    size that is not finite or does not fit ``np.intp`` is a ValueError."""
+    """``ceil(size(mu))`` for a positive, finite mu, taken as a float64.  A
+    mu that is not, or a size that is not finite or does not fit
+    ``np.intp``, is a ``SketchSizeError``."""
     if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be positive and finite, got {mu}")
+        raise SketchSizeError(f"mu must be positive and finite, got {mu}")
     with np.errstate(divide="ignore", over="ignore"):
         ell = np.ceil(size(np.float64(mu)))
     if not ell < np.iinfo(np.intp).max:
-        raise ValueError(f"mu {mu} needs a sketch size of {ell}, more than np.intp holds")
+        raise SketchSizeError(
+            f"mu {mu} needs a sketch size of {ell}, more than np.intp holds"
+        )
     return int(ell)
 
 
@@ -688,7 +691,9 @@ def run_suite(
     Reports come suite by suite, and within a suite seed by seed.
     ``eps`` overrides each eps-taking suite's default; it must be positive
     and below 1 (at 1 or more every suite's bound is vacuous or its
-    precondition fails), and ``num_seeds`` at least 1.
+    precondition fails), and ``num_seeds`` at least 1.  An eps whose mu
+    target has no representable sketch size raises ``SketchSizeError``
+    naming the suite and eps.
     """
     if name != "all" and name not in _SWEEPS:
         raise ValueError(f"unknown suite {name!r}")
@@ -703,5 +708,12 @@ def run_suite(
         instance, default_eps = _SWEEPS[suite]
         suite_eps = default_eps if eps is None else eps
         for s in range(num_seeds):
-            reports += instance(base_seed, s, num_seeds, suite_eps)
+            try:
+                reports += instance(base_seed, s, num_seeds, suite_eps)
+            except SketchSizeError as exc:
+                # The mu target is derived from eps; name what the caller set.
+                raise SketchSizeError(
+                    f"epsilon {suite_eps!r} gives the {suite} suite a mu "
+                    f"target with no sketch size: {exc}"
+                ) from exc
     return reports

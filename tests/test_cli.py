@@ -369,6 +369,27 @@ def test_tiny_mu_or_epsilon_is_one_line_error(data_path, value, command):
 
 
 @pytest.mark.parametrize(
+    "suite, epsilon, reason",
+    [
+        ("pointwise", "1e-40", "mu 8.6954521739118e-81 needs a sketch size of"),
+        ("average", "1e-200", "mu must be positive and finite, got 0.0"),
+    ],
+)
+def test_verify_tiny_epsilon_names_epsilon_and_suite(capsys, suite, epsilon, reason):
+    # The mu target is derived from eps; at 1e-200 it underflows to 0.
+    argv = ["verify", "--suite", suite, "--seeds", "1", "--epsilon", epsilon]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = (
+        f"sketch-anomaly: epsilon {float(epsilon)!r} gives the {suite} suite "
+        f"a mu target with no sketch size: {reason}"
+    )
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--n", "50", "--k", "0"], "k must be >= 1, got 0"),

@@ -11,8 +11,10 @@ from sketch_anomaly.evaluate import (
     EvalReport,
     evaluate_pipeline,
     f1_sweep,
+    ground_truth,
     top_fraction_mask,
 )
+from sketch_anomaly.scores import PROJECTED_FIELDS, batch_scores
 from sketch_anomaly.synth import planted_anomaly_dataset
 
 
@@ -94,3 +96,17 @@ def test_projected_modes_reject_rowspace_kinds_up_front(monkeypatch, mode, kind)
     message = f"score kind '{kind}' is not available in mode '{mode}'"
     with pytest.raises(ValueError, match=message):
         evaluate_pipeline(matrix, mode, 6, cfg)
+
+
+@pytest.mark.parametrize("kind", ["leverage-k", "projection-k"])
+def test_projected_kinds_label_from_k_coordinates_as_from_the_full_table(kind):
+    matrix, _ = planted_anomaly_dataset(1100, 60, 3, seed=5)
+    cfg = EvalConfig(k=3, eta=0.05, score_kind=kind)
+    projected = batch_scores(matrix, 3, fields=PROJECTED_FIELDS)
+    assert projected.full_leverage is None and projected.ridge_leverage is None
+    full = evaluate._kind_column(batch_scores(matrix, 3), kind)
+    expected = top_fraction_mask(full, cfg.eta)
+    assert np.array_equal(
+        top_fraction_mask(evaluate._kind_column(projected, kind), cfg.eta), expected
+    )
+    assert np.array_equal(ground_truth(matrix, cfg), expected)

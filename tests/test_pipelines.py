@@ -379,44 +379,31 @@ class TestShortSideBasis:
     def test_online_matches_lapack_svd_of_each_fd_prefix(
         self, seed, ell, d, k, shrinks, lam
     ):
-        # Each row is scored from the Gram S S^T the pass carries; the
-        # reference is np.linalg.svd of the same FD prefix S.  Rows are
-        # compared where the prefix separates sigma_k from sigma_(k+1).
         k = min(k, d - 1, ell - 1)
+        a = self.prefix_stream(seed, ell, d, shrinks)
+        fills, shrink_count = online_vs_lapack(a, ell, k, lam)
+        assert shrink_count >= shrinks and fills
+
+    # Streams with d < 2 ell whose compared rows include a sketch of exactly
+    # d rows, and one of more than d rows.  Read through the fill x fill
+    # S S^T, their ridge leverage was off by 1.5e-10 and 6.6e-11 relative.
+    @pytest.mark.parametrize(
+        "seed, ell, d, k, shrinks, fill_vs_d",
+        [(3335432653, 10, 19, 3, 4, 0), (1046135923, 8, 10, 3, 2, 1)],
+        ids=["fill=d", "fill>d"],
+    )
+    def test_online_ridge_when_fill_reaches_dim(
+        self, seed, ell, d, k, shrinks, fill_vs_d
+    ):
+        a = self.prefix_stream(seed, ell, d, shrinks)
+        fills, shrink_count = online_vs_lapack(a, ell, k, 0.5)
+        assert shrink_count >= shrinks
+        assert any(np.sign(fill - d) == fill_vs_d for fill in fills)
+
+    @staticmethod
+    def prefix_stream(seed, ell, d, shrinks):
         a = np.random.default_rng(seed).standard_normal((2 * ell * (shrinks + 1), d))
-        a *= np.geomspace(4.0, 0.1, d)
-        cfg = PipelineConfig(k=k, ell=ell, lam=lam, mode="online-fd")
-        table = run_online_pipeline(lambda: iter(a), cfg)
-        fd = FrequentDirections(ell, d)
-        compared = 0
-        for i, row in enumerate(a):
-            sketch = fd.sketch()
-            rank = svd_thin(sketch).rank_used if fd.fill else 0
-            assert table.defined[i] == (rank >= k)
-            fd.update(row)
-            if not table.defined[i]:
-                continue
-            _, sigma, vt = np.linalg.svd(sketch, full_matrices=False)
-            sq = np.append(sigma**2, 0.0)
-            if sq[k - 1] - sq[k] < 1e-3 * sq[0]:
-                continue
-            alpha_sq = (vt[:rank] @ row) ** 2
-            row_sq = row @ row
-            assert table.rank_k_leverage[i] == pytest.approx(
-                (alpha_sq[:k] / sq[:k]).sum(), rel=1e-9
-            )
-            # ||a||^2 - sum alpha^2 cancels: both sides err at ~eps * ||a||^2.
-            assert table.projection_distance_raw[i] == pytest.approx(
-                row_sq - alpha_sq[:k].sum(), rel=1e-9, abs=1e-11 * row_sq
-            )
-            if lam is not None:
-                # Near-floor directions of a sketch with at least as many
-                # rows as columns lose digits through the short-side Gram.
-                ridge = (alpha_sq / (sq[:rank] + lam)).sum()
-                ridge += max(row_sq - alpha_sq.sum(), 0.0) / lam
-                assert table.ridge_leverage[i] == pytest.approx(ridge, rel=1e-7)
-            compared += 1
-        assert fd.shrink_count >= shrinks and compared > 0
+        return a * np.geomspace(4.0, 0.1, d)
 
     def test_online_reads_one_gram_eigendecomposition_per_row(self, monkeypatch):
         def no_svd_thin(*args, **kwargs):
@@ -638,3 +625,42 @@ class TestRecordInvariants:
             assert all(r.defined for r in records)
             assert all(r.projection_distance >= 0.0 for r in records)
             assert all(np.isfinite(r.projection_distance_raw) for r in records)
+
+
+def online_vs_lapack(a, ell, k, lam):
+    """Check each online row of ``a`` against np.linalg.svd of the same FD
+    prefix S, where the prefix separates sigma_k from sigma_(k+1): L^k and
+    raw T^k to 1e-9, ridge leverage (with ``lam``) to 1e-11 relative.
+    Returns the prefix fill of every compared row and the shrink count."""
+    d = a.shape[1]
+    cfg = PipelineConfig(k=k, ell=ell, lam=lam, mode="online-fd")
+    table = run_online_pipeline(lambda: iter(a), cfg)
+    fd = FrequentDirections(ell, d)
+    fills = []
+    for i, row in enumerate(a):
+        sketch = fd.sketch()
+        rank = svd_thin(sketch).rank_used if fd.fill else 0
+        assert table.defined[i] == (rank >= k)
+        fill = fd.fill
+        fd.update(row)
+        if not table.defined[i]:
+            continue
+        _, sigma, vt = np.linalg.svd(sketch, full_matrices=False)
+        sq = np.append(sigma**2, 0.0)
+        if sq[k - 1] - sq[k] < 1e-3 * sq[0]:
+            continue
+        alpha_sq = (vt[:rank] @ row) ** 2
+        row_sq = row @ row
+        assert table.rank_k_leverage[i] == pytest.approx(
+            (alpha_sq[:k] / sq[:k]).sum(), rel=1e-9
+        )
+        # ||a||^2 - sum alpha^2 cancels: both sides err at ~eps * ||a||^2.
+        assert table.projection_distance_raw[i] == pytest.approx(
+            row_sq - alpha_sq[:k].sum(), rel=1e-9, abs=1e-11 * row_sq
+        )
+        if lam is not None:
+            ridge = (alpha_sq / (sq[:rank] + lam)).sum()
+            ridge += max(row_sq - alpha_sq.sum(), 0.0) / lam
+            assert table.ridge_leverage[i] == pytest.approx(ridge, rel=1e-11)
+        fills.append(fill)
+    return fills, fd.shrink_count

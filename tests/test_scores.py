@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketch_anomaly.errors import RankDeficientError, ShapeError
-from sketch_anomaly.evaluate import EvalConfig
+from sketch_anomaly.evaluate import EvalConfig, ground_truth
 from sketch_anomaly.linalg import svd_thin
 from sketch_anomaly.pipelines import PipelineConfig
 from sketch_anomaly.scores import (
@@ -198,6 +199,51 @@ class TestBatchScores:
             np.testing.assert_allclose(
                 getattr(table, field), ref, rtol=1e-12, atol=0, err_msg=field
             )
+
+
+    @pytest.mark.parametrize("lam", [None, 0.7])
+    @pytest.mark.parametrize("n,d", [(1100, 60), (300, 900)])
+    def test_blocks_match_one_block(self, n, d, lam):
+        # 1100 rows cross two block boundaries; a wide A's blocks are rows of
+        # U Sigma.  BLAS may serve the short last block's X_b V by another
+        # kernel, so tall rows may move in the last bits, not more.
+        a = np.random.default_rng(29).standard_normal((n, d)) * np.geomspace(3.0, 0.2, d)
+        k = 4
+        table = batch_scores(a, k, lam=lam)
+        tall = d <= n
+        basis = svd_thin(a if tall else a.T)
+        sigma = basis.values[: basis.rank_used]
+        alpha = a @ basis.right_vectors if tall else basis.right_vectors * sigma
+        one = score_block(alpha, np.einsum("ij,ij->i", a, a), sigma, k, lam)
+        for field in EXACT_FIELDS:
+            if one[field] is None:
+                assert getattr(table, field) is None
+            elif tall:
+                np.testing.assert_allclose(
+                    getattr(table, field), one[field], rtol=1e-15, atol=0, err_msg=field
+                )
+            else:
+                np.testing.assert_array_equal(getattr(table, field), one[field], field)
+
+    def test_working_memory_is_below_the_input(self):
+        # Block-bounded scoring holds the Gram, its vectors and one block's
+        # coordinates; whole-matrix X V and (X V)^2 would read about 2x.
+        a = np.random.default_rng(30).standard_normal((3000, 200))
+        a *= np.geomspace(3.0, 0.2, 200)
+        cfg = EvalConfig(k=5, eta=0.05)
+        runs = {
+            "batch_scores": lambda: batch_scores(a, 5),
+            "batch_scores lambda": lambda: batch_scores(a, 5, lam=0.7),
+            "ground_truth": lambda: ground_truth(a, cfg),
+        }
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.75 * a.nbytes, (name, peak / a.nbytes)
 
 
 class TestRidgeDiagnostic:
