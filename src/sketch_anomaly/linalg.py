@@ -9,12 +9,14 @@ ties broken by the solver's original order (stable sort), and every Gram
 eigenvector is sign-normalized so that its largest-magnitude entry is
 nonnegative.  Two calls on identical input bytes return identical output
 bytes.  Only right singular vectors are stored; a caller that needs A's
-left vectors takes the right vectors of ``svd_thin(A.T)``.
+left vectors takes the right vectors of ``svd_thin(A.T)``, which reads A
+in place.
 
-There is one decomposition route, the smaller Gram.  A wide A (n < d) gets
-its left vectors U from the Gram A A^T and its right vectors as
-A^T U Sigma^-1, with no orthonormalization pass: column j is orthonormal
-to about eps * (sigma_1 / sigma_j)^2, and its sign follows u_j's.
+There is one eigen route, ``sym_eig``, and one decomposition route, the
+smaller Gram.  A wide A (n < d) gets its left vectors U from the Gram
+A A^T and its right vectors as A^T U Sigma^-1, with no orthonormalization
+pass: column j is orthonormal to about eps * (sigma_1 / sigma_j)^2, and
+its sign follows u_j's.
 """
 
 from __future__ import annotations
@@ -65,19 +67,23 @@ class SpectralDecomposition:
 
     ``values`` are sorted non-increasing.  For SVD results they are
     singular values (nonnegative, full length ``min(n, d)``) while
-    ``right_vectors`` keeps only the ``rank_used`` columns above the
-    usable floor (``effective_rank``).  For plain symmetric
-    eigendecompositions, ``values`` are eigenvalues (possibly negative)
-    and ``right_vectors`` holds all eigenvectors.
+    ``right_vectors`` keeps only the columns above the usable floor
+    (``effective_rank``).  For plain symmetric eigendecompositions,
+    ``values`` are eigenvalues (possibly negative) and ``right_vectors``
+    holds all eigenvectors.
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
-    rank_used: int
 
     def __post_init__(self):
         self.values.setflags(write=False)
         self.right_vectors.setflags(write=False)
+
+    @property
+    def rank_used(self) -> int:
+        """The number of stored right vectors."""
+        return self.right_vectors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -103,17 +109,16 @@ def _fix_signs(vectors: np.ndarray) -> None:
 def sym_eig(matrix) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    Backed by LAPACK's symmetric solver.  M must pass a symmetry test,
-    ``||M - M^T||_F <= 1e-12 * ||M||_F``; it is symmetrized as
-    ``(M + M^T) / 2`` only where that norm is not exactly 0, so an exactly
-    symmetric M (every Gram the package forms) is decomposed without a
-    copy, and to the same bytes.  The eigenvectors are gathered into
-    descending order in one C-contiguous copy whose signs are fixed in
-    place.  The reconstruction residual is verified against
-    ``EIG_TOL * ||M||_F`` so a silently inaccurate factorization raises
-    ``ConvergenceError`` instead of propagating.  Where the squares of M's
-    entries would overflow or underflow, so that a check against ||M||_F
-    could pass whatever the residual, every norm is taken of M / max|M|.
+    Backed by LAPACK's symmetric solver.  The symmetry test, the solver
+    and the residual certificate read one array: M when ||M||_F is inside
+    ``_NORM_RANGE``, else M divided once by the power of two 2^(e-1) at
+    max|M|, whose eigenvalues are multiplied back by it.  No norm then
+    overflows or underflows.  The array must pass
+    ``||M - M^T||_F <= 1e-12 * ||M||_F``, and is symmetrized as
+    ``(M + M^T) / 2`` only where that norm is not 0, so an exactly
+    symmetric M in range (every Gram the package forms) is decomposed
+    without a copy.  A reconstruction residual not within
+    ``EIG_TOL * ||M||_F``, NaN included, raises ``ConvergenceError``.
     """
     m = as_matrix(matrix, "symmetric matrix")
     n, d = m.shape
@@ -121,38 +126,34 @@ def sym_eig(matrix) -> SpectralDecomposition:
         raise ShapeError(f"expected square matrix, got {n}x{d}")
     with np.errstate(over="ignore"):
         norm_f = float(np.linalg.norm(m))
-    scale, unit = 1.0, m
+    scale = 1.0
     if not _NORM_RANGE[0] <= norm_f <= _NORM_RANGE[1]:
-        scale = float(np.abs(m).max()) or 1.0
-        unit = m / scale
-        norm_f = float(np.linalg.norm(unit))
-    asym = float(np.linalg.norm(unit - unit.T))
+        scale = float(np.ldexp(1.0, np.frexp(np.abs(m).max())[1] - 1))
+        m = m / scale
+        norm_f = float(np.linalg.norm(m))
+    asym = float(np.linalg.norm(m - m.T))
     if asym > _SYMMETRY_RTOL * norm_f:
         raise ShapeError(
             f"matrix is not symmetric: ||M - M^T||_F = {asym * scale:.3e} "
             f"exceeds {_SYMMETRY_RTOL:.0e} * ||M||_F"
         )
-    # Unscaled, a zero asymmetry means M == M^T entry for entry, and then
-    # (M + M^T) / 2 would be M's bytes again.
-    symmetric = asym == 0.0 and unit is m
-    eigvals, eigvecs = np.linalg.eigh(m if symmetric else 0.5 * (m + m.T))
+    # A zero asymmetry means (M + M^T) / 2 would be M's bytes again.
+    eigvals, eigvecs = np.linalg.eigh(m if asym == 0.0 else 0.5 * (m + m.T))
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     eigvecs = np.take(eigvecs, order, axis=1)
     _fix_signs(eigvecs)
 
-    recon = (eigvecs * (eigvals / scale)) @ eigvecs.T
-    recon -= unit
+    recon = (eigvecs * eigvals) @ eigvecs.T
+    recon -= m
     residual = float(np.linalg.norm(recon))
-    if residual > EIG_TOL * norm_f:
+    if not residual <= EIG_TOL * norm_f:
         raise ConvergenceError(
             f"eigendecomposition residual {residual * scale:.3e} exceeds "
             f"{EIG_TOL:.1e} * ||M||_F = {EIG_TOL * norm_f * scale:.3e}",
             residual=residual * scale,
         )
-    return SpectralDecomposition(
-        values=eigvals, right_vectors=eigvecs, rank_used=d
-    )
+    return SpectralDecomposition(values=eigvals * scale, right_vectors=eigvecs)
 
 
 def gram_basis(eig: SpectralDecomposition) -> SpectralDecomposition:
@@ -166,7 +167,6 @@ def gram_basis(eig: SpectralDecomposition) -> SpectralDecomposition:
     return SpectralDecomposition(
         values=sigma,
         right_vectors=np.ascontiguousarray(eig.right_vectors[:, :rank]),
-        rank_used=rank,
     )
 
 
@@ -182,8 +182,11 @@ def svd_thin(matrix) -> SpectralDecomposition:
     For d > n the right vectors are A^T U Sigma^-1, U being the Gram's
     eigenvectors: orthonormal to about eps * (sigma_1 / sigma_j)^2 in
     column j, and signed by u_j rather than sign-normalized themselves.
+    An F-ordered A (``flags.fnc``), such as X.T, is validated through its
+    C-ordered transpose, so ``svd_thin(X.T)`` reads X in place.
     """
-    a = as_matrix(matrix)
+    fnc = isinstance(matrix, np.ndarray) and matrix.flags.fnc
+    a = as_matrix(matrix.T).T if fnc else as_matrix(matrix)
     n, d = a.shape
     if d <= n:
         return gram_basis(sym_eig(a.T @ a))
@@ -192,7 +195,6 @@ def svd_thin(matrix) -> SpectralDecomposition:
     return SpectralDecomposition(
         values=left.values,
         right_vectors=a.T @ (left.right_vectors / sigma),
-        rank_used=left.rank_used,
     )
 
 
@@ -237,10 +239,5 @@ def spectral_stats(sigma, k: int) -> SpectralStats:
 
 
 def operator_norm(matrix) -> float:
-    """Largest singular value, via the top eigenvalue of the smaller Gram."""
-    m = as_matrix(matrix, "matrix")
-    n, d = m.shape
-    gram = m.T @ m if d <= n else m @ m.T
-    gram = 0.5 * (gram + gram.T)
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    return float(np.sqrt(max(top, 0.0)))
+    """Largest singular value, LAPACK's (``np.linalg.norm(A, 2)``)."""
+    return float(np.linalg.norm(as_matrix(matrix), 2))

@@ -193,7 +193,7 @@ def check_weyl(c, noise, seed: int | None = None) -> BoundReport:
     sc = np.linalg.svd(c, compute_uv=False)
     sd = np.linalg.svd(c + noise, compute_uv=False)
     lhs = float(np.max(np.abs(sc - sd))) if sc.size else 0.0
-    rhs = operator_norm(noise) if np.any(noise) else 0.0
+    rhs = operator_norm(noise)
     n, d = c.shape
     return _report("weyl", lhs, rhs, True, n=n, d=d, seed=seed)
 
@@ -689,11 +689,11 @@ def run_suite(
     """Run one named suite (or all of them) over seeds base_seed + s.
 
     Reports come suite by suite, and within a suite seed by seed.
-    ``eps`` overrides each eps-taking suite's default; it must be positive
-    and below 1 (at 1 or more every suite's bound is vacuous or its
-    precondition fails), and ``num_seeds`` at least 1.  An eps whose mu
-    target has no representable sketch size raises ``SketchSizeError``
-    naming the suite and eps.
+    ``eps`` overrides each eps-taking suite's default, and a named suite
+    that takes none rejects it.  It must be positive and below 1 (at 1 or
+    more every suite's bound is vacuous or its precondition fails), and
+    ``num_seeds`` at least 1.  An eps whose mu target has no representable
+    sketch size raises ``SketchSizeError`` naming the suite and eps.
     """
     if name != "all" and name not in _SWEEPS:
         raise ValueError(f"unknown suite {name!r}")
@@ -703,6 +703,8 @@ def run_suite(
         raise ValueError(f"epsilon must be positive and finite, got {eps}")
     if eps is not None and eps >= 1.0:
         raise ValueError(f"epsilon must be below 1, got {eps}")
+    if eps is not None and name != "all" and _SWEEPS[name][1] is None:
+        raise ValueError(f"suite {name!r} takes no epsilon")
     reports = []
     for suite in SUITES if name == "all" else (name,):
         instance, default_eps = _SWEEPS[suite]

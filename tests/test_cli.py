@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketch_anomaly
-from sketch_anomaly import cli, linalg, pipelines, scores, sketches
+from sketch_anomaly import cli, linalg, pipelines, scores, sketches, verify
 from sketch_anomaly.cli import run_cli
-from sketch_anomaly.io import save_snapshot
+from sketch_anomaly.io import save_csv, save_snapshot
 from sketch_anomaly.linalg import spectral_stats, svd_thin
 from sketch_anomaly.pipelines import PipelineConfig, run_pipeline
 from sketch_anomaly.scores import batch_scores
@@ -387,6 +387,68 @@ def test_verify_tiny_epsilon_names_epsilon_and_suite(capsys, suite, epsilon, rea
     )
     assert captured.err.startswith(prefix)
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "suite", ["weyl", "projector", "sigma-squared", "sigma-inverse", "diag"]
+)
+def test_verify_epsilon_on_a_suite_without_one_is_usage_error(capsys, suite):
+    argv = ["verify", "--suite", suite, "--seeds", "1", "--epsilon", "0.1"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sketch-anomaly: suite {suite!r} takes no epsilon\n"
+
+
+def test_verify_all_passes_epsilon_to_the_suites_that_take_one(capsys, monkeypatch):
+    seen = {}
+
+    def recorder(suite):
+        def instance(base_seed, s, num_seeds, eps):
+            seen[suite] = eps
+            return []
+
+        return instance
+
+    sweeps = {name: (recorder(name), eps) for name, (_, eps) in verify._SWEEPS.items()}
+    monkeypatch.setattr(verify, "_SWEEPS", sweeps)
+    argv = ["verify", "--suite", "all", "--seeds", "1", "--epsilon", "0.1"]
+    assert run_cli(argv) == 0
+    capsys.readouterr()
+    assert set(seen) == set(verify.SUITES)
+    assert [seen[name] for name in ("pointwise", "average", "lowrank")] == [0.1] * 3
+
+
+# A 4x2 input whose Gram is finite (largest entry 9.2e307) while
+# ||A||_F^2 = 1.07e308: the squares of the Gram's entries overflow.
+HUGE = np.array([[7e153, 1e153], [-5.5e153, 2e153], [3e153, 3e153], [2e153, -1e153]])
+
+
+@pytest.mark.parametrize(
+    "mode", ["exact", "fd", "rowsample", "colsample", "rproj", "online"]
+)
+def test_scores_near_the_top_of_the_range_match_a_scaled_copy(capsys, tmp_path, mode):
+    # Under A -> c A the leverages are unchanged and T^k scales by c^2.
+    runs = []
+    for name, matrix in (("huge", HUGE), ("scaled", np.ldexp(HUGE, -512))):
+        path = tmp_path / f"{name}.csv"
+        save_csv(path, matrix)
+        argv = ["score", "--mode", mode, "--k", "1", "--ell", "2", "--input", str(path)]
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "Warning" not in captured.err
+        runs.append(json.loads(captured.out))
+    huge, scaled = runs
+    assert [r["defined"] for r in huge] == [r["defined"] for r in scaled]
+    for field in scores.ROWSPACE_FIELDS:
+        got = [r[field] for r in huge]
+        want = [r[field] for r in scaled]
+        assert [v is None for v in got] == [v is None for v in want], field
+        got, want = (np.array([v for v in vs if v is not None]) for vs in (got, want))
+        if field.startswith("projection_distance"):
+            want = np.ldexp(want, 1024)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=field)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,55 @@
+"""The package has one eigen route: ``linalg.sym_eig``."""
+
+import ast
+from pathlib import Path
+
+import sketch_anomaly
+
+PACKAGE = Path(sketch_anomaly.__file__).resolve().parent
+
+# numpy's eigen solvers, as called by attribute (``np.linalg.eigh``) or by
+# an imported name.
+EIGEN_SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+
+
+def eigen_calls(source: str, module: str) -> list[str]:
+    """Each call in ``source`` to a function named in ``EIGEN_SOLVERS``, as
+    ``scope:name``; a scope is the module name followed by its enclosing
+    classes and functions, such as ``linalg.sym_eig``."""
+    calls = []
+
+    def visit(node, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", None) or getattr(func, "id", None)
+            if name in EIGEN_SOLVERS:
+                calls.append(f"{scope}:{name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return calls
+
+
+def test_eigen_calls_finds_attribute_and_name_calls():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigvals\n"
+        "def f(m, eig):\n"
+        "    return np.linalg.eigh(m), eigvals(m), eig.values\n"
+        "class C:\n"
+        "    def g(self, m):\n"
+        "        return np.linalg.eig(m), np.linalg.eigvalsh(m)\n"
+    )
+    assert eigen_calls(source, "m") == [
+        "m.f:eigh", "m.f:eigvals", "m.C.g:eig", "m.C.g:eigvalsh",
+    ]
+
+
+def test_sym_eig_is_the_only_eigen_solver_call():
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        calls += eigen_calls(path.read_text(), path.stem)
+    assert calls == ["linalg.sym_eig:eigh"]

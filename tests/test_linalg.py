@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sketch_anomaly import linalg
 from sketch_anomaly.errors import (
@@ -159,6 +161,33 @@ class TestSymEig:
             with pytest.raises(ConvergenceError):
                 sym_eig((a.T @ a) * scale)
 
+    def test_nan_residual_raises(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def nan_vectors(m):
+            values, vectors = eigh(m)
+            vectors[:, 0] = np.nan
+            return values, vectors
+
+        a = np.random.default_rng(10).standard_normal((30, 10))
+        monkeypatch.setattr(np.linalg, "eigh", nan_vectors)
+        with pytest.raises(ConvergenceError):
+            sym_eig(a.T @ a)
+
+    @given(seed=st.integers(0, 2**32 - 1), power=st.integers(-600, 600))
+    def test_eigenvalues_scale_with_the_matrix(self, seed, power):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rng.integers(1, 9), rng.integers(1, 7)))
+        gram = a.T @ a
+        c = 2.0**power
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = sym_eig(c * gram).values
+        values = sym_eig(gram).values
+        np.testing.assert_allclose(
+            scaled, c * values, rtol=1e-12, atol=1e-12 * c * values[0]
+        )
+
 
 def assert_reconstructs(a: np.ndarray, dec) -> None:
     """U = A V / sigma is orthonormal and U Sigma V^T = A V V^T equals A."""
@@ -216,6 +245,16 @@ class TestSvdThin:
             np.testing.assert_allclose(
                 u[:, :k] @ u[:, :k].T, w[:, :k] @ w[:, :k].T, atol=1e-10
             )
+
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7)])
+    def test_fortran_input_is_the_c_copy(self, shape):
+        a = np.random.default_rng(12).standard_normal(shape)
+        dec, dec_c = svd_thin(a.T), svd_thin(np.ascontiguousarray(a.T))
+        assert dec.values.tobytes() == dec_c.values.tobytes()
+        assert dec.right_vectors.tobytes() == dec_c.right_vectors.tobytes()
+        a[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            svd_thin(a.T)
 
     def test_zero_matrix_rank_zero(self):
         dec = svd_thin(np.zeros((3, 2)))
@@ -319,6 +358,14 @@ class TestOperatorNorm:
         rng = np.random.default_rng(17)
         a = rng.standard_normal((9, 5))
         assert operator_norm(a) == pytest.approx(svd_thin(a).values[0], rel=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), power=st.integers(-600, 600))
+    def test_scales_with_the_matrix(self, seed, power):
+        # No entry is squared: a Gram route reads 0 at 2^-600 and inf at 2^600.
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rng.integers(1, 9), rng.integers(1, 9)))
+        c = 2.0**power
+        assert operator_norm(c * a) == pytest.approx(c * operator_norm(a), rel=1e-12)
 
     def test_weyl_property(self):
         rng = np.random.default_rng(18)

@@ -245,6 +245,18 @@ class TestBatchScores:
                 tracemalloc.stop()
             assert peak < 0.75 * a.nbytes, (name, peak / a.nbytes)
 
+    def test_wide_input_is_read_in_place(self):
+        # A wide A is decomposed through svd_thin(A.T), which forms A A^T
+        # from A's own bytes; a C-ordered copy of A.T would read about 1x.
+        a = np.random.default_rng(31).standard_normal((200, 20000))
+        tracemalloc.start()
+        try:
+            batch_scores(a, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * a.nbytes, peak / a.nbytes
+
 
 class TestRidgeDiagnostic:
     def test_ridge_relation_on_planted_data(self):
