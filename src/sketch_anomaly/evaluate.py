@@ -1,13 +1,15 @@
 """Ground-truth labeling and F1 evaluation of approximate anomaly scores.
 
-Methodology: exact scores (full SVD) define the ground truth by labeling
-the top eta fraction of rows anomalous.  The ground truth forms only its
-score kind's coordinates, block by block: leverage-k and projection-k the
-top-k coordinates X V_k, the other kinds all of X V.  An approximate
-scorer is then judged by thresholding its scores at the top eta' fraction,
-sweeping eta' over a grid and reporting the best F1 (harmonic mean of
-precision and recall).  Randomized sketches are averaged over several
-seeds.
+Methodology: exact scores define the ground truth by labeling the top eta
+fraction of rows anomalous.  The ground truth forms only its score kind's
+coordinates, block by block.  Leverage-k and projection-k read the top-k
+coordinates X V_k, with V_k from ``linalg.sym_eig_top`` of the Gram:
+certified top-k eigenpairs, or the full decomposition where no
+certificate holds.  The other kinds read all of X V, from the full SVD.
+An approximate scorer is then judged by thresholding its scores at the
+top eta' fraction, sweeping eta' over a grid and reporting the best F1
+(harmonic mean of precision and recall).  Randomized sketches are averaged
+over several seeds.
 """
 
 from __future__ import annotations

@@ -16,7 +16,10 @@ There is one eigen route, ``sym_eig``, and one decomposition route, the
 smaller Gram.  A wide A (n < d) gets its left vectors U from the Gram
 A A^T and its right vectors as A^T U Sigma^-1, with no orthonormalization
 pass: column j is orthonormal to about eps * (sigma_1 / sigma_j)^2, and
-its sign follows u_j's.
+its sign follows u_j's.  ``sym_eig_top``, for a caller that reads only the
+top k eigenpairs of a Gram, does its Rayleigh-Ritz step through
+``sym_eig`` on a small projected matrix, and falls back to ``sym_eig`` of
+the Gram itself wherever it cannot certify its result.
 """
 
 from __future__ import annotations
@@ -26,13 +29,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateSpectrumError, ShapeError
+from .rng import uniform01
 
 RANK_FLOOR = 1e-12
 EIG_TOL = 1e-13
 _SYMMETRY_RTOL = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 # ||M||_F range in which no norm ``sym_eig`` takes, of M, M - M^T or a
 # residual down to EIG_TOL * ||M||_F, can overflow or underflow.
 _NORM_RANGE = (1e-100, 1e100)
+# ``sym_eig_top`` iterates on k + _TOP_EXTRA columns for at most _TOP_ROUNDS
+# rounds, and only on a matrix at least _TOP_MIN_WIDTHS blocks wide; its
+# start block is keyed by _TOP_START_KEY.  The round cap keeps an attempt
+# that fails under a quarter of a full ``sym_eig`` at 400 x 400 and above.
+# In narrower matrices the rounds a converging attempt takes cost about as
+# much as ``sym_eig`` itself.
+_TOP_EXTRA = 6
+_TOP_ROUNDS = 10
+_TOP_MIN_WIDTHS = 16
+_TOP_START_KEY = 0x746F706B
 
 
 def as_matrix(obj, name: str = "matrix") -> np.ndarray:
@@ -70,7 +85,8 @@ class SpectralDecomposition:
     ``right_vectors`` keeps only the columns above the usable floor
     (``effective_rank``).  For plain symmetric eigendecompositions,
     ``values`` are eigenvalues (possibly negative) and ``right_vectors``
-    holds all eigenvectors.
+    holds all eigenvectors, except from ``sym_eig_top``'s certified route,
+    which holds the top k of each.
     """
 
     values: np.ndarray
@@ -156,14 +172,96 @@ def sym_eig(matrix) -> SpectralDecomposition:
     return SpectralDecomposition(values=eigvals * scale, right_vectors=eigvecs)
 
 
-def gram_basis(eig: SpectralDecomposition) -> SpectralDecomposition:
+def sym_eig_top(matrix, k: int, min_separation: float) -> SpectralDecomposition:
+    """The top k eigenpairs of a symmetric M, certified, else ``sym_eig(M)``.
+
+    Block subspace iteration (Halko, Martinsson & Tropp, SIREV 2011; Musco
+    & Musco, NeurIPS 2015) on b = k + ``_TOP_EXTRA`` columns, from a start
+    block drawn from the package's ``rng``, so the bytes are deterministic.
+    Each round multiplies the orthonormal block Q by M once and takes a
+    Rayleigh-Ritz step, ``sym_eig`` of the b x b matrix Q^T M Q, which
+    gives the Ritz pairs (Theta_k, Q_k) and the top-k residual
+    ||E|| = ||M Q_k - Q_k Theta_k||_F.  Once ||E|| is within
+    ``EIG_TOL * ||M||_F`` the certificate below is checked, and, when it
+    holds, one more round is taken and checked again: that round shrinks
+    the angle between Q_k and M's top-k eigenvectors by about another
+    lambda_{b+1} / lambda_k, which ``batch_scores`` needs for a wide A,
+    whose T^k weighs the angle by (sigma_1 / sigma_{k+1})^2.
+
+    The certificate: with P = I - Q_k Q_k^T, M is
+    within ||E|| of blockdiag(Theta_k, P M P) (Weyl), and
+    ||P M P||_F^2 = ||M||_F^2 - 2 ||M Q_k||_F^2 + ||Theta_k||_F^2, plus
+    4 m eps ||M||_F^2 of slack for the rounding of the three norms.  So
+    when the bound
+
+        (theta_k - ||P M P||_F - 2 ||E||) / (theta_1 + ||E||)
+
+    is positive, each of M's top k eigenvalues lambda_i is within ||E|| of
+    theta_i, lambda_{k+1} <= ||P M P||_F + ||E||, the bound is a lower bound
+    on the separation (lambda_k - lambda_{k+1}) / lambda_1, and Davis-Kahan
+    bounds the angle between Q_k and M's top-k eigenvectors by ||E|| over
+    theta_k - lambda_{k+1}.
+
+    The k Ritz pairs are returned, values descending and vectors
+    sign-normalized as ``sym_eig`` leaves them, when the bound is at least
+    ``min_separation`` (which must be positive).  Otherwise the result is
+    ``sym_eig(M)``, every eigenpair: when the bound falls short, when
+    ``_TOP_ROUNDS`` rounds do not get there, when m < ``_TOP_MIN_WIDTHS`` * b
+    (iteration does not pay), and when ||M||_F is outside ``_NORM_RANGE``,
+    non-finite M included.  A caller tells the two apart by the length of
+    ``values``.  The iteration converges on the top of a positive
+    semidefinite M, such as a Gram; M's symmetry is checked on each Q^T M Q.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not min_separation > 0.0:
+        raise ValueError(f"min_separation must be positive, got {min_separation}")
+    m = np.ascontiguousarray(matrix, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeError(f"expected square matrix, got shape {m.shape}")
+    size, width = m.shape[0], k + _TOP_EXTRA
+    if size < _TOP_MIN_WIDTHS * width:
+        return sym_eig(m)
+    with np.errstate(over="ignore"):
+        norm_f = float(np.linalg.norm(m))
+    if not _NORM_RANGE[0] <= norm_f <= _NORM_RANGE[1]:
+        return sym_eig(m)
+    start = uniform01(_TOP_START_KEY, np.arange(size * width, dtype=np.uint64))
+    q = np.linalg.qr(m @ (2.0 * start.reshape(size, width) - 1.0))[0]
+    converged = False
+    for _ in range(_TOP_ROUNDS):
+        mq = m @ q
+        ritz = sym_eig(q.T @ mq)
+        theta, w_k = ritz.values[:k], ritz.right_vectors[:, :k]
+        q_k, mq_k = q @ w_k, mq @ w_k
+        residual = float(np.linalg.norm(mq_k - q_k * theta))
+        if residual <= EIG_TOL * norm_f:
+            rest_sq = norm_f**2 - 2.0 * float(np.linalg.norm(mq_k)) ** 2
+            rest_sq += float(theta @ theta)
+            rest = np.sqrt(max(rest_sq, 0.0) + 4.0 * size * _EPS * norm_f**2)
+            gap = theta[-1] - rest - 2.0 * residual
+            if not (gap > 0.0 and gap >= min_separation * (theta[0] + residual)):
+                break
+            if converged:
+                _fix_signs(q_k)
+                return SpectralDecomposition(values=theta, right_vectors=q_k)
+            converged = True  # one more round
+        q = np.linalg.qr(mq)[0]
+    return sym_eig(m)
+
+
+def gram_basis(
+    eig: SpectralDecomposition, size: int | None = None
+) -> SpectralDecomposition:
     """Spectrum and usable right vectors of A from ``sym_eig`` of its Gram.
 
     Eigenvalues are clipped at zero before the square root; vectors stop
-    at ``effective_rank`` of the resulting singular values.
+    at ``effective_rank`` of the resulting singular values.  ``size`` is
+    min(n, d) when ``eig`` holds only the top eigenpairs (``sym_eig_top``),
+    for the rank floor.
     """
     sigma = np.sqrt(np.clip(eig.values, 0.0, None))
-    rank = effective_rank(sigma)
+    rank = effective_rank(sigma, size)
     return SpectralDecomposition(
         values=sigma,
         right_vectors=np.ascontiguousarray(eig.right_vectors[:, :rank]),
@@ -198,17 +296,19 @@ def svd_thin(matrix) -> SpectralDecomposition:
     )
 
 
-def effective_rank(sigma: np.ndarray) -> int:
+def effective_rank(sigma: np.ndarray, size: int | None = None) -> int:
     """Count singular values above the usable floor.
 
     The relative floor ``RANK_FLOOR`` is combined with the Gram-route noise
     level: eigenvalues of A^T A below ~m*eps*lambda_1 are indistinguishable
     from rounding, so sigma below sqrt(m*eps)*sigma_1 cannot be trusted
-    regardless of how small ``RANK_FLOOR`` is.
+    regardless of how small ``RANK_FLOOR`` is.  m = min(n, d) is ``size``
+    when given, for a ``sigma`` that holds only the top of the spectrum, and
+    else the length of ``sigma``.
     """
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
-    gram_noise = np.sqrt(sigma.size * np.finfo(np.float64).eps)
+    gram_noise = np.sqrt((sigma.size if size is None else size) * _EPS)
     thresh = max(RANK_FLOOR, gram_noise) * sigma[0]
     return int(np.count_nonzero(sigma > thresh))
 

@@ -41,7 +41,15 @@ import numpy as np
 from .errors import RankDeficientError
 # ``as_row`` and ``sym_eig`` are not called here, but perfbench/tracing.py
 # counts and times their calls through this module's names for them.
-from .linalg import as_matrix, as_row, spectral_stats, svd_thin, sym_eig  # noqa: F401
+from .linalg import (  # noqa: F401
+    as_matrix,
+    as_row,
+    gram_basis,
+    spectral_stats,
+    svd_thin,
+    sym_eig,
+    sym_eig_top,
+)
 from .sketches import _CHUNK
 
 MODE_EXACT_BATCH = "exact-batch"
@@ -205,6 +213,10 @@ def score_table(
 
 
 def _warn_if_degenerate(sigma: np.ndarray, k: int) -> None:
+    """Warn when the full spectrum's separation at k is below
+    ``SEPARATION_WARN_FLOOR``.  A spectrum of only k values comes from
+    ``sym_eig_top``'s certified route, whose separation is certified to be
+    at least the floor."""
     if sigma.size > k and sigma[0] > 0:
         delta = spectral_stats(sigma, k).separation_delta
         if delta < SEPARATION_WARN_FLOOR:
@@ -232,8 +244,12 @@ def batch_scores(
     ``fields`` names the columns to fill.  With ``PROJECTED_FIELDS`` only
     the top-k coordinates X V_k are formed, and L^k, T^k and raw T^k are
     filled, as in the projected sketches' tables; lambda is then checked but
-    unused.  The rank check and the degenerate-spectrum warning read the
-    full spectrum either way.
+    unused.  The top-k pairs then come from ``sym_eig_top`` of the smaller
+    Gram: certified Ritz pairs whose separation at k is at least
+    ``SEPARATION_WARN_FLOOR``, with the rank check reading sigma_k against
+    the floor that sigma_1 and min(n, d) set, or else the full spectrum of
+    ``sym_eig``, which the rank check and the degenerate-spectrum warning
+    read as for the other fields.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -241,8 +257,13 @@ def batch_scores(
     a = as_matrix(matrix)
     tall = a.shape[1] <= a.shape[0]
     # A wide A's rows are scored at U Sigma (= A V), U being the right
-    # vectors of svd_thin(A^T).
-    basis = svd_thin(a if tall else a.T)
+    # vectors of svd_thin(A^T), the eigenvectors of A A^T.
+    if fields == PROJECTED_FIELDS:
+        gram = a.T @ a if tall else a @ a.T
+        eig = sym_eig_top(gram, k, SEPARATION_WARN_FLOOR)
+        basis = gram_basis(eig, min(a.shape))
+    else:
+        basis = svd_thin(a if tall else a.T)
     rank = basis.rank_used
     if rank < k:
         raise RankDeficientError(f"basis rank {rank} is below requested k={k}")

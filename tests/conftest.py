@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from sketch_anomaly import linalg
 from sketch_anomaly.scores import ROWSPACE_FIELDS
 
 # Every property test draws the same examples on every run, with no
@@ -26,6 +27,21 @@ class CountingSource:
 @pytest.fixture
 def counting_source():
     return CountingSource
+
+
+@pytest.fixture
+def sym_eig_shapes(monkeypatch):
+    """The shapes of the matrices ``linalg.sym_eig`` decomposes from here on
+    in the test, in call order."""
+    shapes = []
+    sym_eig = linalg.sym_eig
+
+    def recording(matrix):
+        shapes.append(np.shape(matrix))
+        return sym_eig(matrix)
+
+    monkeypatch.setattr(linalg, "sym_eig", recording)
+    return shapes
 
 
 def columns_of(table) -> dict:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sketch_anomaly import evaluate
+from sketch_anomaly import evaluate, linalg
+from sketch_anomaly.cli import run_cli
 from sketch_anomaly.evaluate import (
     EvalConfig,
     EvalReport,
@@ -14,8 +15,9 @@ from sketch_anomaly.evaluate import (
     ground_truth,
     top_fraction_mask,
 )
+from sketch_anomaly.io import save_snapshot
 from sketch_anomaly.scores import PROJECTED_FIELDS, batch_scores
-from sketch_anomaly.synth import planted_anomaly_dataset
+from sketch_anomaly.synth import planted_anomaly_dataset, separated_matrix
 
 
 def f1_at_mask(labels, predicted) -> tuple[float, float, float]:
@@ -110,3 +112,21 @@ def test_projected_kinds_label_from_k_coordinates_as_from_the_full_table(kind):
         top_fraction_mask(evaluate._kind_column(projected, kind), cfg.eta), expected
     )
     assert np.array_equal(ground_truth(matrix, cfg), expected)
+
+
+def test_ground_truth_decomposes_only_iteration_blocks(sym_eig_shapes, tmp_path):
+    # The projection-k ground truth takes the top-k route: sym_eig sees only
+    # the k + 6 wide Rayleigh-Ritz matrices.  score --mode exact fills every
+    # column and decomposes the d x d Gram, once.
+    k = 4
+    a = separated_matrix(600, 200, k, seed=12)
+    ground_truth(a, EvalConfig(k=k, eta=0.05))
+    width = k + linalg._TOP_EXTRA
+    assert sym_eig_shapes and set(sym_eig_shapes) == {(width, width)}
+    sym_eig_shapes.clear()
+    path = tmp_path / "in.bin"
+    save_snapshot(path, a)
+    argv = ["score", "--mode", "exact", "--k", str(k), "--input", str(path),
+            "--format", "bin", "--output", str(tmp_path / "out.json")]
+    assert run_cli(argv) == 0
+    assert sym_eig_shapes == [(200, 200)]

@@ -17,7 +17,9 @@ from sketch_anomaly.linalg import (
     spectral_stats,
     svd_thin,
     sym_eig,
+    sym_eig_top,
 )
+from sketch_anomaly.synth import separated_spectrum, spectral_matrix
 
 
 def char_poly_roots_3x3(m: np.ndarray) -> np.ndarray:
@@ -375,3 +377,118 @@ class TestOperatorNorm:
             sc = svd_thin(c).values
             sd = svd_thin(c + n).values
             assert np.max(np.abs(sc - sd)) <= operator_norm(n) + 1e-9
+
+
+def gram_with_spectrum(sigma, seed: int) -> np.ndarray:
+    """A^T A for a random 3m/2 x m A with singular values ``sigma``."""
+    a = spectral_matrix(3 * sigma.size // 2, sigma.size, sigma, seed)
+    return a.T @ a
+
+
+def no_gap_at(m: int, k: int) -> np.ndarray:
+    """A slowly decaying spectrum with sigma_{k+1} = sigma_k."""
+    sigma = np.linspace(1.0, 0.5, m)
+    sigma[k] = sigma[k - 1]
+    return sigma
+
+
+def gap_too_small_at(m: int, k: int) -> np.ndarray:
+    """A slowly decaying spectrum with a 0.1 % step after sigma_k."""
+    sigma = np.linspace(1.0, 0.5, m)
+    sigma[k:] *= 0.999
+    return sigma
+
+
+def assert_same_bytes(got, expected) -> None:
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert got.right_vectors.tobytes() == expected.right_vectors.tobytes()
+
+
+class TestSymEigTop:
+    """Certified top-k eigenpairs, or the full ``sym_eig`` where no
+    certificate holds."""
+
+    K = 4
+    WIDTH = K + linalg._TOP_EXTRA
+    M = 170
+
+    def test_certified_pairs_are_the_top_of_the_full_route(self, sym_eig_shapes):
+        sigma = separated_spectrum(self.M, self.K, delta=0.4, tail_sr=0.3)
+        g = gram_with_spectrum(sigma, 1)
+        top = sym_eig_top(g, self.K, 1e-6)
+        assert set(sym_eig_shapes) == {(self.WIDTH, self.WIDTH)}
+        assert len(sym_eig_shapes) <= linalg._TOP_ROUNDS
+        full = sym_eig(g)
+        assert top.values.shape == (self.K,)
+        assert top.right_vectors.shape == (self.M, self.K)
+        np.testing.assert_allclose(top.values, full.values[: self.K], rtol=1e-13)
+        # Distinct top eigenvalues: each vector matches, up to its sign.
+        overlap = np.abs(full.right_vectors[:, : self.K].T @ top.right_vectors)
+        np.testing.assert_allclose(overlap, np.eye(self.K), rtol=0, atol=1e-12)
+
+    def test_same_input_same_bytes(self):
+        sigma = separated_spectrum(self.M, self.K)
+        g = gram_with_spectrum(sigma, 2)
+        first = sym_eig_top(g, self.K, 1e-6)
+        assert_same_bytes(first, sym_eig_top(g.copy(), self.K, 1e-6))
+
+    @pytest.mark.parametrize("spectrum", [no_gap_at, gap_too_small_at])
+    def test_slow_convergence_falls_back_at_the_round_cap(
+        self, sym_eig_shapes, spectrum
+    ):
+        g = gram_with_spectrum(spectrum(self.M, self.K), 3)
+        got = sym_eig_top(g, self.K, 1e-6)
+        ritz = [s for s in sym_eig_shapes if s == (self.WIDTH, self.WIDTH)]
+        assert len(ritz) == linalg._TOP_ROUNDS
+        assert sym_eig_shapes == ritz + [(self.M, self.M)]
+        assert_same_bytes(got, sym_eig(g))
+
+    def test_converged_pairs_without_a_gap_fall_back(self, sym_eig_shapes):
+        # sigma_{k+1} = sigma_k over a fast-decaying tail: the residual
+        # converges within the cap, and the certificate cannot hold.
+        tail = 0.05 * 0.6 ** np.arange(self.M - self.K - 1)
+        sigma = np.concatenate([np.linspace(1.0, 0.8, self.K), [0.8], tail])
+        g = gram_with_spectrum(sigma, 4)
+        got = sym_eig_top(g, self.K, 1e-6)
+        assert 1 <= len(sym_eig_shapes) - 1 < linalg._TOP_ROUNDS
+        assert sym_eig_shapes[-1] == (self.M, self.M)
+        assert_same_bytes(got, sym_eig(g))
+
+    def test_separation_below_the_floor_falls_back(self, sym_eig_shapes):
+        # Certified at a floor of 1e-6, but not at one above the gap.
+        sigma = separated_spectrum(self.M, self.K, delta=0.4, tail_sr=0.3)
+        g = gram_with_spectrum(sigma, 5)
+        got = sym_eig_top(g, self.K, 0.9)
+        assert 1 <= len(sym_eig_shapes) - 1 < linalg._TOP_ROUNDS
+        assert sym_eig_shapes[-1] == (self.M, self.M)
+        assert_same_bytes(got, sym_eig(g))
+
+    def test_narrow_matrix_goes_straight_to_sym_eig(self, sym_eig_shapes):
+        m = linalg._TOP_MIN_WIDTHS * self.WIDTH - 1
+        g = gram_with_spectrum(separated_spectrum(m, self.K), 6)
+        assert_same_bytes(sym_eig_top(g, self.K, 1e-6), sym_eig(g))
+        assert sym_eig_shapes == [(m, m)]
+
+    @pytest.mark.parametrize(
+        "scale", [2.0**-400, 2.0**400, 2.0**1000], ids=["2^-400", "2^400", "2^1000"]
+    )
+    def test_norm_out_of_range_goes_straight_to_sym_eig(self, sym_eig_shapes, scale):
+        # At 2^1000 ||M||_F overflows, with no warning.
+        g = gram_with_spectrum(separated_spectrum(self.M, self.K), 7) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sym_eig_top(g, self.K, 1e-6)
+        assert_same_bytes(got, sym_eig(g))
+        assert sym_eig_shapes == [(self.M, self.M)]
+
+    def test_rejects_bad_input(self):
+        g = gram_with_spectrum(separated_spectrum(self.M, self.K), 8)
+        with pytest.raises(ShapeError):
+            sym_eig_top(g[:, :-1], self.K, 1e-6)
+        with pytest.raises(ValueError, match="k must be"):
+            sym_eig_top(g, 0, 1e-6)
+        with pytest.raises(ValueError, match="min_separation"):
+            sym_eig_top(g, self.K, 0.0)
+        g[3, 5] = g[5, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_eig_top(g, self.K, 1e-6)

@@ -7,22 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketch_anomaly import linalg
 from sketch_anomaly.errors import RankDeficientError, ShapeError
-from sketch_anomaly.evaluate import EvalConfig, ground_truth
-from sketch_anomaly.linalg import svd_thin
+from sketch_anomaly.evaluate import EvalConfig, ground_truth, top_fraction_mask
+from sketch_anomaly.linalg import svd_thin, sym_eig_top
 from sketch_anomaly.pipelines import PipelineConfig
 from sketch_anomaly.scores import (
     EXACT_FIELDS,
     MODE_EXACT_BATCH,
     MODE_SKETCHED_BATCH,
     MODE_SKETCHED_ONLINE,
+    PROJECTED_FIELDS,
     ROWSPACE_FIELDS,
+    SEPARATION_WARN_FLOOR,
     ScoreTable,
     SeparationWarning,
     batch_scores,
     score_block,
 )
-from sketch_anomaly.synth import separated_matrix
+from sketch_anomaly.synth import separated_matrix, spectral_matrix
 
 from oracles import MODE_EXACT_ONLINE, online_scores
 
@@ -175,6 +178,21 @@ class TestBatchScores:
         with pytest.warns(SeparationWarning):
             batch_scores(a, 1)
 
+    def test_degenerate_separation_warns_projected(self):
+        a = np.vstack([np.eye(3), np.eye(3)])
+        with pytest.warns(SeparationWarning):
+            batch_scores(a, 1, fields=PROJECTED_FIELDS)
+
+    def test_degenerate_separation_warns_after_a_top_k_attempt(self, sym_eig_shapes):
+        # Wide enough for the top-k route to iterate; sigma_3 = sigma_2, so
+        # no certificate holds and the warning reads the full spectrum.
+        sigma = np.concatenate([[1.0, 0.9, 0.9], 0.05 * 0.6 ** np.arange(137)])
+        a = spectral_matrix(210, 140, sigma, seed=33)
+        with pytest.warns(SeparationWarning):
+            batch_scores(a, 2, fields=PROJECTED_FIELDS)
+        assert sym_eig_shapes[0] == (2 + linalg._TOP_EXTRA,) * 2
+        assert sym_eig_shapes[-1] == (140, 140)
+
     def test_mode_field(self):
         table = batch_scores(np.eye(3) * 2.0 + np.ones((3, 3)), 1)
         assert table.mode == "exact-batch" and table.defined.all()
@@ -256,6 +274,38 @@ class TestBatchScores:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * a.nbytes, peak / a.nbytes
+
+
+@settings(max_examples=40)
+@given(
+    k=st.integers(1, 4),
+    m=st.integers(160, 220),
+    ratio=st.floats(1.5, 3.0),
+    delta=st.floats(0.1, 0.7),
+    tail_sr=st.floats(0.01, 0.5),
+    tall=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_top_k_route_scores_as_the_full_route(k, m, ratio, delta, tail_sr, tall, seed):
+    # Random separated spectra, wide enough for the top-k route to iterate
+    # and certify: its pairs give the full route's L^k and T^k to 1e-12 of
+    # each column's largest value, and the same labels.
+    n = int(m * ratio)
+    a = separated_matrix(
+        *((n, m) if tall else (m, n)), k, seed, delta=delta, kappa=1.2, tail_sr=tail_sr
+    )
+    gram = a.T @ a if tall else a @ a.T
+    assert sym_eig_top(gram, k, SEPARATION_WARN_FLOOR).values.size == k  # certified
+    projected = batch_scores(a, k, fields=PROJECTED_FIELDS)
+    full = batch_scores(a, k)
+    for field in ("rank_k_leverage", "projection_distance"):
+        got, want = getattr(projected, field), getattr(full, field)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), field
+        for eta in (0.02, 0.1):
+            assert np.array_equal(
+                top_fraction_mask(got, eta), top_fraction_mask(want, eta)
+            )
+    assert abs(projected.rank_k_leverage.sum() - k) <= 1e-12 * k
 
 
 class TestRidgeDiagnostic:
