@@ -33,6 +33,9 @@ from .rng import uniform01
 
 RANK_FLOOR = 1e-12
 EIG_TOL = 1e-13
+# A separation (lambda_k - lambda_{k+1}) / lambda_1 below this is treated as
+# degenerate: ``sym_eig_top`` certifies no less, and ``batch_scores`` warns.
+SEPARATION_WARN_FLOOR = 1e-6
 _SYMMETRY_RTOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
 # ||M||_F range in which no norm ``sym_eig`` takes, of M, M - M^T or a
@@ -172,7 +175,7 @@ def sym_eig(matrix) -> SpectralDecomposition:
     return SpectralDecomposition(values=eigvals * scale, right_vectors=eigvecs)
 
 
-def sym_eig_top(matrix, k: int, min_separation: float) -> SpectralDecomposition:
+def sym_eig_top(matrix, k: int) -> SpectralDecomposition:
     """The top k eigenpairs of a symmetric M, certified, else ``sym_eig(M)``.
 
     Block subspace iteration (Halko, Martinsson & Tropp, SIREV 2011; Musco
@@ -204,7 +207,7 @@ def sym_eig_top(matrix, k: int, min_separation: float) -> SpectralDecomposition:
 
     The k Ritz pairs are returned, values descending and vectors
     sign-normalized as ``sym_eig`` leaves them, when the bound is at least
-    ``min_separation`` (which must be positive).  Otherwise the result is
+    ``SEPARATION_WARN_FLOOR``.  Otherwise the result is
     ``sym_eig(M)``, every eigenpair: when the bound falls short, when
     ``_TOP_ROUNDS`` rounds do not get there, when m < ``_TOP_MIN_WIDTHS`` * b
     (iteration does not pay), and when ||M||_F is outside ``_NORM_RANGE``,
@@ -214,8 +217,6 @@ def sym_eig_top(matrix, k: int, min_separation: float) -> SpectralDecomposition:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not min_separation > 0.0:
-        raise ValueError(f"min_separation must be positive, got {min_separation}")
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected square matrix, got shape {m.shape}")
@@ -240,7 +241,8 @@ def sym_eig_top(matrix, k: int, min_separation: float) -> SpectralDecomposition:
             rest_sq += float(theta @ theta)
             rest = np.sqrt(max(rest_sq, 0.0) + 4.0 * size * _EPS * norm_f**2)
             gap = theta[-1] - rest - 2.0 * residual
-            if not (gap > 0.0 and gap >= min_separation * (theta[0] + residual)):
+            floor = SEPARATION_WARN_FLOOR * (theta[0] + residual)
+            if not (gap > 0.0 and gap >= floor):
                 break
             if converged:
                 _fix_signs(q_k)
@@ -250,18 +252,17 @@ def sym_eig_top(matrix, k: int, min_separation: float) -> SpectralDecomposition:
     return sym_eig(m)
 
 
-def gram_basis(
-    eig: SpectralDecomposition, size: int | None = None
-) -> SpectralDecomposition:
+def gram_basis(eig: SpectralDecomposition) -> SpectralDecomposition:
     """Spectrum and usable right vectors of A from ``sym_eig`` of its Gram.
 
     Eigenvalues are clipped at zero before the square root; vectors stop
-    at ``effective_rank`` of the resulting singular values.  ``size`` is
-    min(n, d) when ``eig`` holds only the top eigenpairs (``sym_eig_top``),
-    for the rank floor.
+    at ``effective_rank`` of the resulting singular values.  From
+    ``sym_eig_top``'s certified route all k vectors are kept: its
+    certificate puts sigma_k above sqrt(SEPARATION_WARN_FLOOR) * sigma_1,
+    which is above the rank floor for any min(n, d) below 4e9.
     """
     sigma = np.sqrt(np.clip(eig.values, 0.0, None))
-    rank = effective_rank(sigma, size)
+    rank = effective_rank(sigma)
     return SpectralDecomposition(
         values=sigma,
         right_vectors=np.ascontiguousarray(eig.right_vectors[:, :rank]),
@@ -296,19 +297,17 @@ def svd_thin(matrix) -> SpectralDecomposition:
     )
 
 
-def effective_rank(sigma: np.ndarray, size: int | None = None) -> int:
+def effective_rank(sigma: np.ndarray) -> int:
     """Count singular values above the usable floor.
 
     The relative floor ``RANK_FLOOR`` is combined with the Gram-route noise
     level: eigenvalues of A^T A below ~m*eps*lambda_1 are indistinguishable
     from rounding, so sigma below sqrt(m*eps)*sigma_1 cannot be trusted
-    regardless of how small ``RANK_FLOOR`` is.  m = min(n, d) is ``size``
-    when given, for a ``sigma`` that holds only the top of the spectrum, and
-    else the length of ``sigma``.
+    regardless of how small ``RANK_FLOOR`` is.
     """
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
-    gram_noise = np.sqrt((sigma.size if size is None else size) * _EPS)
+    gram_noise = np.sqrt(sigma.size * _EPS)
     thresh = max(RANK_FLOOR, gram_noise) * sigma[0]
     return int(np.count_nonzero(sigma > thresh))
 

@@ -42,6 +42,7 @@ from .errors import RankDeficientError
 # ``as_row`` and ``sym_eig`` are not called here, but perfbench/tracing.py
 # counts and times their calls through this module's names for them.
 from .linalg import (  # noqa: F401
+    SEPARATION_WARN_FLOOR,
     as_matrix,
     as_row,
     gram_basis,
@@ -55,8 +56,6 @@ from .sketches import _CHUNK
 MODE_EXACT_BATCH = "exact-batch"
 MODE_SKETCHED_BATCH = "sketched-batch"
 MODE_SKETCHED_ONLINE = "sketched-online"
-
-SEPARATION_WARN_FLOOR = 1e-6
 
 
 class SeparationWarning(UserWarning):
@@ -245,11 +244,10 @@ def batch_scores(
     the top-k coordinates X V_k are formed, and L^k, T^k and raw T^k are
     filled, as in the projected sketches' tables; lambda is then checked but
     unused.  The top-k pairs then come from ``sym_eig_top`` of the smaller
-    Gram: certified Ritz pairs whose separation at k is at least
-    ``SEPARATION_WARN_FLOOR``, with the rank check reading sigma_k against
-    the floor that sigma_1 and min(n, d) set, or else the full spectrum of
-    ``sym_eig``, which the rank check and the degenerate-spectrum warning
-    read as for the other fields.
+    Gram: certified Ritz pairs, whose separation at k is at least
+    ``SEPARATION_WARN_FLOOR`` and whose sigma_k is therefore above the rank
+    floor, or else the full spectrum of ``sym_eig``, which the rank check
+    and the degenerate-spectrum warning read as for the other fields.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -260,8 +258,7 @@ def batch_scores(
     # vectors of svd_thin(A^T), the eigenvectors of A A^T.
     if fields == PROJECTED_FIELDS:
         gram = a.T @ a if tall else a @ a.T
-        eig = sym_eig_top(gram, k, SEPARATION_WARN_FLOOR)
-        basis = gram_basis(eig, min(a.shape))
+        basis = gram_basis(sym_eig_top(gram, k))
     else:
         basis = svd_thin(a if tall else a.T)
     rank = basis.rank_used

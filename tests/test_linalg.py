@@ -415,7 +415,7 @@ class TestSymEigTop:
     def test_certified_pairs_are_the_top_of_the_full_route(self, sym_eig_shapes):
         sigma = separated_spectrum(self.M, self.K, delta=0.4, tail_sr=0.3)
         g = gram_with_spectrum(sigma, 1)
-        top = sym_eig_top(g, self.K, 1e-6)
+        top = sym_eig_top(g, self.K)
         assert set(sym_eig_shapes) == {(self.WIDTH, self.WIDTH)}
         assert len(sym_eig_shapes) <= linalg._TOP_ROUNDS
         full = sym_eig(g)
@@ -429,15 +429,15 @@ class TestSymEigTop:
     def test_same_input_same_bytes(self):
         sigma = separated_spectrum(self.M, self.K)
         g = gram_with_spectrum(sigma, 2)
-        first = sym_eig_top(g, self.K, 1e-6)
-        assert_same_bytes(first, sym_eig_top(g.copy(), self.K, 1e-6))
+        first = sym_eig_top(g, self.K)
+        assert_same_bytes(first, sym_eig_top(g.copy(), self.K))
 
     @pytest.mark.parametrize("spectrum", [no_gap_at, gap_too_small_at])
     def test_slow_convergence_falls_back_at_the_round_cap(
         self, sym_eig_shapes, spectrum
     ):
         g = gram_with_spectrum(spectrum(self.M, self.K), 3)
-        got = sym_eig_top(g, self.K, 1e-6)
+        got = sym_eig_top(g, self.K)
         ritz = [s for s in sym_eig_shapes if s == (self.WIDTH, self.WIDTH)]
         assert len(ritz) == linalg._TOP_ROUNDS
         assert sym_eig_shapes == ritz + [(self.M, self.M)]
@@ -449,24 +449,35 @@ class TestSymEigTop:
         tail = 0.05 * 0.6 ** np.arange(self.M - self.K - 1)
         sigma = np.concatenate([np.linspace(1.0, 0.8, self.K), [0.8], tail])
         g = gram_with_spectrum(sigma, 4)
-        got = sym_eig_top(g, self.K, 1e-6)
+        got = sym_eig_top(g, self.K)
         assert 1 <= len(sym_eig_shapes) - 1 < linalg._TOP_ROUNDS
         assert sym_eig_shapes[-1] == (self.M, self.M)
         assert_same_bytes(got, sym_eig(g))
 
-    def test_separation_below_the_floor_falls_back(self, sym_eig_shapes):
-        # Certified at a floor of 1e-6, but not at one above the gap.
-        sigma = separated_spectrum(self.M, self.K, delta=0.4, tail_sr=0.3)
-        g = gram_with_spectrum(sigma, 5)
-        got = sym_eig_top(g, self.K, 0.9)
+    def test_certified_gap_below_the_floor_falls_back(
+        self, sym_eig_shapes, monkeypatch
+    ):
+        # lambda_{k+1} = lambda_k - 4e-7 lambda_1 over a tail of Frobenius norm
+        # 1.3e-4: the residual converges within the cap, and the
+        # certificate holds for a separation of about 4e-7, which is below
+        # SEPARATION_WARN_FLOOR.
+        tail = 1e-4 * 0.6 ** np.arange(self.M - self.K - 1)
+        lam = np.concatenate([np.linspace(1.0, 0.8, self.K), [0.8 - 4e-7], tail])
+        g = gram_with_spectrum(np.sqrt(lam), 5)
+        got = sym_eig_top(g, self.K)
         assert 1 <= len(sym_eig_shapes) - 1 < linalg._TOP_ROUNDS
         assert sym_eig_shapes[-1] == (self.M, self.M)
         assert_same_bytes(got, sym_eig(g))
+        delta = (got.values[self.K - 1] - got.values[self.K]) / got.values[0]
+        assert 0.0 < delta < linalg.SEPARATION_WARN_FLOOR
+        # The floor is what turns it down: at 1e-7 the pairs are certified.
+        monkeypatch.setattr(linalg, "SEPARATION_WARN_FLOOR", 1e-7)
+        assert sym_eig_top(g, self.K).values.shape == (self.K,)
 
     def test_narrow_matrix_goes_straight_to_sym_eig(self, sym_eig_shapes):
         m = linalg._TOP_MIN_WIDTHS * self.WIDTH - 1
         g = gram_with_spectrum(separated_spectrum(m, self.K), 6)
-        assert_same_bytes(sym_eig_top(g, self.K, 1e-6), sym_eig(g))
+        assert_same_bytes(sym_eig_top(g, self.K), sym_eig(g))
         assert sym_eig_shapes == [(m, m)]
 
     @pytest.mark.parametrize(
@@ -477,18 +488,16 @@ class TestSymEigTop:
         g = gram_with_spectrum(separated_spectrum(self.M, self.K), 7) * scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = sym_eig_top(g, self.K, 1e-6)
+            got = sym_eig_top(g, self.K)
         assert_same_bytes(got, sym_eig(g))
         assert sym_eig_shapes == [(self.M, self.M)]
 
     def test_rejects_bad_input(self):
         g = gram_with_spectrum(separated_spectrum(self.M, self.K), 8)
         with pytest.raises(ShapeError):
-            sym_eig_top(g[:, :-1], self.K, 1e-6)
+            sym_eig_top(g[:, :-1], self.K)
         with pytest.raises(ValueError, match="k must be"):
-            sym_eig_top(g, 0, 1e-6)
-        with pytest.raises(ValueError, match="min_separation"):
-            sym_eig_top(g, self.K, 0.0)
+            sym_eig_top(g, 0)
         g[3, 5] = g[5, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            sym_eig_top(g, self.K, 1e-6)
+            sym_eig_top(g, self.K)
