@@ -17,12 +17,20 @@ score columns (``ScoreTable.to_json``): the bytes are exactly those of
 row with the keys row_index, full_leverage, rank_k_leverage,
 projection_distance, tail_leverage, ridge_leverage, mode, defined and
 projection_distance_raw, in that order, and null for a score the mode does
-not fill or an undefined online row.
+not fill or an undefined online row.  The writer formats each float cell
+at most once (T^k reuses raw T^k's text where the two hold the same
+bits), folds the cells every row shares into a row template, and builds
+the document with one join of a flat list of literals and per-row cells;
+it builds no string per row.
+
+The argparse parser is built once per process, on the first ``run_cli``
+call, not at import.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -122,7 +130,11 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later ``run_cli`` call in the process: ``parse_args`` keeps no state
+    between calls."""
     parser = argparse.ArgumentParser(
         prog="sketch-anomaly",
         description="Streaming subspace anomaly scores and bound verification.",
@@ -217,6 +229,9 @@ def cmd_score(args) -> int:
     ell = _resolve_ell(args, mode)
     if mode != "exact" and ell is None:
         print("score: --ell (or --mu) is required for sketched modes", file=sys.stderr)
+        return 1
+    if args.sketch_out and args.sketch_in:
+        print("score: --sketch-in and --sketch-out cannot be combined", file=sys.stderr)
         return 1
     if (args.sketch_out or args.sketch_in) and mode not in ("fd", "colsample"):
         print("score: sketch persistence is supported for fd and colsample", file=sys.stderr)

@@ -23,7 +23,13 @@ one float64 column per field.  Batch scorers stack ``score_block``'s
 columns with ``score_table``; the online pipeline appends each row's
 scores to its own float64 columns, NaN where a row is undefined.  Neither
 builds per-row objects.  ``ScoreTable.to_json`` writes the bytes
-``json.dumps`` with ``indent=2`` would write for the list of row dicts.
+``json.dumps`` with ``indent=2`` would write for the list of row dicts,
+and builds no per-row string either.  It formats each float cell at most
+once: T^k takes raw T^k's text wherever the two are the same bits.  Cells
+that every row shares (an absent column, the mode, an all-true
+``defined``) become part of a row template, and one ``"".join`` of the
+template's literals and the per-row cells, interleaved in one flat list,
+builds the document.
 """
 
 from __future__ import annotations
@@ -120,7 +126,17 @@ def score_block(
 _JSON_KEYS = (
     ("row_index",) + EXACT_FIELDS + ("mode", "defined", "projection_distance_raw")
 )
-_JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %s' for key in _JSON_KEYS) + "\n  }"
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """json's text for each float of ``values``: ``float.__repr__`` when
+    finite, else NaN, Infinity or -Infinity."""
+    text = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)):
+        text[i] = _JSON_NONFINITE[text[i]]
+    return text
+
 
 ScoreRow = namedtuple("ScoreRow", ("row_index", "defined") + ROWSPACE_FIELDS)
 
@@ -153,20 +169,57 @@ class ScoreTable:
         """One ``ScoreRow`` per row, None where a column is absent or the
         row is undefined.  For readers outside the package; package code
         reads the columns."""
-        cells = [self._cells(name, None) for name in ROWSPACE_FIELDS]
+        cells = [self._cells(name) for name in ROWSPACE_FIELDS]
         return map(ScoreRow, range(len(self)), self.defined.tolist(), *cells)
 
-    def _cells(self, name: str, null, fmt=None) -> Iterable:
-        """Column ``name`` as a list, mapped through ``fmt`` when given, with
-        ``null`` where the column is absent or the row undefined."""
+    def _cells(self, name: str) -> Iterable:
+        """Column ``name`` as a list, None where the column is absent or the
+        row undefined."""
         column = getattr(self, name)
         if column is None:
-            return repeat(null)
+            return repeat(None)
         cells = column.tolist()
-        if fmt is not None:
-            cells = list(map(fmt, cells))
         for i in np.flatnonzero(~self.defined):
-            cells[i] = null
+            cells[i] = None
+        return cells
+
+    def _json_cells(self) -> dict[str, str | list[str]]:
+        """The JSON text of each key of ``_JSON_KEYS``: one string when every
+        row holds the same text, else a list of one string per row.
+
+        A score is null where its column is absent or its row undefined.
+        T^k reuses raw T^k's list, or a copy of it, at every defined row
+        where the two columns hold the same bits; only its other cells are
+        formatted.
+        """
+        defined = self.defined
+        undefined = np.flatnonzero(~defined).tolist()
+        cells = {
+            "row_index": list(map(int.__repr__, range(len(self)))),
+            "mode": json.dumps(self.mode),
+            "defined": "true"
+            if not undefined
+            else np.where(defined, "true", "false").tolist(),
+        }
+        raw = self.projection_distance_raw
+        for name in ("projection_distance_raw",) + EXACT_FIELDS:
+            column = getattr(self, name)
+            if column is None or len(undefined) == len(self):
+                cells[name] = "null"
+            elif name == "projection_distance" and raw is not None:
+                differ = np.flatnonzero(
+                    (column.view(np.int64) != raw.view(np.int64)) & defined
+                )
+                text = cells["projection_distance_raw"]
+                if differ.size:
+                    text = text.copy()
+                    for i, cell in zip(differ.tolist(), _json_floats(column[differ])):
+                        text[i] = cell
+                cells[name] = text
+            else:
+                cells[name] = text = _json_floats(column)
+                for i in undefined:
+                    text[i] = "null"
         return cells
 
     def to_json(self) -> str:
@@ -176,25 +229,40 @@ class ScoreTable:
         order; an absent column and every score of an undefined row are
         null.  Floats read as json writes them: ``float.__repr__`` when
         finite, else ``NaN``, ``Infinity`` or ``-Infinity``.
+
+        The row object is a template cut at its per-row cells (the
+        ``_json_cells`` that are lists): literal j, then cell j, for each
+        of the m cut points, then the template's tail.  The document is one
+        flat list of 2*m*n + 1 strings, its literal and cell slots filled by
+        extended-slice assignment, and one ``"".join`` of it.
         """
         n = len(self)
         if n == 0:
             return "[]\n"
-        text = {}
-        for name in ROWSPACE_FIELDS:
-            text[name] = cells = self._cells(name, "null", float.__repr__)
-            column = getattr(self, name)
-            if column is not None:
-                for i in np.flatnonzero(self.defined & ~np.isfinite(column)):
-                    cells[i] = json.dumps(float(column[i]))
-        rows = zip(
-            range(n),
-            *(text[name] for name in EXACT_FIELDS),
-            repeat(json.dumps(self.mode)),
-            np.where(self.defined, "true", "false").tolist(),
-            text["projection_distance_raw"],
+        cells = self._json_cells()
+        literal, literals, columns = "  {\n", [], []
+        for j, key in enumerate(_JSON_KEYS):
+            literal += (",\n" if j else "") + f'    "{key}": '
+            if isinstance(cells[key], str):
+                literal += cells[key]
+            else:
+                literals.append(literal)
+                columns.append(cells[key])
+                literal = ""
+        tail = literal + "\n  }"
+        width = 2 * len(columns)
+        parts = [""] * (width * n + 1)
+        # Slot 0 of each row carries the previous row's tail; row_index
+        # is always cut, so literals[0] opens every row.
+        parts[::width] = (
+            ["[\n" + literals[0]] + [tail + ",\n" + literals[0]] * (n - 1)
+            + [tail + "\n]\n"]
         )
-        return "[\n" + ",\n".join(_JSON_ROW % row for row in rows) + "\n]\n"
+        for j in range(1, len(columns)):
+            parts[2 * j :: width] = [literals[j]] * n
+        for j, column in enumerate(columns):
+            parts[2 * j + 1 :: width] = column
+        return "".join(parts)
 
 
 def score_table(

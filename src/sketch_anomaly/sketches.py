@@ -205,8 +205,8 @@ class SignProjector:
     evaluated at the entry's global position ``j * dim + i``.  State is the
     seed plus those coefficients, so the projector itself costs O(1) words.
     ``matrix()`` materializes all dim * ell entries for fast dense products,
-    hashing them afresh on every call; ``gram()`` never holds more than
-    ``GRAM_BLOCK_COLS`` columns.
+    hashing them afresh on every call; ``gram()`` and ``sign_gram()`` never
+    hold more than ``GRAM_BLOCK_COLS`` columns.
     """
 
     def __init__(self, seed: int, ell: int, dim: int):
@@ -219,37 +219,49 @@ class SignProjector:
         self.coefficients = mod61(mix64(self.seed, _LANE_SIGN_COEFF, terms))
         self._scale = 1.0 / np.sqrt(ell)
 
-    def _signs(self, positions: np.ndarray) -> np.ndarray:
+    def _signs(self, positions: np.ndarray, scale: float) -> np.ndarray:
         # Low bit b -> b * (-2 * scale) + scale, which is +-scale exactly.
         bits = polyval61(self.coefficients, positions)
         bits &= np.uint64(1)
         signs = bits.astype(np.float64)
-        signs *= -2.0 * self._scale
-        signs += self._scale
+        signs *= -2.0 * scale
+        signs += scale
         return signs
 
     def matrix(self) -> np.ndarray:
         """The full dim x ell matrix."""
         positions = np.arange(self.ell * self.dim, dtype=np.uint64)
         return np.ascontiguousarray(
-            self._signs(positions).reshape(self.ell, self.dim).T
+            self._signs(positions, self._scale).reshape(self.ell, self.dim).T
         )
 
+    def sign_gram(self, start: int, stop: int) -> np.ndarray:
+        """Sum of s_j s_j^T over the +-1 sign columns ``start <= j < stop``
+        (dim x dim, unscaled), ``GRAM_BLOCK_COLS`` columns at a time.
+
+        Every entry is an integer of magnitude at most ``stop - start``, so
+        float64 holds each partial sum exactly, in any order: sums over
+        adjacent column ranges add up to the sum over their union, to the
+        bit.  Column j hashes the same positions for every ell, so a caller
+        that doubles ell extends the previous sum by the new columns only.
+        """
+        if not 0 <= start <= stop <= self.ell:
+            raise ValueError(f"need 0 <= start <= stop <= {self.ell}, got {start}, {stop}")
+        g = np.zeros((self.dim, self.dim))
+        for lo in range(start, stop, GRAM_BLOCK_COLS):
+            hi = min(lo + GRAM_BLOCK_COLS, stop)
+            positions = np.arange(lo * self.dim, hi * self.dim, dtype=np.uint64)
+            block = self._signs(positions, 1.0).reshape(hi - lo, self.dim)
+            g += block.T @ block
+        return g
+
     def gram(self) -> np.ndarray:
-        """R R^T (dim x dim), accumulated ``GRAM_BLOCK_COLS`` columns at a time.
+        """R R^T (dim x dim): ``sign_gram(0, ell)`` divided once by ell.
 
         Lets callers with very large ell evaluate sketch covariances
         ``(A R)(A R)^T = A (R R^T) A^T`` without holding R.
         """
-        g = np.zeros((self.dim, self.dim))
-        for start in range(0, self.ell, GRAM_BLOCK_COLS):
-            stop = min(start + GRAM_BLOCK_COLS, self.ell)
-            positions = np.arange(
-                start * self.dim, stop * self.dim, dtype=np.uint64
-            )
-            block = self._signs(positions).reshape(stop - start, self.dim)
-            g += block.T @ block
-        return g
+        return self.sign_gram(0, self.ell) / self.ell
 
 
 class _Reservoir:

@@ -8,6 +8,8 @@ are pure functions of their seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TAIL_DECAY = 0.6
@@ -126,7 +128,8 @@ def planted_anomaly_dataset(
     Normal rows live near a planted k-dimensional subspace; an
     ``anomaly_fraction`` of rows additionally get a component of length
     ``anomaly_scale`` inside a separate block of directions orthogonal to
-    the signal.  Returns ``(matrix, planted_mask)``.
+    the signal.  Returns ``(matrix, planted_mask)``.  Both scales must be
+    finite and non-negative.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -136,6 +139,9 @@ def planted_anomaly_dataset(
         raise ValueError("anomaly_fraction must be in (0, 1)")
     if d < k + ANOMALY_DIMS:
         raise ValueError("d too small for signal plus anomaly directions")
+    for name, scale in (("noise_scale", noise_scale), ("anomaly_scale", anomaly_scale)):
+        if not (math.isfinite(scale) and scale >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {scale}")
     rng = np.random.default_rng(seed)
     basis = _orthonormal(rng, d, k + ANOMALY_DIMS)
     v_signal = basis[:, :k]

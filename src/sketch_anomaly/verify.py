@@ -346,7 +346,10 @@ def check_average_guarantees(
     mu.  ell reaches ~7.5e5 in the sweep, so At is never formed: its
     covariance is ``A (R R^T) A^T``, whose top-k eigenpairs ~U_k, ~sigma_k^2
     give the sketch scores as ``score_block(~U_k ~sigma_k, ...)``, the
-    projected-space estimator the rproj pipeline computes.
+    projected-space estimator the rproj pipeline computes.  Each doubling
+    hashes only its new columns: the exact unscaled sum
+    ``SignProjector.sign_gram`` grows, and R R^T is that sum divided by
+    ell, the bytes of ``SignProjector(seed, ell, d).gram()``.
     """
     a = as_matrix(a, "A")
     stats = spectral_stats(svd_thin(a).values, k)
@@ -357,9 +360,13 @@ def check_average_guarantees(
 
     cov_exact = a @ a.T
     ell0 = rproj_ell_for_mu(mu_l_target, sr)
+    # The unscaled sign Gram of the first ell columns is exact, so each
+    # doubling adds only the new columns' sum; R R^T is it divided by ell.
+    signs, done = np.zeros((a.shape[1], a.shape[1])), 0
     for ell in (ell0 << t for t in range(_AVERAGE_DOUBLINGS + 1)):
-        gram = SignProjector(seed, ell, a.shape[1]).gram()
-        cov_sketch = a @ gram @ a.T
+        signs += SignProjector(seed, ell, a.shape[1]).sign_gram(done, ell)
+        done = ell
+        cov_sketch = a @ (signs / ell) @ a.T
         mu = operator_norm(cov_exact - cov_sketch) / sigma1_sq
         if mu <= mu_l_target:
             break

@@ -181,12 +181,15 @@ def sign_matrix(projector) -> np.ndarray:
 
 
 def sign_gram(projector, block_cols: int) -> np.ndarray:
-    """R R^T summed over blocks of ``block_cols`` columns, in order."""
+    """R R^T: the outer products of the +-1 sign columns (the low bit of
+    ``sign_hash``), summed over blocks of ``block_cols`` columns in order,
+    then divided by ell."""
     dim = projector.dim
     g = np.zeros((dim, dim))
     for start in range(0, projector.ell, block_cols):
         stop = min(start + block_cols, projector.ell)
         positions = np.arange(start * dim, stop * dim, dtype=np.uint64)
-        block = sign_entries(projector, positions).reshape(stop - start, dim)
+        bits = sign_hash(projector, positions) & np.uint64(1)
+        block = np.where(bits == 0, 1.0, -1.0).reshape(stop - start, dim)
         g += block.T @ block
-    return g
+    return g / projector.ell

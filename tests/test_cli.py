@@ -467,6 +467,77 @@ def test_synth_rejects_empty_shapes(capsys, tmp_path, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--anomaly-scale", "inf"),
+        ("--anomaly-scale", "-2"),
+        ("--noise-scale", "nan"),
+        ("--noise-scale", "inf"),
+        ("--noise-scale", "-0.1"),
+    ],
+)
+def test_synth_rejects_non_finite_or_negative_scales(capsys, tmp_path, flag, value):
+    out = tmp_path / "x.csv"
+    argv = ["synth", "--n", "50", "--d", "40", "--k", "2", flag, value]
+    assert run_cli([*argv, "--output", str(out)]) == 1
+    name = flag[2:].replace("-", "_")
+    err = capsys.readouterr().err
+    assert err.startswith(f"sketch-anomaly: {name} must be finite and non-negative")
+    assert err.count("\n") == 1
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["fd", "colsample"])
+def test_sketch_in_with_sketch_out_is_usage_error(capsys, tmp_path, data_path, mode):
+    snap = write_snapshot(tmp_path, data_path, mode)
+    before = snap.read_bytes()
+    fresh = tmp_path / "fresh.bin"
+    flags = ["--mode", mode, "--ell", "8", "--seed", "7"]
+    argv = score_argv(data_path[0], *flags, "--sketch-in", str(snap), "--sketch-out", str(fresh))
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "score: --sketch-in and --sketch-out cannot be combined\n"
+    assert not fresh.exists()
+    assert snap.read_bytes() == before
+
+
+def test_parser_is_built_once_and_reused_with_the_same_results(tmp_path, data_path):
+    path = str(data_path[0])
+    common = ["--k", "3", "--input", path, "--format", "bin"]
+    argvs = [
+        ["score", "--mode", "nope", *common],
+        ["--help"],
+        ["score", "--mode", "rowsample", "--ell", "8", "--seed", "2", *common],
+        ["eval", "--mode", "rproj", "--ell", "8", "--eta", "0.05", "--seeds", "2", *common],
+        ["score", "--mode", "online", "--ell", "5", "--lambda", "0.5", *common],
+    ]
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    cli.build_parser.cache_clear()
+    shared = [run(argv) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    parser = cli.build_parser()
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cli.build_parser() is not parser
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0]
+    assert shared == fresh
+    assert "invalid choice: 'nope'" in shared[0][2]
+    assert shared[1][1].startswith("usage: sketch-anomaly")
+    assert json.loads(shared[4][1])[0]["defined"] is False
+
+
 def test_negative_seed_colsample_resume_equals_one_shot(capsys, tmp_path, data_path):
     # Seeds key the sampler as u64, so -1 and 2**64 - 1 are one seed.
     path, _ = data_path

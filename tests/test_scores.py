@@ -517,11 +517,54 @@ def score_tables(draw):
     )
 
 
+@st.composite
+def clamped_tables(draw):
+    """Tables whose T^k is ``np.maximum(raw, 0.0)``, as the pipelines fill
+    it: equal to raw T^k where raw is non-negative and finite, +0.0 where
+    raw is negative or -0.0 (equal under ``==``, written differently), NaN
+    where raw is NaN."""
+    n = draw(st.integers(1, 40))
+    values = st.one_of(
+        st.floats(-1e3, 1e3), st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf])
+    )
+    raw = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    defined = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    raw[~defined] = math.nan
+    other = st.none() | st.just(np.sqrt(np.abs(raw)))
+    return ScoreTable(
+        draw(st.sampled_from([MODE_SKETCHED_BATCH, MODE_SKETCHED_ONLINE])),
+        defined,
+        full_leverage=draw(other),
+        rank_k_leverage=np.abs(raw),
+        projection_distance=np.maximum(raw, 0.0),
+        tail_leverage=draw(other),
+        ridge_leverage=draw(other),
+        projection_distance_raw=raw,
+    )
+
+
 class TestScoreTable:
     @settings(max_examples=200)
     @given(score_tables())
     def test_json_matches_json_dumps(self, table):
         assert table.to_json() == reference_json(table)
+
+    @settings(max_examples=100)
+    @given(clamped_tables())
+    def test_clamped_distance_json_matches_json_dumps(self, table):
+        assert table.to_json() == reference_json(table)
+
+    def test_clamped_negative_zero_is_written_as_positive_zero(self):
+        raw = np.array([-0.0, -1.5, 2.5])
+        table = ScoreTable(
+            MODE_SKETCHED_BATCH, np.ones(3, dtype=bool), None, raw, np.maximum(raw, 0.0),
+            None, None, raw,
+        )
+        rows = table.to_json()
+        assert rows == reference_json(table)
+        assert '"projection_distance": 0.0,' in rows
+        assert '"projection_distance_raw": -0.0\n' in rows
+        assert '"projection_distance": 2.5,' in rows
 
     @settings(max_examples=50)
     @given(score_tables())

@@ -209,6 +209,25 @@ class TestSignProjector:
         expected = sign_gram(p, GRAM_BLOCK_COLS)
         assert p.gram().tobytes() == expected.tobytes()
 
+    def test_sign_gram_over_adjacent_ranges_adds_exactly(self):
+        ell, dim = 2 * GRAM_BLOCK_COLS + 40, 3
+        p = SignProjector(17, ell, dim)
+        whole = p.sign_gram(0, ell)
+        assert np.array_equal(whole, np.round(whole))
+        for cut in (0, 1, 40, GRAM_BLOCK_COLS, GRAM_BLOCK_COLS + 7, ell):
+            parts = p.sign_gram(0, cut) + p.sign_gram(cut, ell)
+            assert parts.tobytes() == whole.tobytes()
+        # Column j hashes the same positions whatever ell is, so a doubled
+        # projector's first ell columns are this one's.
+        doubled = SignProjector(17, 2 * ell, dim)
+        assert doubled.sign_gram(0, ell).tobytes() == whole.tobytes()
+        assert p.gram().tobytes() == (whole / ell).tobytes()
+
+    @pytest.mark.parametrize("start, stop", [(-1, 4), (5, 4), (0, 13)])
+    def test_sign_gram_rejects_a_range_outside_the_columns(self, start, stop):
+        with pytest.raises(ValueError, match="start <= stop"):
+            SignProjector(3, 12, 4).sign_gram(start, stop)
+
     def test_monte_carlo_bias(self):
         # Mean of 1e5 entries, rescaled by sqrt(ell), should be near zero.
         p = SignProjector(7, 1000, 100)

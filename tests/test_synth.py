@@ -96,3 +96,16 @@ def test_planted_anomaly_dataset_shape_and_mask():
 def test_planted_anomaly_dataset_rejects_empty_shapes(n, k, name):
     with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {min(n, k)}$"):
         planted_anomaly_dataset(n, 30, k, seed=0)
+
+
+@pytest.mark.parametrize("name", ["noise_scale", "anomaly_scale"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), -1.0, -1e-300])
+def test_planted_dataset_rejects_non_finite_or_negative_scales(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
+        planted_anomaly_dataset(50, 40, 2, 0, **{name: value})
+
+
+def test_planted_dataset_accepts_zero_scales():
+    x, planted = planted_anomaly_dataset(50, 40, 2, 0, noise_scale=0.0, anomaly_scale=0.0)
+    assert np.isfinite(x).all() and planted.sum() == 1
+    assert np.linalg.matrix_rank(x) == 2
