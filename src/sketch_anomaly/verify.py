@@ -360,8 +360,6 @@ def check_average_guarantees(
 
     cov_exact = a @ a.T
     ell0 = rproj_ell_for_mu(mu_l_target, sr)
-    # The unscaled sign Gram of the first ell columns is exact, so each
-    # doubling adds only the new columns' sum; R R^T is it divided by ell.
     signs, done = np.zeros((a.shape[1], a.shape[1])), 0
     for ell in (ell0 << t for t in range(_AVERAGE_DOUBLINGS + 1)):
         signs += SignProjector(seed, ell, a.shape[1]).sign_gram(done, ell)
