@@ -10,8 +10,8 @@ class ShapeError(ValueError):
 class ConvergenceError(RuntimeError):
     """Eigensolver failed to reach the requested tolerance.
 
-    Carries the achieved relative residual so callers can decide whether
-    the partial result is still usable.
+    ``residual`` is the absolute Frobenius reconstruction residual
+    ||V diag(w) V^T - M||_F that failed the check; no partial result is kept.
     """
 
     def __init__(self, message: str, residual: float):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-from .pipelines import PipelineConfig, run_pipeline
+from .pipelines import PROJECTED_MODES, RANDOMIZED_MODES, PipelineConfig, run_pipeline
 from .scores import (
     EXACT_FIELDS,
     PROJECTED_FIELDS,
@@ -38,11 +38,6 @@ _KIND_TO_FIELD = {
     "tail": "tail_leverage",
     "full": "full_leverage",
 }
-
-RANDOMIZED_MODES = ("rproj", "colsample", "rowsample")
-
-# Modes that score in projected coordinates, filling only PROJECTED_FIELDS.
-PROJECTED_MODES = ("rproj", "colsample")
 
 # Candidate thresholds per F1 sweep.
 SWEEP_POINTS = 40

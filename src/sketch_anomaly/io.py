@@ -176,41 +176,45 @@ def _read_snapshot(handle, path: str):
 
 
 def load_csv(path, header: bool = False) -> np.ndarray:
-    """Parse a CSV of decimal floats into a matrix.
+    """Parse a UTF-8 CSV of decimal floats into a matrix.
 
-    Errors carry the 1-based line and column of the first offending cell.
+    A leading byte-order mark is skipped.  A cell holding ``_`` is
+    non-numeric, although ``float`` reads ``1_0`` as 10.0.  Errors carry
+    the 1-based line and column of the first offending cell.
     """
     path = Path(path)
     rows: list[list[float]] = []
     width: int | None = None
     try:
-        handle = path.open(newline="")
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            for line_no, cells in enumerate(csv.reader(handle), start=1):
+                if header and line_no == 1:
+                    continue
+                if not cells:
+                    continue
+                if width is None:
+                    width = len(cells)
+                elif len(cells) != width:
+                    raise DataFormatError(
+                        f"{path}: ragged row at line {line_no} "
+                        f"({len(cells)} cells, expected {width})"
+                    )
+                parsed = []
+                for col_no, cell in enumerate(cells, start=1):
+                    try:
+                        if "_" in cell:
+                            raise ValueError(cell)
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise DataFormatError(
+                            f"{path}: non-numeric cell at line {line_no}, "
+                            f"column {col_no}: {cell!r}"
+                        ) from None
+                rows.append(parsed)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        for line_no, cells in enumerate(reader, start=1):
-            if header and line_no == 1:
-                continue
-            if not cells:
-                continue
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataFormatError(
-                    f"{path}: ragged row at line {line_no} "
-                    f"({len(cells)} cells, expected {width})"
-                )
-            parsed = []
-            for col_no, cell in enumerate(cells, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: non-numeric cell at line {line_no}, "
-                        f"column {col_no}: {cell!r}"
-                    ) from None
-            rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)

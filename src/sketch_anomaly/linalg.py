@@ -31,7 +31,6 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateSpectrumError, ShapeError
 from .rng import uniform01
 
-RANK_FLOOR = 1e-12
 EIG_TOL = 1e-13
 # A separation (lambda_k - lambda_{k+1}) / lambda_1 below this is treated as
 # degenerate: ``sym_eig_top`` certifies no less, and ``batch_scores`` warns.
@@ -298,17 +297,16 @@ def svd_thin(matrix) -> SpectralDecomposition:
 
 
 def effective_rank(sigma: np.ndarray) -> int:
-    """Count singular values above the usable floor.
+    """Count the m singular values above the relative rank floor
+    sqrt(m * eps) * sigma_1.
 
-    The relative floor ``RANK_FLOOR`` is combined with the Gram-route noise
-    level: eigenvalues of A^T A below ~m*eps*lambda_1 are indistinguishable
-    from rounding, so sigma below sqrt(m*eps)*sigma_1 cannot be trusted
-    regardless of how small ``RANK_FLOOR`` is.
+    The floor is the Gram route's noise level: eigenvalues of A^T A below
+    ~m * eps * lambda_1 are indistinguishable from rounding, so a sigma at
+    or below sqrt(m * eps) * sigma_1 cannot be trusted.
     """
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
-    gram_noise = np.sqrt(sigma.size * _EPS)
-    thresh = max(RANK_FLOOR, gram_noise) * sigma[0]
+    thresh = np.sqrt(sigma.size * _EPS) * sigma[0]
     return int(np.count_nonzero(sigma > thresh))
 
 

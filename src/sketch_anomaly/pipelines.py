@@ -21,11 +21,12 @@ rowsample) fill the full score set; projected sketches (rproj, colsample)
 fill only the two estimators defined in projected coordinates (rank-k
 leverage and projection distance), and the other columns are None.
 Projection distance estimates are clamped at zero, with the raw value kept
-in ``projection_distance_raw``.  Scoring passes stack the columns of
-``scores.score_block`` block by block (``sketches.row_blocks``), in stream
-order.  The online pipeline appends each row's scores to one float64
-column per field, NaN where the row is undefined, and builds the table
-once at the end.  Neither builds per-row objects.
+in ``projection_distance_raw``.  Scoring passes hand the blocks of
+``sketches.row_blocks``, each with its coordinates, to
+``scores.score_blocks``, which stacks their columns in stream order.  The
+online pipeline appends each row's scores to one float64 column per
+field, NaN where the row is undefined, and builds the table once at the
+end.  Neither builds per-row objects.
 
 The batch row-space passes score through ``svd_thin(S)``: its right vectors
 and usable sigma.  For a sketch with fewer rows than columns these come
@@ -57,7 +58,7 @@ from .scores import (
     ScoreTable,
     check_lambda,
     score_block,
-    score_table,
+    score_blocks,
 )
 from .sketches import (
     ColumnSamplePlan,
@@ -104,24 +105,6 @@ def _require_rank(usable: int, cfg: PipelineConfig) -> None:
         )
 
 
-def _score_pass(
-    row_source: RowSource,
-    width: int,
-    coords: Callable[[np.ndarray], np.ndarray],
-    sigma: np.ndarray,
-    k: int,
-    lam: float | None,
-    fields: tuple[str, ...],
-) -> ScoreTable:
-    """One pass scoring every row, block by block, from its basis coordinates."""
-    _, blocks = row_blocks(row_source(), width)
-    scored = [
-        score_block(coords(block), np.einsum("ij,ij->i", block, block), sigma, k, lam)
-        for block in blocks
-    ]
-    return score_table(MODE_SKETCHED_BATCH, scored, fields)
-
-
 def _rowspace_table(
     row_source: RowSource, sketch: np.ndarray, cfg: PipelineConfig
 ) -> ScoreTable:
@@ -129,8 +112,9 @@ def _rowspace_table(
     basis = svd_thin(sketch)
     _require_rank(basis.rank_used, cfg)
     w = basis.right_vectors
-    return _score_pass(
-        row_source, w.shape[0], lambda block: block @ w,
+    _, blocks = row_blocks(row_source(), w.shape[0])
+    return score_blocks(
+        MODE_SKETCHED_BATCH, ((block, block @ w) for block in blocks),
         basis.values[: basis.rank_used], cfg.k, cfg.lam, ROWSPACE_FIELDS,
     )
 
@@ -164,8 +148,9 @@ def _projected_table(
     decomp = gram_basis(sym_eig(cov))
     _require_rank(decomp.rank_used, cfg)
     v_k = decomp.right_vectors[:, : cfg.k]
-    return _score_pass(
-        row_source, width, lambda block: project(block) @ v_k,
+    _, blocks = row_blocks(row_source(), width)
+    return score_blocks(
+        MODE_SKETCHED_BATCH, ((block, project(block) @ v_k) for block in blocks),
         decomp.values[: cfg.k], cfg.k, None, PROJECTED_FIELDS,
     )
 
@@ -307,6 +292,11 @@ _RUNNERS: dict[str, Callable[[RowSource, PipelineConfig], ScoreTable]] = {
 }
 
 PIPELINE_MODES = tuple(_RUNNERS)
+
+# Modes whose runners read ``cfg.seed``, and those whose runners score
+# through ``_projected_table``, filling only PROJECTED_FIELDS.
+RANDOMIZED_MODES = ("rproj", "colsample", "rowsample")
+PROJECTED_MODES = ("rproj", "colsample")
 
 
 def run_pipeline(row_source: RowSource, cfg: PipelineConfig) -> ScoreTable:

@@ -11,25 +11,26 @@ with spectrum ``sigma`` and right singular vectors ``v_j``:
 * tail leverage        ``L^{>k} = L - L^k``
 * ridge leverage       ``L_lam = sum_j (a.v_j)^2 / (sigma_j^2 + lam)``
 
-``score_block`` is the one implementation of these formulas; every exact,
-sketched, online and verification scorer passes it a block's coordinates
-on some basis.  Directions with ``sigma_j`` at or below the relative rank
-floor contribute zero to leverage sums rather than exploding; for ridge
-leverage the mass outside the stored basis is charged at ``1/lam`` (its
-true weight at sigma = 0).
+``score_block`` is the one implementation of these formulas, and
+``score_blocks`` the one loop around it, which every exact, sketched and
+verification scorer calls with its blocks of rows and their coordinates
+on some basis; the online pipeline, whose basis changes with each row,
+calls ``score_block`` itself.  Scorers pass only the directions with
+``sigma_j`` above the relative rank floor ``sqrt(m * eps) * sigma_1`` of
+an m-value spectrum (``linalg.effective_rank``); for ridge leverage the
+mass outside the basis is charged at ``1/lam`` (its true weight at sigma = 0).
 
 Every scorer returns a ``ScoreTable``: the mode, a ``defined`` mask and
-one float64 column per field.  Batch scorers stack ``score_block``'s
-columns with ``score_table``; the online pipeline appends each row's
-scores to its own float64 columns, NaN where a row is undefined.  Neither
-builds per-row objects.  ``ScoreTable.to_json`` writes the bytes
-``json.dumps`` with ``indent=2`` would write for the list of row dicts,
-and builds no per-row string either.  It formats each float cell at most
-once: T^k takes raw T^k's text wherever the two are the same bits.  Cells
-that every row shares (an absent column, the mode, an all-true
-``defined``) become part of a row template, and one ``"".join`` of the
-template's literals and the per-row cells, interleaved in one flat list,
-builds the document.
+one float64 column per field.  ``score_blocks`` stacks the blocks'
+columns; the online pipeline appends each row's scores to its own float64
+columns, NaN where a row is undefined.  Neither builds per-row objects.
+``ScoreTable.to_json`` writes the bytes ``json.dumps`` with ``indent=2``
+would write for the list of row dicts, and builds no per-row string
+either.  It formats each float cell at most once: T^k takes raw T^k's
+text wherever the two are the same bits.  Cells that every row shares (an
+absent column, the mode, an all-true ``defined``) become part of a row
+template, and one ``"".join`` of the template's literals and the per-row
+cells, interleaved in one flat list, builds the document.
 """
 
 from __future__ import annotations
@@ -265,16 +266,22 @@ class ScoreTable:
         return "".join(parts)
 
 
-def score_table(
-    mode: str, blocks: list[dict], fields: tuple[str, ...]
+def score_blocks(
+    mode: str, blocks: Iterable[tuple[np.ndarray, np.ndarray]], sigma: np.ndarray,
+    k: int, lam: float | None, fields: tuple[str, ...],
 ) -> ScoreTable:
-    """Stack ``score_block`` outputs of at least one block, in row order,
-    into a table of defined rows filling only ``fields``."""
+    """Score ``(rows, coordinates)`` blocks, at least one, in row order into
+    a table of defined rows filling only ``fields``.  ``score_block`` reads
+    each block's coordinates on the basis of singular values ``sigma`` and
+    its squared row norms, taken here once per block."""
+    scored = [
+        score_block(alpha, np.einsum("ij,ij->i", rows, rows), sigma, k, lam)
+        for rows, alpha in blocks
+    ]
     columns = dict.fromkeys(ROWSPACE_FIELDS)
     for name in fields:
-        parts = [block[name] for block in blocks]
-        if parts[0] is not None:
-            columns[name] = np.concatenate(parts)
+        if scored[0][name] is not None:
+            columns[name] = np.concatenate([block[name] for block in scored])
     n = columns["rank_k_leverage"].shape[0]
     return ScoreTable(mode, np.ones(n, dtype=bool), **columns)
 
@@ -301,10 +308,9 @@ def batch_scores(
 ) -> ScoreTable:
     """Exact scores for every row of the matrix against its own SVD.
 
-    The rows are scored in the ``_CHUNK``-row blocks that ``row_blocks``
-    cuts: each block's coordinates X_b V (for a wide A, its rows of U Sigma)
-    go through ``score_block``, and ``score_table`` stacks the blocks'
-    columns.  So besides the matrix, the working memory is
+    The rows are scored in blocks of ``_CHUNK`` rows: ``score_blocks``
+    takes each block with its coordinates X_b V (for a wide A, its rows of
+    U Sigma).  So besides the matrix, the working memory is
     O(block * d + d^2): the Gram, its eigenvectors and one block's
     coordinates, never the whole of X V or (X V)^2.
 
@@ -337,14 +343,9 @@ def batch_scores(
         rank, lam = k, None
     sigma = basis.values[:rank]
     vectors = basis.right_vectors[:, :rank]
-    blocks = []
-    for start in range(0, a.shape[0], _CHUNK):
-        block = a[start : start + _CHUNK]
-        if tall:
-            alpha = block @ vectors
-        else:
-            alpha = vectors[start : start + _CHUNK] * sigma
-        blocks.append(
-            score_block(alpha, np.einsum("ij,ij->i", block, block), sigma, k, lam)
-        )
-    return score_table(MODE_EXACT_BATCH, blocks, fields)
+    starts = range(0, a.shape[0], _CHUNK)
+    if tall:
+        blocks = ((a[s : s + _CHUNK], a[s : s + _CHUNK] @ vectors) for s in starts)
+    else:
+        blocks = ((a[s : s + _CHUNK], vectors[s : s + _CHUNK] * sigma) for s in starts)
+    return score_blocks(MODE_EXACT_BATCH, blocks, sigma, k, lam, fields)

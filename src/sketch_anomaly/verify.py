@@ -44,7 +44,13 @@ from .linalg import (
     sym_eig,
 )
 from .pipelines import PipelineConfig, run_fd_pipeline
-from .scores import ScoreTable, batch_scores, score_block
+from .scores import (
+    MODE_SKETCHED_BATCH,
+    PROJECTED_FIELDS,
+    ScoreTable,
+    batch_scores,
+    score_blocks,
+)
 from .sketches import SignProjector, fd_ingest
 from .synth import additive_perturbation, separated_matrix
 
@@ -345,11 +351,11 @@ def check_average_guarantees(
     Each report gates on its own lemma's precondition against the measured
     mu.  ell reaches ~7.5e5 in the sweep, so At is never formed: its
     covariance is ``A (R R^T) A^T``, whose top-k eigenpairs ~U_k, ~sigma_k^2
-    give the sketch scores as ``score_block(~U_k ~sigma_k, ...)``, the
-    projected-space estimator the rproj pipeline computes.  Each doubling
-    hashes only its new columns: the exact unscaled sum
-    ``SignProjector.sign_gram`` grows, and R R^T is that sum divided by
-    ell, the bytes of ``SignProjector(seed, ell, d).gram()``.
+    give the sketch scores: ``score_blocks`` scores A at coordinates
+    ~U_k ~sigma_k, the projected-space estimator the rproj pipeline
+    computes.  Each doubling hashes only its new columns: the exact
+    unscaled sum ``SignProjector.sign_gram`` grows, and R R^T is that sum
+    divided by ell, the bytes of ``SignProjector(seed, ell, d).gram()``.
     """
     a = as_matrix(a, "A")
     stats = spectral_stats(svd_thin(a).values, k)
@@ -369,7 +375,6 @@ def check_average_guarantees(
         if mu <= mu_l_target:
             break
 
-    row_sq = np.einsum("ij,ij->i", a, a)
     exact_scores = batch_scores(a, k)
     lev_exact = exact_scores.rank_k_leverage
     proj_exact = exact_scores.projection_distance
@@ -377,9 +382,12 @@ def check_average_guarantees(
     rank_ok = sketch.rank_used >= k
     if rank_ok:
         sigma_t = sketch.values[:k]
-        columns = score_block(sketch.right_vectors[:, :k] * sigma_t, row_sq, sigma_t, k)
-        lhs_l = float(np.sum(np.abs(lev_exact - columns["rank_k_leverage"])))
-        lhs_t = float(np.sum(np.abs(proj_exact - columns["projection_distance_raw"])))
+        scored = score_blocks(
+            MODE_SKETCHED_BATCH, [(a, sketch.right_vectors[:, :k] * sigma_t)],
+            sigma_t, k, None, PROJECTED_FIELDS,
+        )
+        lhs_l = float(np.sum(np.abs(lev_exact - scored.rank_k_leverage)))
+        lhs_t = float(np.sum(np.abs(proj_exact - scored.projection_distance_raw)))
     else:
         lhs_l = np.inf
         lhs_t = np.inf

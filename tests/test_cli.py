@@ -645,6 +645,58 @@ def test_bad_matrix_file_is_one_line_data_error(capsys, tmp_path, payload, messa
     assert captured.err == f"sketch-anomaly: {path}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "data, flags, message",
+    [
+        (b"1,2\n3,\x834\n", [], "not UTF-8 text (invalid start byte)"),
+        # A bad byte beyond the first block the text layer decodes.
+        (
+            b"1,2\n" * 5000 + b"3,\xc3(\n", [],
+            "not UTF-8 text (invalid continuation byte)",
+        ),
+        (b"1_0,2\n3,4\n5,6\n", [], "non-numeric cell at line 1, column 1: '1_0'"),
+        (b"1,2\n3\n", [], "ragged row at line 2 (1 cells, expected 2)"),
+        (b"1,2\n3,x\n", [], "non-numeric cell at line 2, column 2: 'x'"),
+        (b"", [], "no data rows"),
+        (b"a,b\n", ["--header"], "no data rows"),
+    ],
+)
+def test_bad_csv_is_one_line_data_error(capsys, tmp_path, data, flags, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    assert run_cli(["score", "--k", "1", "--input", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sketch-anomaly: {path}: {message}\n"
+
+
+def test_snapshot_read_as_csv_is_one_line_data_error(capsys, data_path):
+    path = data_path[0]
+    assert run_cli(["score", "--k", "3", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"sketch-anomaly: {path}: not UTF-8 text (")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_csv_byte_order_mark_is_skipped(capsys, tmp_path, data_path, header):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    save_csv(plain, data_path[1])
+    text = plain.read_bytes()
+    if header:
+        text = b"c" + b",c" * (data_path[1].shape[1] - 1) + b"\n" + text
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    flags = ["--header"] if header else []
+    outputs = []
+    for path in (plain, marked):
+        assert run_cli(["score", "--k", "3", "--input", str(path), *flags]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == outputs[1].err == ""
+    assert outputs[0].out == outputs[1].out
+
+
 class HandMadeMatrix:
     """Matrix snapshot bytes written field by field, not by save_snapshot."""
 

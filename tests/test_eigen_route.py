@@ -1,4 +1,5 @@
-"""The package has one eigen route: ``linalg.sym_eig``."""
+"""The package has one eigen route, ``linalg.sym_eig``, and one batch
+scoring loop, ``scores.score_blocks``."""
 
 import ast
 from pathlib import Path
@@ -12,8 +13,8 @@ PACKAGE = Path(sketch_anomaly.__file__).resolve().parent
 EIGEN_SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
 
 
-def eigen_calls(source: str, module: str) -> list[str]:
-    """Each call in ``source`` to a function named in ``EIGEN_SOLVERS``, as
+def eigen_calls(source: str, module: str, names=EIGEN_SOLVERS) -> list[str]:
+    """Each call in ``source`` to a function named in ``names``, as
     ``scope:name``; a scope is the module name followed by its enclosing
     classes and functions, such as ``linalg.sym_eig``."""
     calls = []
@@ -24,7 +25,7 @@ def eigen_calls(source: str, module: str) -> list[str]:
         if isinstance(node, ast.Call):
             func = node.func
             name = getattr(func, "attr", None) or getattr(func, "id", None)
-            if name in EIGEN_SOLVERS:
+            if name in names:
                 calls.append(f"{scope}:{name}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -53,3 +54,13 @@ def test_sym_eig_is_the_only_eigen_solver_call():
     for path in sorted(PACKAGE.glob("*.py")):
         calls += eigen_calls(path.read_text(), path.stem)
     assert calls == ["linalg.sym_eig:eigh"]
+
+
+def test_score_block_is_called_only_by_the_batch_loop_and_the_online_pass():
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        calls += eigen_calls(path.read_text(), path.stem, {"score_block"})
+    assert sorted(calls) == [
+        "pipelines.run_online_pipeline:score_block",
+        "scores.score_blocks:score_block",
+    ]

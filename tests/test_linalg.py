@@ -13,6 +13,7 @@ from sketch_anomaly.errors import (
 )
 from sketch_anomaly.linalg import (
     as_matrix,
+    effective_rank,
     operator_norm,
     spectral_stats,
     svd_thin,
@@ -350,6 +351,18 @@ class TestTruncate:
                 resid = np.sum((a - rank_k_truncation(a, k)) ** 2)
                 expected = float(np.sum(dec.values[k:] ** 2))
                 assert resid == pytest.approx(expected, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 40, 800, 4096])
+def test_effective_rank_floor_is_sqrt_m_eps_sigma_1(m):
+    # sigma_2 just above, at and just below sqrt(m * eps) * sigma_1, padded
+    # with zeros to a spectrum of m values.
+    floor = np.sqrt(m * np.finfo(np.float64).eps)
+    for sigma_2, rank in ((floor * (1 + 1e-6), 2), (floor, 1), (floor * (1 - 1e-6), 1)):
+        sigma = np.zeros(m)
+        sigma[:2] = 1.0, sigma_2
+        assert effective_rank(sigma) == rank
+        assert effective_rank(sigma * 1e150) == rank
 
 
 class TestOperatorNorm:

@@ -23,6 +23,7 @@ from sketch_anomaly.scores import (
     SeparationWarning,
     batch_scores,
     score_block,
+    score_blocks,
 )
 from sketch_anomaly.synth import separated_matrix, spectral_matrix
 
@@ -472,6 +473,38 @@ class TestScoreBlock:
         cols = score_block(np.ones((3, 2)), np.full(3, 2.0), np.ones(2), 1)
         assert cols["ridge_leverage"] is None
         np.testing.assert_array_equal(cols["projection_distance_raw"], np.ones(3))
+
+
+class TestScoreBlocks:
+    SIGMA = np.array([3.0, 2.0, 1.0, 0.5])
+
+    @staticmethod
+    def pairs(sizes):
+        rng = np.random.default_rng(31)
+        return [(rng.standard_normal((n, 6)), rng.standard_normal((n, 4))) for n in sizes]
+
+    @pytest.mark.parametrize("lam", [None, 0.5])
+    @pytest.mark.parametrize("fields", [ROWSPACE_FIELDS, PROJECTED_FIELDS])
+    @pytest.mark.parametrize("sizes", [(5, 1, 3), (4,)])
+    def test_columns_are_the_per_pair_score_block_columns(self, sizes, fields, lam):
+        pairs = self.pairs(sizes)
+        table = score_blocks(
+            MODE_SKETCHED_BATCH, iter(pairs), self.SIGMA, 2, lam, fields
+        )
+        parts = [
+            score_block(alpha, np.einsum("ij,ij->i", rows, rows), self.SIGMA, 2, lam)
+            for rows, alpha in pairs
+        ]
+        assert table.mode == MODE_SKETCHED_BATCH
+        assert table.defined.dtype == bool
+        np.testing.assert_array_equal(table.defined, np.ones(sum(sizes), dtype=bool))
+        for name in ROWSPACE_FIELDS:
+            column = getattr(table, name)
+            if name not in fields or (name == "ridge_leverage" and lam is None):
+                assert column is None, name
+            else:
+                expected = np.concatenate([part[name] for part in parts])
+                assert column.tobytes() == expected.tobytes(), name
 
 
 def reference_json(table: ScoreTable) -> str:
