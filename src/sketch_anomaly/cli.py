@@ -11,17 +11,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 verification suite
 had an applicable bound that failed.  Output is byte-deterministic for
 fixed inputs, flags, and seeds.
 
-``score`` writes the ``ScoreTable`` its scorer returns, straight from the
-score columns (``ScoreTable.to_json``): the bytes are exactly those of
-``json.dumps(rows, indent=2) + "\n"``, where ``rows`` holds one dict per
-row with the keys row_index, full_leverage, rank_k_leverage,
-projection_distance, tail_leverage, ridge_leverage, mode, defined and
-projection_distance_raw, in that order, and null for a score the mode does
-not fill or an undefined online row.  The writer formats each float cell
-at most once (T^k reuses raw T^k's text where the two hold the same
-bits), folds the cells every row shares into a row template, and builds
-the document with one join of a flat list of literals and per-row cells;
-it builds no string per row.
+``score`` writes the ``ScoreTable`` its scorer returns with
+``ScoreTable.to_json``, which documents the bytes.
 
 The argparse parser is built once per process, on the first ``run_cli``
 call, not at import.

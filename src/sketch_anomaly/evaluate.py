@@ -15,7 +15,7 @@ over several seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .scores import (
     check_lambda,
 )
 
-SCORE_KINDS = ("leverage-k", "projection-k", "ridge", "tail", "full")
-
 _KIND_TO_FIELD = {
     "leverage-k": "rank_k_leverage",
     "projection-k": "projection_distance",
@@ -38,6 +36,8 @@ _KIND_TO_FIELD = {
     "tail": "tail_leverage",
     "full": "full_leverage",
 }
+
+SCORE_KINDS = tuple(_KIND_TO_FIELD)
 
 # Candidate thresholds per F1 sweep.
 SWEEP_POINTS = 40
@@ -72,24 +72,24 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Best-threshold F1 result; per_seed carries one entry per seed when
-    a randomized scorer was averaged.  The harmonic-mean identity between
-    f1, precision, and recall holds per individual run."""
+    """Best-threshold F1 result.  The fields without a default are one
+    run's measures; the harmonic-mean identity between f1, precision, and
+    recall holds per individual run.  A randomized scorer's report averages
+    each measure over its seeds, by the mean or by the statistic the field's
+    ``average`` metadata names, and per_seed lists each seed followed by
+    that run's measures."""
 
     f1: float
-    best_eta_prime: float
+    best_eta_prime: float = field(metadata={"average": np.median})
     precision: float
     recall: float
     per_seed: list | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "f1": self.f1,
-            "best_eta_prime": self.best_eta_prime,
-            "precision": self.precision,
-            "recall": self.recall,
-            "per_seed": self.per_seed,
-        }
+        return asdict(self)
+
+
+_MEASURES = tuple(f for f in fields(EvalReport) if f.default is MISSING)
 
 
 def _kind_column(table: ScoreTable, kind: str) -> np.ndarray:
@@ -166,9 +166,7 @@ def f1_sweep(approx_scores, labels, sweep_grid) -> EvalReport:
         f1 = 2.0 * precision * recall / (precision + recall) if tp else 0.0
         if best is None or f1 > best[0]:
             best = (f1, float(eta_prime), precision, recall)
-    return EvalReport(
-        f1=best[0], best_eta_prime=best[1], precision=best[2], recall=best[3]
-    )
+    return EvalReport(*best)
 
 
 def evaluate_pipeline(
@@ -181,13 +179,12 @@ def evaluate_pipeline(
     """Score with one sketch pipeline and report F1 against exact labels.
 
     Randomized modes are averaged over the given seeds (one full pipeline
-    run per seed, one after another); top-level fields are the per-seed
-    means with the median best threshold.
+    run per seed, one after another), as ``EvalReport`` describes.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    field = _KIND_TO_FIELD[cfg.score_kind]
-    if mode in PROJECTED_MODES and field not in PROJECTED_FIELDS:
+    column = _KIND_TO_FIELD[cfg.score_kind]
+    if mode in PROJECTED_MODES and column not in PROJECTED_FIELDS:
         raise ValueError(
             f"score kind {cfg.score_kind!r} is not available in mode {mode!r}; "
             "it estimates only leverage-k and projection-k"
@@ -210,21 +207,12 @@ def evaluate_pipeline(
     if mode not in RANDOMIZED_MODES:
         return run_one(seeds[0])
     reports = [run_one(s) for s in seeds]
-
     per_seed = [
-        {
-            "seed": int(s),
-            "f1": rep.f1,
-            "best_eta_prime": rep.best_eta_prime,
-            "precision": rep.precision,
-            "recall": rep.recall,
-        }
+        {"seed": int(s), **{f.name: getattr(rep, f.name) for f in _MEASURES}}
         for s, rep in zip(seeds, reports)
     ]
-    return EvalReport(
-        f1=float(np.mean([r.f1 for r in reports])),
-        best_eta_prime=float(np.median([r.best_eta_prime for r in reports])),
-        precision=float(np.mean([r.precision for r in reports])),
-        recall=float(np.mean([r.recall for r in reports])),
-        per_seed=per_seed,
+    averages = (
+        float(f.metadata.get("average", np.mean)([getattr(r, f.name) for r in reports]))
+        for f in _MEASURES
     )
+    return EvalReport(*averages, per_seed)

@@ -178,9 +178,10 @@ def _read_snapshot(handle, path: str):
 def load_csv(path, header: bool = False) -> np.ndarray:
     """Parse a UTF-8 CSV of decimal floats into a matrix.
 
-    A leading byte-order mark is skipped.  A cell holding ``_`` is
-    non-numeric, although ``float`` reads ``1_0`` as 10.0.  Errors carry
-    the 1-based line and column of the first offending cell.
+    A leading byte-order mark is skipped.  A cell holding ``_`` or any
+    character that is not ASCII is non-numeric, although ``float`` reads
+    ``1_0`` as 10.0 and any Unicode digit or space as its ASCII twin.
+    Errors carry the 1-based line and column of the first offending cell.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -202,7 +203,7 @@ def load_csv(path, header: bool = False) -> np.ndarray:
                 parsed = []
                 for col_no, cell in enumerate(cells, start=1):
                     try:
-                        if "_" in cell:
+                        if "_" in cell or not cell.isascii():
                             raise ValueError(cell)
                         parsed.append(float(cell))
                     except ValueError:

@@ -7,10 +7,11 @@ decisions bit for bit, which is what multi-pass pipelines need, and
 distinct lanes never share state so they can be evaluated in any order.
 
 Also hosts arithmetic over the Mersenne prime p = 2**61 - 1 for the
-k-wise independent polynomial hash behind the sign projector: ``mod61``
-reduces words, and ``polyval61`` evaluates a polynomial at many positions
-by Horner's rule.  The kernel splits each reduced position once,
-x = x1 * 2**31 + x0, and keeps 2 * x1, which absorbs 2**62 = 2 (mod p).
+k-wise independent polynomial hash behind the sign projector: its
+coefficients are ``mix64`` words reduced by ``% MERSENNE61``, and
+``polyval61`` evaluates the polynomial at many positions by Horner's
+rule.  The kernel splits each reduced position once, x = x1 * 2**31 + x0,
+and keeps 2 * x1, which absorbs 2**62 = 2 (mod p).
 Each Horner step multiplies from 31-bit halves, every partial product and
 their sum below 2**64, and folds once with 2**61 = 1 (mod p).  The
 accumulator stays below 2**61 + 8 between steps, a residue but not yet
@@ -149,12 +150,3 @@ def polyval61(coefficients, x) -> np.ndarray:
         _reduce61(acc, t)
         out[start:stop] = acc
     return out.reshape(x.shape)
-
-
-def mod61(x):
-    """x mod (2**61 - 1) for uint64 input, vectorized."""
-    with np.errstate(over="ignore"):
-        x = np.asarray(x, dtype=np.uint64)
-        x = (x & _M61) + (x >> _U64(61))
-        x = (x & _M61) + (x >> _U64(61))
-        return np.where(x >= _M61, x - _M61, x)

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import ShapeError, ZeroMassError
 from .linalg import as_matrix, as_row, svd_thin
-from .rng import mix64, mod61, polyval61, seed64, uniform01
+from .rng import MERSENNE61, mix64, polyval61, seed64, uniform01
 
 _LANE_ROW_SAMPLER = 0x521AF00D
 _LANE_COL_SAMPLER = 0x0C01F00D
@@ -205,8 +205,8 @@ class SignProjector:
     evaluated at the entry's global position ``j * dim + i``.  State is the
     seed plus those coefficients, so the projector itself costs O(1) words.
     ``matrix()`` materializes all dim * ell entries for fast dense products,
-    hashing them afresh on every call; ``gram()`` and ``sign_gram()`` never
-    hold more than ``GRAM_BLOCK_COLS`` columns.
+    hashing them afresh on every call; ``sign_gram()`` never holds more
+    than ``GRAM_BLOCK_COLS`` columns.
     """
 
     def __init__(self, seed: int, ell: int, dim: int):
@@ -216,24 +216,23 @@ class SignProjector:
         self.ell = ell
         self.dim = dim
         terms = np.arange(SIGN_INDEPENDENCE, dtype=np.uint64)
-        self.coefficients = mod61(mix64(self.seed, _LANE_SIGN_COEFF, terms))
+        self.coefficients = mix64(self.seed, _LANE_SIGN_COEFF, terms) % MERSENNE61
         self._scale = 1.0 / np.sqrt(ell)
 
-    def _signs(self, positions: np.ndarray, scale: float) -> np.ndarray:
-        # Low bit b -> b * (-2 * scale) + scale, which is +-scale exactly.
+    def _signs(self, start: int, stop: int, scale: float) -> np.ndarray:
+        """Columns ``start <= j < stop`` as rows, entries +-scale."""
+        positions = np.arange(start * self.dim, stop * self.dim, dtype=np.uint64)
         bits = polyval61(self.coefficients, positions)
         bits &= np.uint64(1)
+        # Low bit b -> b * (-2 * scale) + scale, which is +-scale exactly.
         signs = bits.astype(np.float64)
         signs *= -2.0 * scale
         signs += scale
-        return signs
+        return signs.reshape(stop - start, self.dim)
 
     def matrix(self) -> np.ndarray:
         """The full dim x ell matrix."""
-        positions = np.arange(self.ell * self.dim, dtype=np.uint64)
-        return np.ascontiguousarray(
-            self._signs(positions, self._scale).reshape(self.ell, self.dim).T
-        )
+        return np.ascontiguousarray(self._signs(0, self.ell, self._scale).T)
 
     def sign_gram(self, start: int, stop: int) -> np.ndarray:
         """Sum of s_j s_j^T over the +-1 sign columns ``start <= j < stop``
@@ -249,19 +248,9 @@ class SignProjector:
             raise ValueError(f"need 0 <= start <= stop <= {self.ell}, got {start}, {stop}")
         g = np.zeros((self.dim, self.dim))
         for lo in range(start, stop, GRAM_BLOCK_COLS):
-            hi = min(lo + GRAM_BLOCK_COLS, stop)
-            positions = np.arange(lo * self.dim, hi * self.dim, dtype=np.uint64)
-            block = self._signs(positions, 1.0).reshape(hi - lo, self.dim)
+            block = self._signs(lo, min(lo + GRAM_BLOCK_COLS, stop), 1.0)
             g += block.T @ block
         return g
-
-    def gram(self) -> np.ndarray:
-        """R R^T (dim x dim): ``sign_gram(0, ell)`` divided once by ell.
-
-        Lets callers with very large ell evaluate sketch covariances
-        ``(A R)(A R)^T = A (R R^T) A^T`` without holding R.
-        """
-        return self.sign_gram(0, self.ell) / self.ell
 
 
 class _Reservoir:

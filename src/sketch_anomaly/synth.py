@@ -128,13 +128,15 @@ def planted_anomaly_dataset(
     Normal rows live near a planted k-dimensional subspace; an
     ``anomaly_fraction`` of rows additionally get a component of length
     ``anomaly_scale`` inside a separate block of directions orthogonal to
-    the signal.  Returns ``(matrix, planted_mask)``.  Both scales must be
-    finite and non-negative.
+    the signal.  Returns ``(matrix, planted_mask)``.  The seed and both
+    scales must be non-negative, and the scales finite.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0 < anomaly_fraction < 1:
         raise ValueError("anomaly_fraction must be in (0, 1)")
     if d < k + ANOMALY_DIMS:

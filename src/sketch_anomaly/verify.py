@@ -27,7 +27,7 @@ uses them too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable
 
@@ -72,15 +72,8 @@ class BoundReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "bound_name": self.bound_name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "inputs": self.inputs,
-            "applicable": self.applicable,
-            "pass": self.passed,
-        }
+        """The fields in order, with ``passed`` written as ``pass``."""
+        return {("pass" if k == "passed" else k): v for k, v in asdict(self).items()}
 
 
 def _report(name: str, lhs: float, rhs: float, applicable: bool, **inputs) -> BoundReport:
@@ -355,7 +348,7 @@ def check_average_guarantees(
     ~U_k ~sigma_k, the projected-space estimator the rproj pipeline
     computes.  Each doubling hashes only its new columns: the exact
     unscaled sum ``SignProjector.sign_gram`` grows, and R R^T is that sum
-    divided by ell, the bytes of ``SignProjector(seed, ell, d).gram()``.
+    divided by ell, the bytes of ``sign_gram(0, ell) / ell``.
     """
     a = as_matrix(a, "A")
     stats = spectral_stats(svd_thin(a).values, k)
@@ -704,14 +697,17 @@ def run_suite(
     Reports come suite by suite, and within a suite seed by seed.
     ``eps`` overrides each eps-taking suite's default, and a named suite
     that takes none rejects it.  It must be positive and below 1 (at 1 or
-    more every suite's bound is vacuous or its precondition fails), and
-    ``num_seeds`` at least 1.  An eps whose mu target has no representable
-    sketch size raises ``SketchSizeError`` naming the suite and eps.
+    more every suite's bound is vacuous or its precondition fails),
+    ``num_seeds`` at least 1 and ``base_seed`` at least 0.  An eps whose mu
+    target has no representable sketch size raises ``SketchSizeError``
+    naming the suite and eps.
     """
     if name != "all" and name not in _SWEEPS:
         raise ValueError(f"unknown suite {name!r}")
     if num_seeds < 1:
         raise ValueError(f"seed count must be >= 1, got {num_seeds}")
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
     if eps is not None and not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"epsilon must be positive and finite, got {eps}")
     if eps is not None and eps >= 1.0:

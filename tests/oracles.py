@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from sketch_anomaly.linalg import as_row, gram_basis, sym_eig
-from sketch_anomaly.rng import MERSENNE61, mod61, seed64, uniform01
+from sketch_anomaly.rng import MERSENNE61, seed64, uniform01
 from sketch_anomaly.scores import (
     EXACT_FIELDS,
     ROWSPACE_FIELDS,
@@ -156,13 +156,13 @@ def mulmod61(a, b):
 
 def sign_hash(projector, positions: np.ndarray) -> np.ndarray:
     """``SignProjector``'s polynomial hash by Horner's rule with a full
-    ``mulmod61`` and ``mod61`` reduction at every step."""
-    x = mod61(positions)
+    ``mulmod61`` and ``% MERSENNE61`` reduction at every step."""
+    x = np.asarray(positions, dtype=np.uint64) % MERSENNE61
     coeffs = projector.coefficients
     acc = np.broadcast_to(coeffs[-1], x.shape).copy()
     with np.errstate(over="ignore"):
         for t in range(len(coeffs) - 2, -1, -1):
-            acc = mod61(mulmod61(acc, x) + coeffs[t])
+            acc = (mulmod61(acc, x) + coeffs[t]) % MERSENNE61
     return acc
 
 

@@ -237,6 +237,30 @@ def test_verify_pointwise_reports_on_the_score_outputs(capsys, tmp_path, seed):
     assert float(np.max(gap[nonzero] * scale / row_sq[nonzero])) == lev["lhs"]
 
 
+@pytest.mark.parametrize("suite", ["projector", "weyl"])
+def test_verify_rejects_a_negative_seed(capsys, suite):
+    argv = ["verify", "--suite", suite, "--seeds", "1", "--seed", "-1"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sketch-anomaly: seed must be >= 0, got -1\n"
+
+
+def test_verify_json_lines_hold_the_report_fields_in_order(capsys):
+    assert run_cli(["verify", "--suite", "all", "--seeds", "1"]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert {r["applicable"] for r in reports} == {True, False}
+    for r in reports:
+        assert list(r) == [
+            "bound_name", "lhs", "rhs", "slack", "inputs", "applicable", "pass",
+        ]
+        keys = tuple(r["inputs"])
+        assert keys[: len(verify._INPUT_KEYS)] == verify._INPUT_KEYS
+        assert r["slack"] == r["rhs"] - r["lhs"]
+        within = r["lhs"] <= r["rhs"] + verify.PASS_SLACK * max(1.0, r["rhs"])
+        assert r["pass"] == (not r["applicable"] or within)
+
+
 @pytest.mark.parametrize("module", ["sketch_anomaly", "sketch_anomaly.cli"])
 def test_module_entry_points(data_path, module):
     path, matrix = data_path
@@ -458,6 +482,7 @@ def test_scores_near_the_top_of_the_range_match_a_scaled_copy(capsys, tmp_path, 
         (["--n", "50", "--k", "-1"], "k must be >= 1, got -1"),
         (["--n", "0", "--k", "2"], "n must be >= 1, got 0"),
         (["--n", "-5", "--k", "2"], "n must be >= 1, got -5"),
+        (["--n", "50", "--k", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_synth_rejects_empty_shapes(capsys, tmp_path, flags, message):
@@ -659,6 +684,10 @@ def test_bad_matrix_file_is_one_line_data_error(capsys, tmp_path, payload, messa
         (b"1,2\n3,x\n", [], "non-numeric cell at line 2, column 2: 'x'"),
         (b"", [], "no data rows"),
         (b"a,b\n", ["--header"], "no data rows"),
+        # float reads any Unicode digit or space; a cell must be ASCII.
+        ("1,\uff11\n".encode(), [], "non-numeric cell at line 1, column 2: '\uff11'"),
+        ("1,2\n\u0663,4\n".encode(), [], "non-numeric cell at line 2, column 1: '\u0663'"),
+        ("1,\u20036\n".encode(), [], "non-numeric cell at line 1, column 2: '\\u20036'"),
     ],
 )
 def test_bad_csv_is_one_line_data_error(capsys, tmp_path, data, flags, message):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -130,3 +131,42 @@ def test_ground_truth_decomposes_only_iteration_blocks(sym_eig_shapes, tmp_path)
             "--format", "bin", "--output", str(tmp_path / "out.json")]
     assert run_cli(argv) == 0
     assert sym_eig_shapes == [(200, 200)]
+
+
+@pytest.fixture(scope="module")
+def eval_input(tmp_path_factory):
+    matrix, _ = planted_anomaly_dataset(200, 30, 3, 5)
+    path = tmp_path_factory.mktemp("eval") / "in.bin"
+    save_snapshot(path, matrix)
+    return path
+
+
+def run_eval_json(capsys, path, mode):
+    argv = ["eval", "--mode", mode, "--k", "3", "--ell", "8", "--eta", "0.05",
+            "--seed", "5", "--seeds", "3", "--input", str(path), "--format", "bin"]
+    assert run_cli(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+MEASURES = ["f1", "best_eta_prime", "precision", "recall"]
+
+
+@pytest.mark.parametrize("mode", ["rproj", "colsample", "rowsample"])
+def test_randomized_eval_json_averages_its_per_seed_entries(capsys, eval_input, mode):
+    report = run_eval_json(capsys, eval_input, mode)
+    assert list(report) == [*MEASURES, "per_seed"]
+    per_seed = report["per_seed"]
+    assert [entry["seed"] for entry in per_seed] == [5, 6, 7]
+    for entry in per_seed:
+        assert list(entry) == ["seed", *MEASURES]
+    for key in MEASURES:
+        values = [entry[key] for entry in per_seed]
+        average = np.median if key == "best_eta_prime" else np.mean
+        assert report[key] == float(average(values))
+
+
+@pytest.mark.parametrize("mode", ["fd", "exact"])
+def test_deterministic_eval_json_has_no_per_seed_entries(capsys, eval_input, mode):
+    report = run_eval_json(capsys, eval_input, mode)
+    assert list(report) == [*MEASURES, "per_seed"]
+    assert report["per_seed"] is None

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketch_anomaly import rng
-from sketch_anomaly.rng import MERSENNE61, mix64, mod61, polyval61, seed64, uniform01
+from sketch_anomaly.rng import MERSENNE61, mix64, polyval61, seed64, uniform01
 
 P = int(MERSENNE61)
 words = st.integers(0, 2**64 - 1)
@@ -59,15 +59,12 @@ def horner(coefficients, x: int) -> int:
 
 
 @settings(max_examples=100)
-@given(field, field, words)
-def test_field_arithmetic_matches_python_ints(a, b, x):
+@given(field, field)
+def test_field_arithmetic_matches_python_ints(a, b):
     assert int(polyval61([0, a], np.uint64(b))) == a * b % P
-    assert int(mod61(np.uint64(x))) == x % P
 
 
 def test_field_arithmetic_edges():
-    edges = np.array(EDGES, dtype=np.uint64)
-    assert mod61(edges).tolist() == [e % P for e in EDGES]
     top = np.uint64(P - 1)
     assert int(polyval61([0, P - 1], top)) == (P - 1) ** 2 % P
 

@@ -180,7 +180,8 @@ def test_average_lhs_matches_column_space_form():
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     lev = (u[:, :k] ** 2).sum(axis=1)
     proj = row_sq - ((u[:, :k] * s[:k]) ** 2).sum(axis=1)
-    cov = a @ SignProjector(seed, rep_l.inputs["ell"], a.shape[1]).gram() @ a.T
+    ell = rep_l.inputs["ell"]
+    cov = a @ (SignProjector(seed, ell, a.shape[1]).sign_gram(0, ell) / ell) @ a.T
     lam, vecs = np.linalg.eigh(cov)
     top = np.argsort(lam)[::-1][:k]
     ut, sig = vecs[:, top], np.sqrt(np.clip(lam[top], 0.0, None))
