@@ -9,7 +9,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification suite
 had an applicable bound that failed.  Output is byte-deterministic for
-fixed inputs, flags, and seeds.
+fixed inputs, flags, and seeds.  Usage errors argparse cannot see raise
+``_UsageError``, which ``run_cli`` prints as it is, with exit 1.
+
+``score --sketch-out`` saves the state of the mode's
+``pipelines.FIRST_PASSES`` entry; ``--sketch-in`` checks a saved state
+against the job and its input and resumes it through ``run_pipeline``.
 
 ``score`` writes the ``ScoreTable`` its scorer returns with
 ``ScoreTable.to_json``, which documents the bytes.
@@ -37,20 +42,10 @@ from .errors import (
 )
 from .evaluate import EvalConfig, evaluate_pipeline
 from .io import load_matrix, load_snapshot, save_csv, save_snapshot
-from .pipelines import (
-    PipelineConfig,
-    run_colsample_pipeline,
-    run_fd_pipeline,
-    run_pipeline,
-)
+from .pipelines import FIRST_PASSES, PipelineConfig, run_pipeline
 from .rng import seed64
 from .scores import ScoreTable, batch_scores
-from .sketches import (
-    ColumnSamplePlan,
-    FrequentDirections,
-    column_sample_plan,
-    fd_ingest,
-)
+from .sketches import ColumnSamplePlan, FrequentDirections
 from .synth import planted_anomaly_dataset
 from .verify import (
     SUITES,
@@ -79,6 +74,10 @@ _DATA_ERRORS = (
     ConvergenceError,
     OSError,
 )
+
+
+class _UsageError(Exception):
+    """A usage error argparse cannot see; its message is printed whole."""
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -197,98 +196,81 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_ell(args, mode: str) -> int | None:
-    if args.ell is not None:
-        return args.ell
-    if args.mu is None or mode == "exact":
-        return None
+def _pipeline_job(args) -> tuple[str, int]:
+    """A ``score`` or ``eval`` job's pipeline mode and ell: ``--ell``, or
+    the size ``--mu`` sets.  An exact job needs neither; 0 stands in."""
+    mode = "online-fd" if args.mode == "online" else args.mode
+    if mode == "exact" or args.ell is not None:
+        return mode, args.ell or 0
+    if args.mu is None:
+        raise _UsageError(
+            f"{args.command}: --ell (or --mu) is required for sketched modes"
+        )
     # A relative covariance error of 1 or more asks for no sketch; NaN and
     # inf are left to the helpers' own check.
     if 1.0 <= args.mu < math.inf:
         raise ValueError(f"mu must be below 1, got {args.mu}")
     # Stable-rank proxy sr ~ k, per the approximate low-rank assumption.
     if mode == "rproj":
-        return rproj_ell_for_mu(args.mu, float(args.k))
+        return mode, rproj_ell_for_mu(args.mu, float(args.k))
     # Length-squared sampling, of columns or of rows, follows one law.
     if mode in ("colsample", "rowsample"):
-        return colsample_ell_for_mu(args.mu, float(args.k))
-    return fd_ell_for_mu(args.mu, float(args.k), args.k)
+        return mode, colsample_ell_for_mu(args.mu, float(args.k))
+    return mode, fd_ell_for_mu(args.mu, float(args.k), args.k)
+
+
+def _resumed_state(path: str, cfg: PipelineConfig, matrix):
+    """The pass-zero state saved at ``path``, checked to be ``cfg.mode``'s,
+    built with the job's flags, on an input of ``matrix``'s shape.  An fd
+    snapshot stores no row count, so only a column plan's is checked."""
+    state = load_snapshot(path)
+    plan = cfg.mode == "colsample"
+    n, d = matrix.shape
+    if not isinstance(state, ColumnSamplePlan if plan else FrequentDirections):
+        error = "not a column-plan snapshot" if plan else "not an fd snapshot"
+    elif state.ell != cfg.ell:
+        error = f"snapshot was built with ell {state.ell}, but --ell is {cfg.ell}"
+    elif plan and state.seed != seed64(cfg.seed):
+        error = f"snapshot was built with seed {state.seed}, but --seed is {cfg.seed}"
+    elif state.dim != d:
+        error = f"snapshot was built on {state.dim} columns, but the input has {d}"
+    elif plan and state.entries_seen != n * d:
+        error = f"snapshot saw {state.entries_seen} entries, but the input has {n * d}"
+    else:
+        return state
+    raise DataFormatError(f"{path}: {error}")
 
 
 def cmd_score(args) -> int:
-    mode = args.mode
-    ell = _resolve_ell(args, mode)
-    if mode != "exact" and ell is None:
-        print("score: --ell (or --mu) is required for sketched modes", file=sys.stderr)
-        return 1
+    mode, ell = _pipeline_job(args)
     if args.sketch_out and args.sketch_in:
-        print("score: --sketch-in and --sketch-out cannot be combined", file=sys.stderr)
-        return 1
-    if (args.sketch_out or args.sketch_in) and mode not in ("fd", "colsample"):
-        print("score: sketch persistence is supported for fd and colsample", file=sys.stderr)
-        return 1
+        raise _UsageError("score: --sketch-in and --sketch-out cannot be combined")
+    if (args.sketch_out or args.sketch_in) and mode not in FIRST_PASSES:
+        raise _UsageError(
+            f"score: sketch persistence is supported for {' and '.join(FIRST_PASSES)}"
+        )
 
     matrix = load_matrix(args.input, fmt=args.format, header=args.header)
-    row_source = lambda: matrix
 
     if mode == "exact":
         table = batch_scores(matrix, args.k, lam=args.lam)
     else:
-        cfg = PipelineConfig(
-            k=args.k,
-            ell=ell,
-            seed=args.seed,
-            lam=args.lam,
-            mode="online-fd" if mode == "online" else mode,
-        )
+        cfg = PipelineConfig(k=args.k, ell=ell, seed=args.seed, lam=args.lam, mode=mode)
         if args.sketch_out:
-            if mode == "fd":
-                save_snapshot(args.sketch_out, fd_ingest(row_source(), ell))
-            else:
-                plan = column_sample_plan(row_source(), ell, args.seed)
-                save_snapshot(args.sketch_out, plan)
+            save_snapshot(args.sketch_out, FIRST_PASSES[mode](matrix, cfg))
             return 0
-        if args.sketch_in:
-            state = load_snapshot(args.sketch_in)
-            if mode == "fd":
-                if not isinstance(state, FrequentDirections):
-                    raise DataFormatError(f"{args.sketch_in}: not an fd snapshot")
-                _check_snapshot_flag(args.sketch_in, "ell", state.ell, ell)
-                table = run_fd_pipeline(row_source, cfg, state=state)
-            else:
-                if not isinstance(state, ColumnSamplePlan):
-                    raise DataFormatError(
-                        f"{args.sketch_in}: not a column-plan snapshot"
-                    )
-                _check_snapshot_flag(args.sketch_in, "ell", state.ell, ell)
-                _check_snapshot_flag(
-                    args.sketch_in, "seed", state.seed, args.seed, seed64
-                )
-                table = run_colsample_pipeline(row_source, cfg, plan=state)
-        else:
-            table = run_pipeline(row_source, cfg)
+        state = _resumed_state(args.sketch_in, cfg, matrix) if args.sketch_in else None
+        table = run_pipeline(lambda: matrix, cfg, state)
 
     _emit(_dump_json(_ScoreRows(table)), args.output)
     return 0
 
 
-def _check_snapshot_flag(
-    path: str, name: str, stored: int, flag: int, key=int
-) -> None:
-    """Reject a snapshot whose stored value is not ``key(flag)``."""
-    if stored != key(flag):
-        raise DataFormatError(
-            f"{path}: snapshot was built with {name} {stored}, but --{name} is {flag}"
-        )
-
-
 def cmd_verify(args) -> int:
-    suite = args.suite
     known = ("all",) + SUITES
-    if suite not in known:
-        print(f"verify: unknown suite {suite!r}; choose from {known}", file=sys.stderr)
-        return 1
-    reports = run_suite(suite, args.seeds, base_seed=args.seed, eps=args.epsilon)
+    if args.suite not in known:
+        raise _UsageError(f"verify: unknown suite {args.suite!r}; choose from {known}")
+    reports = run_suite(args.suite, args.seeds, base_seed=args.seed, eps=args.epsilon)
     lines = [json.dumps(r.to_dict()) for r in reports]
     _emit("\n".join(lines) + "\n", args.output)
     failed = [r for r in reports if r.applicable and not r.passed]
@@ -303,10 +285,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ell = _resolve_ell(args, args.mode)
-    if args.mode != "exact" and ell is None:
-        print("eval: --ell (or --mu) is required for sketched modes", file=sys.stderr)
-        return 1
+    mode, ell = _pipeline_job(args)
     matrix = load_matrix(args.input, fmt=args.format, header=args.header)
     cfg = EvalConfig(
         k=args.k,
@@ -315,8 +294,7 @@ def cmd_eval(args) -> int:
         lam=args.lam,
     )
     seeds = tuple(range(args.seed, args.seed + args.seeds))
-    mode = "online-fd" if args.mode == "online" else args.mode
-    report = evaluate_pipeline(matrix, mode, ell or 0, cfg, seeds)
+    report = evaluate_pipeline(matrix, mode, ell, cfg, seeds)
     _emit(_dump_json(report.to_dict()), args.output)
     return 0
 
@@ -346,6 +324,9 @@ def run_cli(argv) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except _DATA_ERRORS as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ over several seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -179,7 +179,8 @@ def evaluate_pipeline(
     """Score with one sketch pipeline and report F1 against exact labels.
 
     Randomized modes are averaged over the given seeds (one full pipeline
-    run per seed, one after another), as ``EvalReport`` describes.
+    run per seed, one after another), as ``EvalReport`` describes.  The
+    pipeline's config is checked before the ground truth is computed.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -195,18 +196,16 @@ def evaluate_pipeline(
         exact = _exact_scores(a, cfg)
         labels = top_fraction_mask(exact, cfg.eta)
         return f1_sweep(exact, labels, grid)
+    base = PipelineConfig(k=cfg.k, ell=ell, seed=seeds[0], lam=cfg.lam, mode=mode)
     labels = ground_truth(a, cfg)
 
-    def run_one(seed: int) -> EvalReport:
-        pipe_cfg = PipelineConfig(
-            k=cfg.k, ell=ell, seed=seed, lam=cfg.lam, mode=mode
-        )
+    def run_one(pipe_cfg: PipelineConfig) -> EvalReport:
         table = run_pipeline(lambda: a, pipe_cfg)
         return f1_sweep(_kind_column(table, cfg.score_kind), labels, grid)
 
     if mode not in RANDOMIZED_MODES:
-        return run_one(seeds[0])
-    reports = [run_one(s) for s in seeds]
+        return run_one(base)
+    reports = [run_one(replace(base, seed=s)) for s in seeds]
     per_seed = [
         {"seed": int(s), **{f.name: getattr(rep, f.name) for f in _MEASURES}}
         for s, rep in zip(seeds, reports)

@@ -36,6 +36,11 @@ S S^T from row to row and scores each row a from S a and the Gram's
 eigenvectors, since a . (S^T u_j / sigma_j) = (S a) . u_j / sigma_j.  It
 reads a sketch with at least as many rows as columns through
 ``svd_thin(S)``, as the batch passes do.
+
+Resuming: ``FIRST_PASSES`` holds pass zero of fd (the Frequent Directions
+buffer) and of colsample (the sampling plan).  Given the ``state`` that pass
+returned, say reloaded by ``io.load_snapshot``, ``run_pipeline`` makes only
+the later passes, and scores as a run in one invocation does.
 """
 
 from __future__ import annotations
@@ -155,18 +160,24 @@ def _projected_table(
     )
 
 
+# Pass zero of each mode whose state a run can persist and resume from.  Each
+# call looks its function up here, where perfbench's tracer wraps it.
+FIRST_PASSES: dict[str, Callable[[Iterable, PipelineConfig], object]] = {
+    "fd": lambda rows, cfg: fd_ingest(rows, cfg.ell),
+    "colsample": lambda rows, cfg: column_sample_plan(rows, cfg.ell, cfg.seed),
+}
+
+
 def run_fd_pipeline(
     row_source: RowSource,
     cfg: PipelineConfig,
     state: FrequentDirections | None = None,
 ) -> ScoreTable:
-    """Two passes: Frequent Directions sketch, then score all rows.
-
-    An externally built ``state`` (e.g. reloaded from a snapshot) skips
-    pass one, turning this into the resume path for multi-invocation runs.
-    """
-    fd = state if state is not None else fd_ingest(row_source(), cfg.ell)
-    return _rowspace_table(row_source, fd.sketch(), cfg)
+    """Two passes: Frequent Directions sketch, then score all rows.  A
+    ``state`` from ``FIRST_PASSES["fd"]`` skips the sketch pass."""
+    if state is None:
+        state = FIRST_PASSES["fd"](row_source(), cfg)
+    return _rowspace_table(row_source, state.sketch(), cfg)
 
 
 def run_rowsample_pipeline(
@@ -192,22 +203,20 @@ def run_rproj_pipeline(
 def run_colsample_pipeline(
     row_source: RowSource,
     cfg: PipelineConfig,
-    plan: ColumnSamplePlan | None = None,
+    state: ColumnSamplePlan | None = None,
 ) -> ScoreTable:
-    """Three passes: sampling plan, sampled covariance, then score.
-
-    A pre-built ``plan`` (reloaded from a snapshot) skips pass zero.
-    """
-    if plan is None:
-        plan = column_sample_plan(row_source(), cfg.ell, cfg.seed)
+    """Three passes: sampling plan, sampled covariance, then score.  A
+    ``state`` from ``FIRST_PASSES["colsample"]`` skips the plan pass."""
+    if state is None:
+        state = FIRST_PASSES["colsample"](row_source(), cfg)
 
     def projector(_width: int) -> Callable[[np.ndarray], np.ndarray]:
         # ``row_blocks`` has validated every block and its width; the
         # scales are taken once.
-        indices, scales = plan.indices, plan.scales()
+        indices, scales = state.indices, state.scales()
         return lambda block: block[:, indices] * scales
 
-    return _projected_table(row_source, projector, cfg, plan.dim)
+    return _projected_table(row_source, projector, cfg, state.dim)
 
 
 def run_online_pipeline(
@@ -216,7 +225,8 @@ def run_online_pipeline(
     """One pass: score each row against the sketch of rows before it.
 
     Score-then-update ordering: row i never sees itself.  While the sketch
-    still has rank < k the row is undefined.
+    still has rank < k the row is undefined; a stream with no defined row
+    raises ``RankDeficientError``, as the batch pipelines do.
 
     The pass carries G = S S^T of the Frequent Directions buffer S.  Each
     row a is validated once and read through z = S a: the sketch's sigma
@@ -276,6 +286,10 @@ def run_online_pipeline(
             column.append(scored[name][0])
     if fd is None:
         raise ShapeError("row source produced no rows")
+    if not any(defined):
+        raise RankDeficientError(
+            f"no row was scored: the sketch never retained k={cfg.k} usable directions"
+        )
     table = dict.fromkeys(ROWSPACE_FIELDS)
     table.update((name, np.frombuffer(column)) for name, column in columns.items())
     return ScoreTable(
@@ -299,7 +313,12 @@ RANDOMIZED_MODES = ("rproj", "colsample", "rowsample")
 PROJECTED_MODES = ("rproj", "colsample")
 
 
-def run_pipeline(row_source: RowSource, cfg: PipelineConfig) -> ScoreTable:
-    """Dispatch on cfg.mode."""
-    return _RUNNERS[cfg.mode](row_source, cfg)
+def run_pipeline(
+    row_source: RowSource, cfg: PipelineConfig, state=None
+) -> ScoreTable:
+    """Dispatch on cfg.mode; a ``state`` from ``FIRST_PASSES[cfg.mode]``
+    resumes the run after pass zero."""
+    if state is None:
+        return _RUNNERS[cfg.mode](row_source, cfg)
+    return _RUNNERS[cfg.mode](row_source, cfg, state)
 

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sketch_anomaly
-from sketch_anomaly import cli, linalg, pipelines, scores, sketches, verify
+from sketch_anomaly import cli, evaluate, linalg, pipelines, scores, sketches, verify
 from sketch_anomaly.cli import run_cli
 from sketch_anomaly.io import save_csv, save_snapshot
 from sketch_anomaly.linalg import spectral_stats, svd_thin
@@ -194,6 +195,119 @@ def test_sketch_in_flag_mismatch_is_data_error(
     err = capsys.readouterr().err
     stored = "8" if flag == "--ell" else "7"
     assert f"{flag[2:]} {stored}" in err and f"{flag} is {value}" in err
+
+
+def run_captured(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(["fd", "colsample"]),
+    lam=st.sampled_from([None, "0.5"]),
+    n=st.integers(1, 40),
+    d=st.integers(1, 16),
+    k=st.integers(1, 4),
+    extra_ell=st.integers(1, 6),
+    seed=st.integers(-(2**63), 2**64 - 1),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_sketch_out_then_sketch_in_writes_the_plain_run_bytes(
+    mode, lam, n, d, k, extra_ell, seed, data_seed
+):
+    matrix = np.random.default_rng(data_seed).standard_normal((n, d))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, snap = Path(tmp) / "in.bin", str(Path(tmp) / "snap.bin")
+        save_snapshot(path, matrix)
+        argv = [
+            "score", "--mode", mode, "--k", str(k), "--ell", str(k + extra_ell),
+            "--seed", str(seed), "--input", str(path), "--format", "bin",
+        ] + (["--lambda", lam] if lam else [])
+        plain = run_captured(argv)
+        saved = run_captured([*argv, "--sketch-out", snap])
+        if saved[0] != 0:
+            # Pass zero itself failed, as the plain run did.
+            assert saved == plain and not os.path.exists(snap)
+            return
+        assert saved == (0, "", "")
+        assert run_captured([*argv, "--sketch-in", snap]) == plain
+
+
+@pytest.mark.parametrize("mode", ["fd", "colsample"])
+def test_sketch_in_on_an_input_of_another_width_names_the_snapshot(
+    capsys, tmp_path, data_path, mode
+):
+    snap = write_snapshot(tmp_path, data_path, mode)
+    wider = tmp_path / "wider.bin"
+    save_snapshot(wider, np.hstack([data_path[1], data_path[1][:, :10]]))
+    argv = score_argv(
+        wider, "--mode", mode, "--ell", "8", "--seed", "7", "--sketch-in", str(snap)
+    )
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"sketch-anomaly: {snap}: snapshot was built on 30 columns, "
+        "but the input has 40\n"
+    )
+
+
+def test_column_plan_resumed_on_another_input_of_its_width_is_data_error(
+    capsys, tmp_path
+):
+    # The plan's masses would scale the other input's scores: exit 0 before.
+    first, second, snap = (str(tmp_path / name) for name in ("a.csv", "b.csv", "p.bin"))
+    synth = ["synth", "--d", "30", "--k", "2"]
+    assert run_cli([*synth, "--n", "60", "--output", first]) == 0
+    assert run_cli([*synth, "--n", "90", "--seed", "4", "--output", second]) == 0
+    score = ["score", "--mode", "colsample", "--k", "2", "--ell", "6"]
+    assert run_cli([*score, "--input", first, "--sketch-out", snap]) == 0
+    assert run_cli([*score, "--input", second, "--sketch-in", snap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"sketch-anomaly: {snap}: snapshot saw 1800 entries, but the input has 2700\n"
+    )
+
+
+@pytest.mark.parametrize("mode", ["fd", "rproj", "colsample", "rowsample", "online"])
+def test_invalid_eval_config_is_rejected_before_the_ground_truth(
+    capsys, monkeypatch, data_path, mode
+):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return batch_scores(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "batch_scores", counting)
+    argv = [
+        "eval", "--mode", mode, "--k", "5", "--ell", "4", "--eta", "0.05",
+        "--input", str(data_path[0]), "--format", "bin",
+    ]
+    assert run_cli(argv) == 1
+    assert calls == []
+    assert capsys.readouterr().err == "sketch-anomaly: need k < ell, got k=5, ell=4\n"
+
+
+@pytest.mark.parametrize(
+    "mode", ["exact", "fd", "rproj", "colsample", "rowsample", "online"]
+)
+def test_underflowing_input_is_one_line_data_error(capsys, tmp_path, mode):
+    # Full rank, but every entry is near 1e-170, so every Gram underflows
+    # to zero; online scored it as 60 undefined rows with exit 0.
+    path = tmp_path / "tiny.csv"
+    save_csv(path, np.random.default_rng(0).standard_normal((60, 8)) * 1e-170)
+    argv = ["score", "--mode", mode, "--k", "2", "--ell", "4", "--input", str(path)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sketch-anomaly: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
 
 
 def test_verify_has_no_mu_flag():
@@ -580,7 +694,7 @@ def test_rowsample_mu_sizes_ell_by_the_sampling_law():
     # Length-squared row sampling is colsample's law on A^T; the Frequent
     # Directions formula (ell 33 here) misses mu = 0.1 on most seeds.
     argv = ["score", "--mode", "rowsample", "--k", "3", "--mu", "0.1", "--input", "-"]
-    ell = cli._resolve_ell(cli.build_parser().parse_args(argv), "rowsample")
+    _, ell = cli._pipeline_job(cli.build_parser().parse_args(argv))
     assert ell == colsample_ell_for_mu(0.1, 3.0) == 1712
     a, _ = planted_anomaly_dataset(4000, 60, 3, 0)
     for seed in range(10):

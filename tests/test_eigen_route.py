@@ -1,10 +1,12 @@
-"""The package has one eigen route, ``linalg.sym_eig``, and one batch
-scoring loop, ``scores.score_blocks``."""
+"""The package has one eigen route, ``linalg.sym_eig``, one batch scoring
+loop, ``scores.score_blocks``, and the CLI runs a sketch pipeline only
+through ``pipelines.run_pipeline``."""
 
 import ast
 from pathlib import Path
 
 import sketch_anomaly
+from sketch_anomaly import cli, pipelines
 
 PACKAGE = Path(sketch_anomaly.__file__).resolve().parent
 
@@ -64,3 +66,13 @@ def test_score_block_is_called_only_by_the_batch_loop_and_the_online_pass():
         "pipelines.run_online_pipeline:score_block",
         "scores.score_blocks:score_block",
     ]
+
+
+def test_cli_runs_sketches_only_through_run_pipeline():
+    # ``--sketch-out`` reaches pass zero through ``pipelines.FIRST_PASSES``.
+    runners = {runner.__name__ for runner in pipelines._RUNNERS.values()}
+    passes = {"fd_ingest", "column_sample_plan", "row_sample"}
+    names = runners | passes | {"run_pipeline"}
+    calls = eigen_calls((PACKAGE / "cli.py").read_text(), "cli", names)
+    assert calls == ["cli.cmd_score:run_pipeline"]
+    assert not names & set(vars(cli)) - {"run_pipeline"}

@@ -76,6 +76,20 @@ class TestPassDiscipline:
         run_online_pipeline(src, PipelineConfig(k=2, ell=8, mode="online-fd"))
         assert src.passes == 1
 
+    @pytest.mark.parametrize("mode", sorted(pipelines.FIRST_PASSES))
+    def test_resume_makes_only_the_passes_after_pass_zero(
+        self, counting_source, table_columns, mode
+    ):
+        cfg = PipelineConfig(k=2, ell=6, seed=3, mode=mode)
+        src = counting_source(self.matrix)
+        plain = run_pipeline(src, cfg)
+        passes = src.passes
+        state = pipelines.FIRST_PASSES[mode](self.matrix, cfg)
+        src = counting_source(self.matrix)
+        resumed = run_pipeline(src, cfg, state)
+        assert src.passes == passes - 1
+        assert table_columns(resumed) == table_columns(plain)
+
     @pytest.mark.parametrize("mode", ["fd", "rproj", "colsample", "rowsample"])
     def test_shared_iterator_is_an_error_not_an_empty_table(self, mode):
         # The first pass uses up the one iterator, so a later pass sees no
@@ -277,6 +291,15 @@ class TestOnlinePipeline:
         )
         assert not records.defined[:3].any()
         assert records.defined[3]
+
+    def test_stream_with_no_defined_row_is_rank_deficient(self):
+        # k=2 needs two independent rows before a row, so no row of this
+        # stream of multiples of one row is ever scored.
+        a = np.outer(np.arange(1.0, 7.0), np.ones(5))
+        cfg = PipelineConfig(k=2, ell=4, mode="online-fd")
+        with pytest.raises(RankDeficientError, match="^no row was scored"):
+            run_online_pipeline(lambda: iter(a), cfg)
+        assert run_online_pipeline(lambda: iter(np.eye(5)), cfg).defined.any()
 
     def test_pointwise_bound_carries_over_per_prefix(self):
         # For each row, if the sketch-so-far meets mu <= eps^2 * delta of
@@ -557,7 +580,7 @@ class TestArraySource:
         cs_cfg = PipelineConfig(k=3, ell=10, seed=6, mode="colsample")
         plan = column_sample_plan(a, 10, 6)
         self.same_table(
-            run_colsample_pipeline(lambda: a, cs_cfg, plan=plan),
+            run_colsample_pipeline(lambda: a, cs_cfg, state=plan),
             run_colsample_pipeline(lambda: iter(a), cs_cfg),
         )
 
