@@ -9,8 +9,18 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification suite
 had an applicable bound that failed.  Output is byte-deterministic for
-fixed inputs, flags, and seeds.  Usage errors argparse cannot see raise
-``_UsageError``, which ``run_cli`` prints as it is, with exit 1.
+fixed inputs, flags, and seeds.
+
+A ``score`` or ``eval`` job accepts only the flags it reads: ``--ell``
+and ``--mu`` outside mode exact, ``--mu`` only without ``--ell``;
+``--lambda`` where a ridge column is read, in ``score`` outside
+``pipelines.PROJECTED_MODES`` or in ``eval --score ridge``; ``--header``
+with ``--format csv``; ``--sketch-out`` or ``--sketch-in``, not both, in the
+modes of ``pipelines.FIRST_PASSES``, and ``--sketch-out`` with neither
+``--output`` nor ``--lambda``.  ``--seed`` and ``--seeds`` pass in every
+mode.  ``run_cli`` checks this rule, ``_check_flags``, before the job runs.
+A flag given against it, like any usage error argparse cannot see, raises
+``_UsageError``: one stderr line, exit 1, nothing written.
 
 ``score --sketch-out`` saves the state of the mode's
 ``pipelines.FIRST_PASSES`` entry; ``--sketch-in`` checks a saved state
@@ -42,7 +52,8 @@ from .errors import (
 )
 from .evaluate import EvalConfig, evaluate_pipeline
 from .io import load_matrix, load_snapshot, save_csv, save_snapshot
-from .pipelines import FIRST_PASSES, PipelineConfig, run_pipeline
+from .pipelines import FIRST_PASSES, PROJECTED_MODES, RANDOMIZED_MODES
+from .pipelines import PipelineConfig, run_pipeline
 from .rng import seed64
 from .scores import ScoreTable, batch_scores
 from .sketches import ColumnSamplePlan, FrequentDirections
@@ -64,6 +75,7 @@ _SCORE_FLAG_TO_KIND = {
 }
 
 _CLI_MODES = ("exact", "fd", "rproj", "colsample", "rowsample", "online")
+_NO_SEED = "unread by " + ", ".join(m for m in _CLI_MODES if m not in RANDOMIZED_MODES)
 
 _DATA_ERRORS = (
     DataFormatError,
@@ -152,14 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
         "formulas assuming stable rank ~ k",
     )
     score.add_argument("--lambda", dest="lam", type=float)
-    score.add_argument("--seed", type=int, default=0)
+    score.add_argument("--seed", type=int, default=0, help=f"sketch seed, {_NO_SEED}")
     score.add_argument("--sketch-out", help="persist pass-0/1 sketch state and stop")
     score.add_argument("--sketch-in", help="resume from persisted sketch state")
     add_io_flags(score)
-    score.set_defaults(func=cmd_score)
+    score.set_defaults(func=cmd_score, parser=score)
 
     verify = sub.add_parser("verify", help="run bound-check sweeps")
-    verify.add_argument("--suite", default="all", help=f"one of: all, {', '.join(SUITES)}")
+    verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
     verify.add_argument("--seeds", type=int, default=20)
     verify.add_argument("--seed", type=int, default=0, help="base seed")
     verify.add_argument("--epsilon", type=float)
@@ -176,10 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--score", choices=tuple(_SCORE_FLAG_TO_KIND), default="projk"
     )
     evalp.add_argument("--lambda", dest="lam", type=float)
-    evalp.add_argument("--seed", type=int, default=0)
-    evalp.add_argument("--seeds", type=int, default=5, help="seed count for randomized modes")
+    evalp.add_argument("--seed", type=int, default=0, help=f"first seed, {_NO_SEED}")
+    evalp.add_argument("--seeds", type=int, default=5, help=f"seed count, {_NO_SEED}")
     add_io_flags(evalp)
-    evalp.set_defaults(func=cmd_eval)
+    evalp.set_defaults(func=cmd_eval, parser=evalp)
 
     synth = sub.add_parser("synth", help="generate planted-anomaly data")
     synth.add_argument("--n", type=int, required=True)
@@ -198,14 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _pipeline_job(args) -> tuple[str, int]:
     """A ``score`` or ``eval`` job's pipeline mode and ell: ``--ell``, or
-    the size ``--mu`` sets.  An exact job needs neither; 0 stands in."""
+    the size ``--mu`` sets.  An exact job reads neither; 0 stands in."""
     mode = "online-fd" if args.mode == "online" else args.mode
-    if mode == "exact" or args.ell is not None:
-        return mode, args.ell or 0
     if args.mu is None:
-        raise _UsageError(
-            f"{args.command}: --ell (or --mu) is required for sketched modes"
-        )
+        return mode, args.ell or 0
     # A relative covariance error of 1 or more asks for no sketch; NaN and
     # inf are left to the helpers' own check.
     if 1.0 <= args.mu < math.inf:
@@ -217,6 +225,31 @@ def _pipeline_job(args) -> tuple[str, int]:
     if mode in ("colsample", "rowsample"):
         return mode, colsample_ell_for_mu(args.mu, float(args.k))
     return mode, fd_ell_for_mu(args.mu, float(args.k), args.k)
+
+
+def _check_flags(args) -> None:
+    """Raise ``_UsageError`` if a ``score`` or ``eval`` job breaks the flag rule."""
+    job, mode, unread = args.command, args.mode, {}
+    if mode == "exact":
+        unread = dict.fromkeys(("ell", "mu"), "in mode exact")
+    elif args.ell is not None:
+        unread["mu"] = "with --ell"
+    elif args.mu is None:
+        raise _UsageError(f"{job}: --ell (or --mu) is required for sketched modes")
+    if job == "eval" and args.score != "ridge":
+        unread["lam"] = f"with --score {args.score}"
+    elif job == "score" and mode in PROJECTED_MODES:
+        unread["lam"] = f"in mode {mode}"
+    if args.format != "csv":
+        unread["header"] = f"with --format {args.format}"
+    if job == "score" and mode not in FIRST_PASSES:
+        unread |= dict.fromkeys(("sketch_out", "sketch_in"), f"in mode {mode}")
+    elif job == "score" and args.sketch_out:
+        unread |= dict.fromkeys(("sketch_in", "output", "lam"), "with --sketch-out")
+    for dest, where in unread.items():
+        if getattr(args, dest) != args.parser.get_default(dest):
+            flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+            raise _UsageError(f"{job}: {flag} is not read {where}")
 
 
 def _resumed_state(path: str, cfg: PipelineConfig, matrix):
@@ -243,13 +276,6 @@ def _resumed_state(path: str, cfg: PipelineConfig, matrix):
 
 def cmd_score(args) -> int:
     mode, ell = _pipeline_job(args)
-    if args.sketch_out and args.sketch_in:
-        raise _UsageError("score: --sketch-in and --sketch-out cannot be combined")
-    if (args.sketch_out or args.sketch_in) and mode not in FIRST_PASSES:
-        raise _UsageError(
-            f"score: sketch persistence is supported for {' and '.join(FIRST_PASSES)}"
-        )
-
     matrix = load_matrix(args.input, fmt=args.format, header=args.header)
 
     if mode == "exact":
@@ -267,9 +293,6 @@ def cmd_score(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    known = ("all",) + SUITES
-    if args.suite not in known:
-        raise _UsageError(f"verify: unknown suite {args.suite!r}; choose from {known}")
     reports = run_suite(args.suite, args.seeds, base_seed=args.seed, eps=args.epsilon)
     lines = [json.dumps(r.to_dict()) for r in reports]
     _emit("\n".join(lines) + "\n", args.output)
@@ -323,6 +346,8 @@ def run_cli(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.command in ("score", "eval"):
+            _check_flags(args)
         return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

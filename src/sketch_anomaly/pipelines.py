@@ -239,6 +239,11 @@ def run_online_pipeline(
     many rows as columns (fill >= d, possible when d < 2 ell) is read
     through ``svd_thin(S)``, which decomposes the smaller d x d S^T S, and
     its right vectors v_j as a . v_j.
+
+    Each row keeps its own full ``sym_eig``, because a subspace iteration
+    warm-started from the previous row's vectors took 3 to 5 or more rounds
+    to reach ``EIG_TOL``, each round about a third of one ``sym_eig`` at the
+    fills of the benchmark's streams.
     """
     columns = {name: array("d") for name in ROWSPACE_FIELDS}
     if cfg.lam is None:

@@ -10,10 +10,12 @@ counts score rows through ``len`` of what the scorers return, and
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sketch_anomaly import cli
 from sketch_anomaly.cli import run_cli
 from sketch_anomaly.io import save_snapshot
 from sketch_anomaly.pipelines import PipelineConfig, run_online_pipeline
@@ -65,9 +67,9 @@ def test_traced_score_job_counts_every_row(perfbench, tmp_path, mode):
     path = tmp_path / "in.bin"
     save_snapshot(path, np.random.default_rng(6).standard_normal((rows, 10)))
     argv = [
-        "score", "--mode", mode, "--k", "3", "--ell", "6", "--input", str(path),
+        "score", "--mode", mode, "--k", "3", "--input", str(path),
         "--format", "bin", "--output", str(tmp_path / "out.json"),
-    ]
+    ] + ([] if mode == "exact" else ["--ell", "6"])
     with tracing.Tracer(detail=True) as tracer:
         assert run_cli(argv) == 0
     assert tracer.counts["scores.records"] == rows
@@ -80,8 +82,6 @@ def test_traced_score_job_counts_every_row(perfbench, tmp_path, mode):
 def test_score_output_can_be_corrupted_through_dump_json(monkeypatch, tmp_path):
     # perfbench/selftest.py wraps cli._dump_json like this to check that the
     # benchmark counts a corrupted score output as failed.
-    import sketch_anomaly.cli as cli
-
     original = cli._dump_json
 
     def corrupting(obj):
@@ -99,3 +99,16 @@ def test_score_output_can_be_corrupted_through_dump_json(monkeypatch, tmp_path):
     assert len(rows) == 20
     assert rows[0]["projection_distance"] == -1.0
     assert all(row["projection_distance"] >= 0.0 for row in rows[1:])
+
+
+def test_every_benchmark_argv_passes_the_flag_rule(perfbench):
+    # The benchmark passes --seed to fd, which reads none: the rule must go
+    # on accepting it, and every other flag the six jobs pass.
+    bench, _ = perfbench
+    jobs = bench.SCORE_MODES + ("eval",)
+    assert set(jobs) == set(bench.JOBS) - {"online"}
+    for workload in bench.WORKLOADS.values():
+        runner = SimpleNamespace(w=workload, input_path=Path("input.bin"))
+        for job in jobs:
+            argv = bench.Runner.argv(runner, job, 7) + ["--output", "out.json"]
+            cli._check_flags(cli.build_parser().parse_args(argv))

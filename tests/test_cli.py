@@ -55,9 +55,17 @@ def run_json(capsys, argv):
 @pytest.mark.parametrize("lam", [None, 0.5])
 def test_score_json_equals_direct_call(capsys, data_path, table_columns, mode, lam):
     path, matrix = data_path
-    flags = ["--mode", mode, "--ell", "8", "--seed", "4"]
+    flags = ["--mode", mode, "--seed", "4"]
+    flags += [] if mode == "exact" else ["--ell", "8"]
     if lam is not None:
         flags += ["--lambda", str(lam)]
+    if lam is not None and mode in pipelines.PROJECTED_MODES:
+        # A projected sketch fills no ridge column, so it reads no lambda.
+        assert run_cli(score_argv(path, *flags)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"score: --lambda is not read in mode {mode}\n"
+        return
     emitted = run_json(capsys, score_argv(path, *flags))
     if mode == "exact":
         table = batch_scores(matrix, 3, lam=lam)
@@ -225,15 +233,17 @@ def test_sketch_out_then_sketch_in_writes_the_plain_run_bytes(
         argv = [
             "score", "--mode", mode, "--k", str(k), "--ell", str(k + extra_ell),
             "--seed", str(seed), "--input", str(path), "--format", "bin",
-        ] + (["--lambda", lam] if lam else [])
-        plain = run_captured(argv)
+        ]
+        # A --sketch-out job reads no lambda, and colsample reads none at all.
+        scored = argv + (["--lambda", lam] if lam and mode == "fd" else [])
+        plain = run_captured(scored)
         saved = run_captured([*argv, "--sketch-out", snap])
         if saved[0] != 0:
             # Pass zero itself failed, as the plain run did.
             assert saved == plain and not os.path.exists(snap)
             return
         assert saved == (0, "", "")
-        assert run_captured([*argv, "--sketch-in", snap]) == plain
+        assert run_captured([*scored, "--sketch-in", snap]) == plain
 
 
 @pytest.mark.parametrize("mode", ["fd", "colsample"])
@@ -301,7 +311,8 @@ def test_underflowing_input_is_one_line_data_error(capsys, tmp_path, mode):
     # to zero; online scored it as 60 undefined rows with exit 0.
     path = tmp_path / "tiny.csv"
     save_csv(path, np.random.default_rng(0).standard_normal((60, 8)) * 1e-170)
-    argv = ["score", "--mode", mode, "--k", "2", "--ell", "4", "--input", str(path)]
+    argv = ["score", "--mode", mode, "--k", "2", "--input", str(path)]
+    argv += [] if mode == "exact" else ["--ell", "4"]
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -571,7 +582,8 @@ def test_scores_near_the_top_of_the_range_match_a_scaled_copy(capsys, tmp_path, 
     for name, matrix in (("huge", HUGE), ("scaled", np.ldexp(HUGE, -512))):
         path = tmp_path / f"{name}.csv"
         save_csv(path, matrix)
-        argv = ["score", "--mode", mode, "--k", "1", "--ell", "2", "--input", str(path)]
+        argv = ["score", "--mode", mode, "--k", "1", "--input", str(path)]
+        argv += [] if mode == "exact" else ["--ell", "2"]
         code = run_cli(argv)
         captured = capsys.readouterr()
         assert code == 0, captured.err
@@ -639,9 +651,126 @@ def test_sketch_in_with_sketch_out_is_usage_error(capsys, tmp_path, data_path, m
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "score: --sketch-in and --sketch-out cannot be combined\n"
+    assert captured.err == "score: --sketch-in is not read with --sketch-out\n"
     assert not fresh.exists()
     assert snap.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["score", "--ell", "8"], "score: --ell is not read in mode exact"),
+        (["score", "--mu", "0.1"], "score: --mu is not read in mode exact"),
+        (["eval", "--mode", "exact", "--ell", "8"],
+         "eval: --ell is not read in mode exact"),
+        (["score", "--mode", "fd", "--ell", "8", "--mu", "0.1"],
+         "score: --mu is not read with --ell"),
+        (["eval", "--ell", "8", "--mu", "0.1"], "eval: --mu is not read with --ell"),
+        (["score", "--mode", "rproj", "--ell", "8", "--lambda", "0.5"],
+         "score: --lambda is not read in mode rproj"),
+        (["score", "--mode", "colsample", "--ell", "8", "--lambda", "0.5"],
+         "score: --lambda is not read in mode colsample"),
+        (["eval", "--ell", "8", "--lambda", "0.5"],
+         "eval: --lambda is not read with --score projk"),
+        (["eval", "--mode", "exact", "--score", "tail", "--lambda", "0.5"],
+         "eval: --lambda is not read with --score tail"),
+        (["score", "--header"], "score: --header is not read with --format bin"),
+        (["score", "--mode", "rowsample", "--ell", "8", "--sketch-out", "{dir}/s.bin"],
+         "score: --sketch-out is not read in mode rowsample"),
+        (["score", "--mode", "online", "--ell", "8", "--sketch-in", "{dir}/s.bin"],
+         "score: --sketch-in is not read in mode online"),
+        (["score", "--mode", "fd", "--ell", "8", "--sketch-out", "{dir}/s.bin",
+          "--output", "{dir}/o.json"], "score: --output is not read with --sketch-out"),
+        (["score", "--mode", "fd", "--ell", "8", "--sketch-out", "{dir}/s.bin",
+          "--lambda", "0.5"], "score: --lambda is not read with --sketch-out"),
+        (["score", "--mode", "fd"],
+         "score: --ell (or --mu) is required for sketched modes"),
+    ],
+)
+def test_flag_the_job_does_not_read_is_a_usage_error(
+    tmp_path, data_path, argv, message
+):
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    argv += ["--k", "3", "--input", str(data_path[0]), "--format", "bin"]
+    if argv[0] == "eval":
+        argv += ["--eta", "0.05"]
+    assert run_captured(argv) == (1, "", message + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Values the flag property gives each flag of the rule: "{dir}" is the run's
+# own directory, "{snap}" a snapshot of another input of the same shape, and
+# None marks a flag that takes no value.
+RULE_FLAGS = {
+    "score": {
+        "--ell": ["6", "11"], "--mu": ["0.5"], "--lambda": ["0.5", "3"],
+        "--seed": ["9", "-1"], "--header": [None], "--output": ["{dir}/out.json"],
+        "--sketch-out": ["{dir}/snap.bin"], "--sketch-in": ["{snap}"],
+    },
+    "eval": {
+        "--ell": ["6", "11"], "--mu": ["0.5"], "--lambda": ["0.5", "3"],
+        "--seed": ["9", "-1"], "--seeds": ["2", "7"], "--header": [None],
+        "--output": ["{dir}/out.json"],
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def rule_inputs(tmp_path_factory):
+    """An 80 x 16 noise input, on which a sketch's ell and seed move eval's
+    F1, and per persisted mode a pass-zero snapshot of another such input."""
+    root = tmp_path_factory.mktemp("rule")
+    rng = np.random.default_rng(3)
+    path, other = root / "in.bin", root / "other.bin"
+    save_snapshot(path, rng.standard_normal((80, 16)))
+    save_snapshot(other, rng.standard_normal((80, 16)))
+    snaps = {}
+    for mode in pipelines.FIRST_PASSES:
+        snaps[mode] = str(root / f"{mode}.snap")
+        argv = ["score", "--mode", mode, "--k", "3", "--ell", "8", "--input",
+                str(other), "--format", "bin", "--sketch-out", snaps[mode]]
+        assert run_cli(argv) == 0
+    return path, snaps
+
+
+def run_in_fresh_dir(argv):
+    """``run_captured`` of argv with "{dir}" set to a fresh directory, and
+    the bytes of each file the run wrote there."""
+    with tempfile.TemporaryDirectory() as tmp:
+        result = run_captured([arg.replace("{dir}", tmp) for arg in argv])
+        written = {path.name: path.read_bytes() for path in Path(tmp).iterdir()}
+    return (*result, written)
+
+
+@settings(max_examples=120)
+@given(
+    command=st.sampled_from(sorted(RULE_FLAGS)),
+    mode=st.sampled_from(cli._CLI_MODES),
+    data=st.data(),
+)
+def test_every_flag_changes_the_output_or_is_a_usage_error(
+    rule_inputs, command, mode, data
+):
+    flag = data.draw(st.sampled_from(sorted(RULE_FLAGS[command])), label="flag")
+    value = data.draw(st.sampled_from(RULE_FLAGS[command][flag]), label="value")
+    path, snaps = rule_inputs
+    argv = [command, "--mode", mode, "--k", "3", "--input", str(path)]
+    argv += ["--format", "bin"] + ([] if mode == "exact" else ["--ell", "8"])
+    argv += ["--eta", "0.25"] if command == "eval" else []
+    plain = run_in_fresh_dir(argv)
+    assert plain[0] == 0
+    tail = [] if value is None else [value.replace("{snap}", snaps.get(mode, ""))]
+    code, out, err, written = flagged = run_in_fresh_dir([*argv, flag, *tail])
+    if code == 1:
+        # A flag the job does not read: one line naming it, and nothing else.
+        # --seed and --seeds are accepted in every mode.
+        assert flag not in ("--seed", "--seeds")
+        assert (out, written) == ("", {})
+        assert err.count("\n") == 1 and f"{flag} is not read" in err
+    elif flag in ("--seed", "--seeds") and mode not in pipelines.RANDOMIZED_MODES:
+        assert flagged == plain
+    else:
+        assert code == 0 and flagged != plain
 
 
 def test_parser_is_built_once_and_reused_with_the_same_results(tmp_path, data_path):
@@ -738,7 +867,8 @@ def test_covariance_larger_than_memory_is_one_line_error(
 def test_batch_score_of_a_loaded_matrix_validates_no_row(
     capsys, monkeypatch, tmp_path, data_path, mode, sketch_flag
 ):
-    flags = ["--mode", mode, "--ell", "8", "--seed", "7"]
+    flags = ["--mode", mode, "--seed", "7"]
+    flags += [] if mode == "exact" else ["--ell", "8"]
     if sketch_flag == "--sketch-in":
         flags += [sketch_flag, str(write_snapshot(tmp_path, data_path, mode))]
     elif sketch_flag == "--sketch-out":
@@ -777,7 +907,8 @@ def test_batch_score_of_a_loaded_matrix_validates_no_row(
 def test_bad_matrix_file_is_one_line_data_error(capsys, tmp_path, payload, message, mode):
     path = tmp_path / "bad.bin"
     path.write_bytes(payload(HandMadeMatrix(rows=6, cols=3)))
-    argv = score_argv(path, "--mode", mode, "--ell", "4")
+    argv = score_argv(path, "--mode", mode)
+    argv += [] if mode == "exact" else ["--ell", "4"]
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -142,8 +142,9 @@ def eval_input(tmp_path_factory):
 
 
 def run_eval_json(capsys, path, mode):
-    argv = ["eval", "--mode", mode, "--k", "3", "--ell", "8", "--eta", "0.05",
-            "--seed", "5", "--seeds", "3", "--input", str(path), "--format", "bin"]
+    argv = ["eval", "--mode", mode, "--k", "3", "--eta", "0.05", "--seed", "5",
+            "--seeds", "3", "--input", str(path), "--format", "bin"]
+    argv += [] if mode == "exact" else ["--ell", "8"]
     assert run_cli(argv) == 0
     return json.loads(capsys.readouterr().out)
 
